@@ -49,7 +49,7 @@ from .stats_core import (
     l2_statistic_naive,
     recurrence_rate,
     statistic,
-    statistic_from_pairs,
+    prepare,
     sup_statistic,
     sup_statistic_naive,
 )
@@ -96,7 +96,7 @@ __all__ = [
     "l2_statistic_naive",
     "recurrence_rate",
     "statistic",
-    "statistic_from_pairs",
+    "prepare",
     "sup_statistic",
     "sup_statistic_naive",
     "GaussianWeight",

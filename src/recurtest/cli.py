@@ -8,7 +8,6 @@ field of test reports is the one wall-clock exception).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__, fileio
@@ -22,18 +21,6 @@ from .stats_core import Functional, StatisticSpec
 _METRIC_CHOICES = [m.value for m in Metric]
 _FUNCTIONAL_CHOICES = [f.value for f in Functional]
 _TWO_RATE_SCENARIOS = ("C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU")
-
-
-def _threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("RECUR_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidInputError(f"RECUR_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def _parse_levels(text: str) -> list[float]:
@@ -70,14 +57,14 @@ def _cmd_test(args) -> int:
         raise InvalidInputError(
             f"row counts differ: {args.x} has {x.shape[0]}, {args.y} has {y.shape[0]}"
         )
-    report = permutation_test(x, y, spec, args.perms, args.seed, threads=_threads(args.threads))
+    report = permutation_test(x, y, spec, args.perms, args.seed)
     _write_text(args.out, fileio.report_to_json(report, levels, __version__))
     return 0
 
 
 def _cmd_power(args) -> int:
     study = fileio.read_power_config(args.config)
-    result = run_power(study, threads=_threads(args.threads))
+    result = run_power(study)
     _write_text(args.out, fileio.power_result_to_csv(result))
     return 0
 
@@ -104,7 +91,6 @@ def _cmd_dependogram(args) -> int:
         args.seed,
         levels,
         labels=[g.name for g in groups],
-        threads=_threads(args.threads),
     )
     _write_text(args.out, fileio.dependogram_to_csv(dep, levels))
     return 0
@@ -157,13 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--seed", required=True, type=int)
     p_test.add_argument("--out", help="write the JSON report here (default: stdout)")
     p_test.add_argument("--levels", default="0.05,0.1", help="comma-separated decision levels")
-    p_test.add_argument("--threads", type=int, help="worker cap (default: RECUR_THREADS or 1)")
     p_test.set_defaults(func=_cmd_test)
 
     p_power = sub.add_parser("power", help="Monte-Carlo power study from a JSON config")
     p_power.add_argument("--config", required=True, help="JSON study config")
     p_power.add_argument("--out", help="write the CSV table here (default: stdout)")
-    p_power.add_argument("--threads", type=int, help="worker cap (default: RECUR_THREADS or 1)")
     p_power.set_defaults(func=_cmd_power)
 
     p_dep = sub.add_parser("dependogram", help="pairwise tests between column groups of one CSV")
@@ -175,7 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dep.add_argument("--levels", default="0.05,0.1")
     p_dep.add_argument("--seed", required=True, type=int)
     p_dep.add_argument("--out", help="write the CSV table here (default: stdout)")
-    p_dep.add_argument("--threads", type=int)
     p_dep.set_defaults(func=_cmd_dependogram)
 
     p_sim = sub.add_parser("simulate", help="emit synthetic scenario data as two CSV files")

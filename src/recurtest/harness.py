@@ -54,9 +54,8 @@ class PowerResult:
         return [float(np.mean(self.p_values[:, j] <= alpha)) for j in range(len(self.rows))]
 
 
-def run_power(study: PowerStudySpec, threads: int = 1) -> PowerResult:
-    """Run the study; deterministic given its seed, independent of scheduling
-    and of ``threads`` (which only caps permutation workers)."""
+def run_power(study: PowerStudySpec) -> PowerResult:
+    """Run the study; deterministic given its seed."""
     if study.reps < 1:
         raise InvalidInputError(f"replication count must be >= 1, got {study.reps}")
     if not 0.0 < study.alpha < 1.0:
@@ -79,15 +78,14 @@ def run_power(study: PowerStudySpec, threads: int = 1) -> PowerResult:
             for j, spec in enumerate(study.specs):
                 test_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 1 + j)
                 t0 = time.perf_counter()
-                report = permutation_test(xs, ys, spec, study.m, test_seed, threads=threads)
+                report = permutation_test(xs, ys, spec, study.m, test_seed)
                 seconds[j] += time.perf_counter() - t0
                 p_values[k, j] = report.p_value
         except Exception as err:
-            message = f"power replication {k} failed: {err}"
-            try:
-                wrapped = type(err)(message)
-            except TypeError:
-                wrapped = RuntimeError(message)
+            # Same type (the CLI's exit code depends on it), built without
+            # calling a constructor whose signature is unknown.
+            wrapped = type(err).__new__(type(err), f"power replication {k} failed: {err}")
+            wrapped.__dict__.update(vars(err))
             raise wrapped from err
 
     rows = []

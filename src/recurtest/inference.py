@@ -1,33 +1,34 @@
 """Permutation-based inference: p-values, critical values, dependograms.
 
-Calibration permutes the second sample against the first.  All pairwise
-distances and both weight calibrations are computed once: permuting rows
-leaves each side's distance multiset unchanged, so only the pairing between
-the two coupled lists is rebuilt per replicate (O(pairs) gather).  Replicate
-k draws its permutation from a stream that depends only on (seed, k), so the
-result is identical for any execution order or worker count.
+Calibration permutes the second sample against the first.  Each side's
+pairwise distances are computed once, and the statistic is prepared once:
+permuting rows leaves the X side and the Y-side distance multiset unchanged,
+so only the pairing between the two coupled lists differs between
+permutations.  The permutations are then evaluated in blocks: each block
+gathers the permuted Y distances of its permutations into a ``(P, pairs)``
+array, and the prepared statistic sweeps all of them at once.  Replicate k
+draws its permutation from a stream that depends only on (seed, k), and each
+row's statistic is independent of its block, so the result is identical for
+any block size.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from . import streams
 from .exceptions import InvalidInputError
-from .metrics import PairedDistances, ensure_sample, paired_distances, pairwise_matrix
-from .stats_core import (
-    Functional,
-    StatisticSpec,
-    l1_statistic,
-    l2_statistic,
-    sup_statistic,
-)
-from .weights import estimate_weight
+from .metrics import ensure_sample, paired_distances
+from .stats_core import StatisticSpec, prepare
+
+# Cap on the elements of each (permutations, pairs) buffer of a block; the
+# block holds max(1, _BLOCK_ELEMENTS // pairs) permutations.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,6 @@ class Dependogram:
     entries: list[DependogramEntry] = field(default_factory=list)
 
 
-def _kernel(functional: Functional, wx, wy):
-    if functional == Functional.SUP:
-        return lambda pd: sup_statistic(pd)
-    if functional == Functional.L2:
-        return lambda pd: l2_statistic(pd, wx, wy)
-    return lambda pd: l1_statistic(pd, wx, wy)
-
-
 def permutation_test(
     x,
     y,
@@ -78,7 +71,6 @@ def permutation_test(
     seed: int,
     *,
     keep_perm_stats: bool = False,
-    threads: int = 1,
 ) -> TestReport:
     """Test independence of two samples with ``m`` random permutations.
 
@@ -88,48 +80,32 @@ def permutation_test(
     """
     if m < 1:
         raise InvalidInputError(f"permutation count must be >= 1, got {m}")
-    if threads < 1:
-        raise InvalidInputError(f"thread count must be >= 1, got {threads}")
     start = time.perf_counter()
 
-    xs = ensure_sample(x, "x")
-    ys = ensure_sample(y, "y")
-    if xs.shape[0] != ys.shape[0]:
-        raise InvalidInputError(
-            f"sample sizes differ: x has {xs.shape[0]} rows, y has {ys.shape[0]}"
-        )
-    n = xs.shape[0]
+    pd0 = paired_distances(x, y, spec.metric_x, spec.metric_y)
+    n = pd0.n
     if n < 3:
         raise InvalidInputError(f"permutation test needs n >= 3 observations, got {n}")
 
-    pd0 = paired_distances(xs, ys, spec.metric_x, spec.metric_y)
-    if spec.functional == Functional.SUP:
-        wx = wy = None
-    else:
-        wx = estimate_weight(pd0.z)
-        wy = estimate_weight(pd0.t)  # distance multiset is permutation-invariant
-    kernel = _kernel(spec.functional, wx, wy)
-    observed = kernel(pd0)
+    evaluate = prepare(pd0, spec.functional)
+    observed = float(evaluate(pd0.t[None, :])[0])
 
-    dist_y = pairwise_matrix(ys, spec.metric_y)
+    dist_y = squareform(pd0.t)
     rows, cols = np.triu_indices(n, 1)
-
-    def one(k: int) -> float:
-        perm = streams.substream(seed, streams.PERMUTATION, k).permutation(n)
-        paired = PairedDistances(n=n, z=pd0.z, t=dist_y[perm[rows], perm[cols]])
-        return kernel(paired)
-
-    if threads == 1:
-        perm_stats = np.array([one(k) for k in range(1, m + 1)])
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            perm_stats = np.array(list(pool.map(one, range(1, m + 1))))
+    block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
+    perm_stats = np.empty(m)
+    for first in range(0, m, block):
+        ks = range(first + 1, min(first + block, m) + 1)
+        perms = np.array(
+            [streams.substream(seed, streams.PERMUTATION, k).permutation(n) for k in ks]
+        )
+        perm_stats[first : first + len(ks)] = evaluate(dist_y[perms[:, rows], perms[:, cols]])
 
     p_value = (1.0 + float(np.count_nonzero(perm_stats >= observed))) / (m + 1)
     return TestReport(
         spec=spec,
         n=n,
-        observed=float(observed),
+        observed=observed,
         p_value=p_value,
         m=m,
         seed=seed,
@@ -175,7 +151,6 @@ def dependogram(
     levels=(0.05, 0.10),
     *,
     labels=None,
-    threads: int = 1,
 ) -> Dependogram:
     """Pairwise mutual-independence tests between several groups.
 
@@ -215,7 +190,6 @@ def dependogram(
                 m,
                 pair_seed,
                 keep_perm_stats=True,
-                threads=threads,
             )
             crits = critical_values(report.perm_stats, levels)
             entries.append(

@@ -28,7 +28,7 @@ Every replication draws from a stream that depends only on (seed, index).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil, exp, sqrt
 
 import numpy as np
@@ -432,8 +432,3 @@ def gen_scenario(cfg: ScenarioConfig):
         scale = float(root.std())  # pooled over the whole batch
         ys = root + scale * ys
     return xs, ys
-
-
-def scenario_with(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Convenience wrapper around dataclasses.replace."""
-    return replace(cfg, **changes)

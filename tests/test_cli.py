@@ -122,6 +122,17 @@ class TestCmdTest:
              "--metric-x", "l2", "--metric-y", "l2", "--perms", "9", "--seed", "1"]
         ) == 2
 
+    def test_degenerate_weight_exit2(self, tmp_path, gauss_csv, capsys):
+        xp, _ = gauss_csv
+        const = tmp_path / "const.csv"
+        write_dataset(str(const), np.ones((30, 3)))
+        assert run(
+            ["test", "--x", str(xp), "--y", str(const), "--functional", "l2",
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "9", "--seed", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_flag_exit2(self, gauss_csv):
         xp, yp = gauss_csv
         assert run(
@@ -278,20 +289,3 @@ class TestCmdDependogram:
             ["dependogram", "--data", str(p), "--groups", groups, "--functional", "l2",
              "--metric", "l2", "--perms", "10", "--levels", "0.05", "--seed", "1"]
         ) == 2
-
-
-def test_threads_env_fallback(gauss_csv, tmp_path, monkeypatch):
-    xp, yp = gauss_csv
-    monkeypatch.setenv("RECUR_THREADS", "2")
-    out = tmp_path / "r.json"
-    assert run(
-        ["test", "--x", str(xp), "--y", str(yp), "--functional", "l2",
-         "--metric-x", "l2", "--metric-y", "l2", "--perms", "19", "--seed", "1",
-         "--out", str(out)]
-    ) == 0
-    doc = json.loads(out.read_text())
-    rep = rt.permutation_test(
-        read_dataset(str(xp)), read_dataset(str(yp)),
-        rt.StatisticSpec(rt.Functional.L2, rt.Metric.L2, rt.Metric.L2), 19, 1,
-    )
-    assert doc["p_value"] == rep.p_value

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import recurtest as rt
+from recurtest import harness
 from recurtest import (
     Functional,
     InvalidInputError,
@@ -88,3 +89,21 @@ def test_failed_replication_names_index():
     # n=2 violates the permutation-test precondition inside replication 0
     with pytest.raises(InvalidInputError, match="replication 0"):
         rt.run_power(bad)
+
+
+def test_failed_replication_keeps_exception_type(monkeypatch):
+    class TwoArgumentError(Exception):
+        def __init__(self, code, detail):
+            super().__init__(code, detail)
+            self.code = code
+
+    def fail(cfg):
+        raise TwoArgumentError(7, "generator broke")
+
+    monkeypatch.setattr(harness, "gen_scenario", fail)
+    with pytest.raises(TwoArgumentError) as info:
+        rt.run_power(tiny_study())
+    assert "replication 0" in str(info.value)
+    assert "generator broke" in str(info.value)
+    assert info.value.code == 7
+    assert isinstance(info.value.__cause__, TwoArgumentError)

@@ -3,7 +3,7 @@ import pytest
 
 import recurtest as rt
 from recurtest import Functional, InvalidInputError, Metric, StatisticSpec
-from recurtest import streams
+from recurtest import inference, streams
 
 SPEC22 = StatisticSpec(Functional.L2, Metric.L2, Metric.L2)
 
@@ -34,15 +34,20 @@ class TestPermutationTest:
         assert a.p_value == b.p_value and a.observed == b.observed
         assert np.array_equal(a.perm_stats, b.perm_stats)
 
-    def test_thread_count_does_not_change_result(self):
-        x, y = gaussian_pair(4)
-        serial = rt.permutation_test(x, y, SPEC22, m=33, seed=9, keep_perm_stats=True)
-        for threads in (2, 4):
-            parallel = rt.permutation_test(
-                x, y, SPEC22, m=33, seed=9, keep_perm_stats=True, threads=threads
-            )
-            assert np.array_equal(serial.perm_stats, parallel.perm_stats)
-            assert serial.p_value == parallel.p_value
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    def test_block_size_does_not_change_result(self, functional, monkeypatch):
+        # more than 128 pairs, so row sums span several pairwise-summation blocks
+        x, y = gaussian_pair(4, n=24)
+        spec = StatisticSpec(functional, Metric.L2, Metric.L1)
+        m, pairs = 33, 24 * 23 // 2
+        runs = []
+        for block in (1, 7, m):
+            monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", block * pairs)
+            runs.append(rt.permutation_test(x, y, spec, m=m, seed=9, keep_perm_stats=True))
+        for other in runs[1:]:
+            assert np.array_equal(runs[0].perm_stats, other.perm_stats)
+            assert runs[0].observed == other.observed
+            assert runs[0].p_value == other.p_value
 
     def test_permuted_stats_match_direct_recomputation(self):
         # the pairing-gather shortcut must equal rebuilding each permuted
@@ -76,6 +81,56 @@ class TestPermutationTest:
         x, y = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         with pytest.raises(InvalidInputError):
             rt.permutation_test(x, y, SPEC22, m=5, seed=1)
+
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    def test_batched_matches_per_permutation_oracle_on_ties(self, functional):
+        # integer-valued samples with duplicated rows: many tied and zero distances
+        rng = np.random.default_rng(31)
+        n = 9
+        x = np.round(rng.standard_normal((n, 3)))
+        y = np.round(rng.standard_normal((n, 2)))
+        x[1] = x[0]
+        y[4] = y[3]
+        spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
+        rep = rt.permutation_test(x, y, spec, m=25, seed=17, keep_perm_stats=True)
+        pd0 = rt.paired_distances(x, y, Metric.L1, Metric.LINF)
+        assert np.count_nonzero(pd0.z == 0) and np.count_nonzero(pd0.t == 0)
+        wx, wy = rt.estimate_weight(pd0.z), rt.estimate_weight(pd0.t)
+        pairs = pd0.pair_count
+        for k in range(1, 26):
+            perm = streams.substream(17, streams.PERMUTATION, k).permutation(n)
+            pd = rt.paired_distances(x, y[perm], Metric.L1, Metric.LINF)
+            got = rep.perm_stats[k - 1]
+            if functional == Functional.SUP:
+                # sqrt(n) k' / pairs^2 for an integer k': the same lattice
+                # point, up to how each side rounds the marginal product
+                want = rt.sup_statistic_naive(pd)
+                lattice = pairs * pairs / np.sqrt(n)
+                assert round(got * lattice) == round(want * lattice)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+            elif functional == Functional.L2:
+                want = rt.l2_statistic_naive(pd, wx, wy)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+            else:
+                want = rt.l1_statistic_naive(pd, wx, wy)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    def test_minimum_sample_size(self, functional):
+        x, y = gaussian_pair(10, n=3)
+        spec = StatisticSpec(functional, Metric.L2, Metric.L2)
+        rep = rt.permutation_test(x, y, spec, m=19, seed=2, keep_perm_stats=True)
+        assert rep.n == 3 and rep.perm_stats.shape == (19,)
+        assert rep.observed == rt.statistic(x, y, spec)
+        assert np.min(np.abs(np.arange(1, 21) / 20 - rep.p_value)) < 1e-15
+
+    @pytest.mark.parametrize("functional", [Functional.L1, Functional.L2], ids=lambda f: f.value)
+    def test_weight_degenerate_on_one_side(self, functional):
+        x, _ = gaussian_pair(11, n=10)
+        y = np.ones((10, 2))  # every Y-side distance is zero
+        spec = StatisticSpec(functional, Metric.L2, Metric.L2)
+        with pytest.raises(rt.DegenerateWeightError):
+            rt.permutation_test(x, y, spec, m=19, seed=1)
 
     def test_works_for_sup_functional(self):
         x, y = gaussian_pair(9, n=10)

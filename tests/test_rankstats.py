@@ -55,3 +55,24 @@ def test_prefix_dominance_block_boundaries():
         count, wsum = prefix_dominance(ranks, weights, block=block)
         assert np.array_equal(count, bc)
         assert np.allclose(wsum, bw, rtol=1e-13)
+
+
+@pytest.mark.parametrize("block", [None, 1, 5])
+def test_prefix_dominance_rows_are_independent(block):
+    rng = np.random.default_rng(11)
+    ranks = np.array([rng.permutation(40) + 1 for _ in range(6)])
+    weights = rng.uniform(0, 1, size=ranks.shape)
+    count, wsum = prefix_dominance(ranks, weights, block=block)
+    assert count.shape == wsum.shape == ranks.shape
+    for r in range(6):
+        c1, w1 = prefix_dominance(ranks[r], weights[r], block=block)
+        assert np.array_equal(count[r], c1)
+        assert np.array_equal(wsum[r], w1)
+        bc, bw = brute_dominance(ranks[r], weights[r])
+        assert np.array_equal(c1, bc)
+        assert np.allclose(w1, bw, rtol=1e-13)
+
+
+def test_stable_ranks_along_last_axis():
+    values = np.array([[2.0, 1.0, 2.0, 1.0], [0.0, 3.0, 3.0, -1.0]])
+    assert stable_ranks(values).tolist() == [[3, 1, 4, 2], [2, 3, 4, 1]]
