@@ -25,7 +25,6 @@ from .metrics import (
     distance,
     ensure_sample,
     paired_distances,
-    pairwise_matrix,
 )
 from .simulate import (
     ScenarioConfig,
@@ -44,14 +43,11 @@ from .stats_core import (
     empirical_process,
     joint_recurrence_rate,
     l1_statistic,
-    l1_statistic_naive,
     l2_statistic,
-    l2_statistic_naive,
     recurrence_rate,
     statistic,
     prepare,
     sup_statistic,
-    sup_statistic_naive,
 )
 from .weights import GaussianWeight, estimate_weight, weight_cdf
 
@@ -76,7 +72,6 @@ __all__ = [
     "distance",
     "ensure_sample",
     "paired_distances",
-    "pairwise_matrix",
     "ScenarioConfig",
     "arma_stationary_sd",
     "fou_pair_weights",
@@ -91,14 +86,11 @@ __all__ = [
     "empirical_process",
     "joint_recurrence_rate",
     "l1_statistic",
-    "l1_statistic_naive",
     "l2_statistic",
-    "l2_statistic_naive",
     "recurrence_rate",
     "statistic",
     "prepare",
     "sup_statistic",
-    "sup_statistic_naive",
     "GaussianWeight",
     "estimate_weight",
     "weight_cdf",

@@ -13,7 +13,7 @@ import sys
 from . import __version__, fileio
 from .exceptions import InvalidInputError
 from .harness import run_power
-from .inference import dependogram, min_permutations, permutation_test
+from .inference import dependogram, permutation_test
 from .metrics import Metric
 from .simulate import ScenarioConfig, gen_scenario
 from .stats_core import Functional, StatisticSpec
@@ -76,11 +76,6 @@ def _cmd_dependogram(args) -> int:
         metric_y=Metric.parse(args.metric),
     )
     levels = _parse_levels(args.levels)
-    for a in levels:
-        if args.perms < min_permutations(a):
-            raise InvalidInputError(
-                f"level {a} needs at least {min_permutations(a)} permutations, got {args.perms}"
-            )
     data = fileio.read_dataset(args.data)
     groups = fileio.parse_groups(args.groups, data.shape[1])
     samples = [data[:, g.start : g.stop] for g in groups]

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import streams
 from .exceptions import InvalidInputError
-from .inference import min_permutations, permutation_test
+from .inference import check_level, permutation_test
 from .simulate import ScenarioConfig, gen_scenario
 from .stats_core import StatisticSpec
 
@@ -58,13 +58,7 @@ def run_power(study: PowerStudySpec) -> PowerResult:
     """Run the study; deterministic given its seed."""
     if study.reps < 1:
         raise InvalidInputError(f"replication count must be >= 1, got {study.reps}")
-    if not 0.0 < study.alpha < 1.0:
-        raise InvalidInputError(f"level must be in (0, 1), got {study.alpha}")
-    if study.m < min_permutations(study.alpha):
-        raise InvalidInputError(
-            f"level {study.alpha} needs at least m = {min_permutations(study.alpha)} "
-            f"permutations, got {study.m}"
-        )
+    check_level(study.alpha, study.m)
     if not study.specs:
         raise InvalidInputError("at least one statistic spec is required")
 

@@ -119,6 +119,18 @@ def min_permutations(alpha: float) -> int:
     return ceil(1.0 / alpha - 1e-9) - 1
 
 
+def check_level(alpha: float, m: int) -> None:
+    """Reject a level outside (0, 1), or one that ``m`` permutations cannot
+    resolve."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError(f"level must be in (0, 1), got {alpha}")
+    if m < min_permutations(alpha):
+        raise InvalidInputError(
+            f"level {alpha} needs at least m = {min_permutations(alpha)} "
+            f"permutations, got {m}"
+        )
+
+
 def critical_values(perm_stats, levels) -> list[float]:
     """Finite-sample permutation critical values at the requested levels.
 
@@ -166,13 +178,7 @@ def dependogram(
         raise InvalidInputError(f"groups must share a common sample size, got {sorted(sizes)}")
     levels = [float(a) for a in levels]
     for alpha in levels:
-        if not 0.0 < alpha < 1.0:
-            raise InvalidInputError(f"level must be in (0, 1), got {alpha}")
-        if m < min_permutations(alpha):
-            raise InvalidInputError(
-                f"level {alpha} needs at least m = {min_permutations(alpha)} "
-                f"permutations, got {m}"
-            )
+        check_level(alpha, m)
     if labels is None:
         labels = [f"g{i}" for i in range(len(samples))]
     labels = [str(l) for l in labels]

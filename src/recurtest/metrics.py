@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import pdist
 
 from .exceptions import InvalidInputError
 
@@ -108,16 +108,6 @@ class PairedDistances:
     def pair_count(self) -> int:
         """Number of stored (unordered) pairs."""
         return self.z.size
-
-    @property
-    def ordered_pair_count(self) -> int:
-        """Size of the equivalent ordered-pair list (each pair twice)."""
-        return 2 * self.z.size
-
-
-def pairwise_matrix(x: np.ndarray, kind: Metric) -> np.ndarray:
-    """Full symmetric ``(n, n)`` distance matrix of a validated sample."""
-    return squareform(pdist(x, _PDIST_NAME[kind]))
 
 
 def paired_distances(x, y, metric_x: Metric, metric_y: Metric) -> PairedDistances:

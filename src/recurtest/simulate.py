@@ -5,9 +5,9 @@ Discrete series come from AR/ARMA recursions driven by Gaussian white noise
 (500 burn-in steps discarded).  Continuous series live on the equispaced grid
 t = 0, 1/len, ..., (len-1)/len:
 
-* fractional Brownian motion, exact via Cholesky factorization of the
-  covariance 0.5 * (|t|^2H + |s|^2H - |t-s|^2H), pinned to zero at t = 0
-  (factors are cached per grid);
+* fractional Brownian motion with covariance 0.5 * (|t|^2H + |s|^2H -
+  |t-s|^2H), pinned to zero at t = 0, drawn exactly by circulant embedding
+  of its increments (O(N log N) time and O(N) memory in the N grid points);
 * the exponential-kernel moving average Y_t = sigma * int_{-inf}^t
   e^{-lambda (t - s)} dX_s of a (fractional) Brownian driver.  For H = 0.5
   the recursion is exact with a stationary start, with the step innovation
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import streams
-from .exceptions import InternalConsistencyError, InvalidInputError
+from .exceptions import InvalidInputError
 
 _SCENARIOS = (
     "null",
@@ -143,33 +143,6 @@ def gen_ar_arma(
     return series[burnin:]
 
 
-_chol_cache: dict[tuple, np.ndarray] = {}
-
-
-def _fbm_factor(times: np.ndarray, hurst: float, cache_key: tuple) -> np.ndarray:
-    """Cholesky factor of the fBm covariance on strictly nonzero times."""
-    if cache_key in _chol_cache:
-        return _chol_cache[cache_key]
-    h2 = 2.0 * hurst
-    at = np.abs(times)
-    cov = 0.5 * (
-        at[:, None] ** h2 + at[None, :] ** h2 - np.abs(times[:, None] - times[None, :]) ** h2
-    )
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        # One jitter retry; the covariance is positive definite in exact
-        # arithmetic but can lose definiteness to round-off on large grids.
-        try:
-            factor = np.linalg.cholesky(cov + 1e-12 * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError as err:
-            raise InternalConsistencyError(
-                f"fBm covariance factorization failed for {cov.shape[0]} grid points"
-            ) from err
-    _chol_cache[cache_key] = factor
-    return factor
-
-
 def _validate_hurst(hurst: float) -> float:
     hurst = float(hurst)
     if not 0.0 < hurst < 1.0:
@@ -177,23 +150,44 @@ def _validate_hurst(hurst: float) -> float:
     return hurst
 
 
+def _fbm_path(length: int, hurst: float, pre_steps: int, rng: np.random.Generator):
+    """fBm on the grid (k - pre_steps)/length, k = 0, ..., pre_steps + length - 1,
+    pinned to zero at t = 0.
+
+    The increments are fractional Gaussian noise, drawn exactly by circulant
+    embedding (Davies & Harte 1987): the autocovariance of the unit-spaced
+    increments is wrapped into a circulant of twice their count, whose
+    eigenvalues are nonnegative for every H in (0, 1) (Dietrich & Newsam
+    1997).  A complex Gaussian vector scaled by their square roots and
+    transformed by one FFT has that covariance in its real part.  fBm has
+    stationary increments, so the cumulative sum minus its value at t = 0 has
+    the fBm law on the whole grid.  O(N log N) time, O(N) memory.
+    """
+    steps = pre_steps + length - 1
+    lags = np.arange(steps + 1.0)
+    h2 = 2.0 * hurst
+    acov = 0.5 * ((lags + 1.0) ** h2 - 2.0 * lags**h2 + np.abs(lags - 1.0) ** h2)
+    eig = np.fft.hfft(acov)  # spectrum of the circulant acov[0..steps], acov[steps-1..1]
+    noise = rng.standard_normal(2 * eig.size).view(np.complex128)
+    # Clip round-off below zero; the exact eigenvalues are nonnegative.
+    unit = np.fft.fft(np.sqrt(np.maximum(eig, 0.0) / eig.size) * noise)[:steps].real
+    path = np.zeros(steps + 1)
+    np.cumsum(unit * length**-hurst, out=path[1:])
+    return path - path[pre_steps]
+
+
 def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     """Fractional Brownian motion on t = 0, 1/length, ..., (length-1)/length.
 
-    Exact Gaussian draw (unit scale) via the Cholesky factor of the grid
-    covariance; the path starts at zero.
+    Exact Gaussian draw (unit scale) by circulant embedding of its
+    increments; the path starts at zero.
     """
     if length < 1:
         raise InvalidInputError(f"length must be >= 1, got {length}")
     hurst = _validate_hurst(hurst)
     if length == 1:
         return np.zeros(1)
-    times = np.arange(1, length) / length
-    factor = _fbm_factor(times, hurst, ("fbm", length, hurst))
-    path = np.empty(length)
-    path[0] = 0.0
-    path[1:] = factor @ rng.standard_normal(length - 1)
-    return path
+    return _fbm_path(length, hurst, 0, rng)
 
 
 def _brownian_path(length: int, rng: np.random.Generator) -> np.ndarray:
@@ -204,17 +198,19 @@ def _brownian_path(length: int, rng: np.random.Generator) -> np.ndarray:
     return path
 
 
-def _extended_fbm(length: int, hurst: float, pre_steps: int, rng: np.random.Generator):
-    """fBm on the grid -pre_steps/length, ..., 0, ..., (length-1)/length."""
-    total = pre_steps + length
-    times = (np.arange(total) - pre_steps) / length
-    nonzero = times[times != 0.0]
-    factor = _fbm_factor(nonzero, hurst, ("fbm-ext", length, pre_steps, hurst))
-    values = factor @ rng.standard_normal(nonzero.size)
-    path = np.empty(total)
-    path[times != 0.0] = values
-    path[pre_steps] = 0.0
-    return path
+def _validate_flow(length: int, hurst: float, lams, sigma: float):
+    """Validated ``(hurst, lams, sigma)`` of exponential-kernel processes."""
+    if length < 2:
+        raise InvalidInputError(f"length must be >= 2, got {length}")
+    hurst = _validate_hurst(hurst)
+    lams = tuple(float(lam) for lam in lams)
+    for lam in lams:
+        if not lam > 0:
+            raise InvalidInputError(f"mean-reversion rate must be positive, got {lam}")
+    sigma = float(sigma)
+    if not sigma > 0:
+        raise InvalidInputError(f"scale must be positive, got {sigma}")
+    return hurst, lams, sigma
 
 
 def _kernel_average_from_path(path: np.ndarray, lam: float, sigma: float, delta: float):
@@ -225,6 +221,24 @@ def _kernel_average_from_path(path: np.ndarray, lam: float, sigma: float, delta:
     inp[0] = 0.0
     inp[1:] = sigma * increments
     return lfilter([decay], [1.0, -decay], inp)
+
+
+def _long_memory_flows(length, hurst, lams, sigma, rng, driver):
+    """Driver on [0, 1), then its exponential-kernel average at each rate.
+
+    The fBm driver is drawn over a burn-in window [-10/min(lams), 0) as well,
+    jointly with its segment on [0, 1), so it cannot be supplied.
+    """
+    if driver is not None:
+        raise InvalidInputError(
+            "an external driver is only supported for hurst = 0.5; the "
+            "long-memory driver must be generated internally"
+        )
+    delta = 1.0 / length
+    pre_steps = ceil(10.0 / (min(lams) * delta))
+    path = _fbm_path(length, hurst, pre_steps, rng)
+    flows = (_kernel_average_from_path(path, lam, sigma, delta)[pre_steps:] for lam in lams)
+    return (path[pre_steps:], *flows)
 
 
 def gen_fou(
@@ -243,27 +257,11 @@ def gen_fou(
     H != 0.5 the driver must be generated internally because the burn-in
     segment has to be drawn jointly with it.
     """
-    if length < 2:
-        raise InvalidInputError(f"length must be >= 2, got {length}")
-    hurst = _validate_hurst(hurst)
-    lam = float(lam)
-    if lam <= 0:
-        raise InvalidInputError(f"mean-reversion rate must be positive, got {lam}")
-    sigma = float(sigma)
-    if sigma <= 0:
-        raise InvalidInputError(f"scale must be positive, got {sigma}")
+    hurst, (lam,), sigma = _validate_flow(length, hurst, (lam,), sigma)
     delta = 1.0 / length
 
     if hurst != 0.5:
-        if driver is not None:
-            raise InvalidInputError(
-                "an external driver is only supported for hurst = 0.5; the "
-                "long-memory driver must be generated internally"
-            )
-        pre_steps = ceil(10.0 / (lam * delta))
-        path = _extended_fbm(length, hurst, pre_steps, rng)
-        y = _kernel_average_from_path(path, lam, sigma, delta)
-        return path[pre_steps:], y[pre_steps:]
+        return _long_memory_flows(length, hurst, (lam,), sigma, rng, driver)
 
     if driver is None:
         driver = _brownian_path(length, rng)
@@ -293,6 +291,27 @@ def gen_fou(
     return driver, y
 
 
+def _two_rate_flows(length, hurst, lam1, lam2, sigma, rng, driver=None):
+    """Driver and its exponential-kernel averages at two rates, ``(x, y1, y2)``.
+
+    For H = 0.5 both components consume identical innovation draws against
+    the shared driver.
+    """
+    hurst, lams, sigma = _validate_flow(length, hurst, (lam1, lam2), sigma)
+    if hurst != 0.5:
+        return _long_memory_flows(length, hurst, lams, sigma, rng, driver)
+    if driver is None:
+        driver_rng, flow_rng = rng.spawn(2)
+        driver = _brownian_path(length, driver_rng)
+    else:
+        flow_rng = rng
+    y1, y2 = (
+        gen_fou(length, hurst, lam, sigma, copy.deepcopy(flow_rng), driver=driver)[1]
+        for lam in lams
+    )
+    return np.asarray(driver, dtype=float), y1, y2
+
+
 def fou_pair_weights(lam1: float, lam2: float) -> tuple[float, float]:
     """Combination weights lam1/(lam1-lam2) and lam2/(lam2-lam1)."""
     if lam1 == lam2:
@@ -315,31 +334,8 @@ def gen_fou2(
     identical innovation draws against the shared driver.
     """
     w1, w2 = fou_pair_weights(lam1, lam2)
-    hurst = _validate_hurst(hurst)
-
-    if hurst != 0.5:
-        if driver is not None:
-            raise InvalidInputError(
-                "an external driver is only supported for hurst = 0.5; the "
-                "long-memory driver must be generated internally"
-            )
-        if length < 2:
-            raise InvalidInputError(f"length must be >= 2, got {length}")
-        delta = 1.0 / length
-        pre_steps = ceil(10.0 / (min(lam1, lam2) * delta))
-        path = _extended_fbm(length, hurst, pre_steps, rng)
-        y1 = _kernel_average_from_path(path, lam1, sigma, delta)[pre_steps:]
-        y2 = _kernel_average_from_path(path, lam2, sigma, delta)[pre_steps:]
-        return path[pre_steps:], w1 * y1 + w2 * y2
-
-    if driver is None:
-        driver_rng, flow_rng = rng.spawn(2)
-        driver = _brownian_path(length, driver_rng)
-    else:
-        flow_rng = rng
-    _, y1 = gen_fou(length, hurst, lam1, sigma, copy.deepcopy(flow_rng), driver=driver)
-    _, y2 = gen_fou(length, hurst, lam2, sigma, copy.deepcopy(flow_rng), driver=driver)
-    return np.asarray(driver, dtype=float), w1 * y1 + w2 * y2
+    x, y1, y2 = _two_rate_flows(length, hurst, lam1, lam2, sigma, rng, driver)
+    return x, w1 * y1 + w2 * y2
 
 
 def _resolve_hurst(cfg: ScenarioConfig) -> float:
@@ -350,24 +346,8 @@ def _resolve_hurst(cfg: ScenarioConfig) -> float:
     return 0.5 if cfg.hurst is None else _validate_hurst(cfg.hurst)
 
 
-def _shared_rate_pair(cfg: ScenarioConfig, hurst: float, rng: np.random.Generator):
-    """Two exponential-kernel processes with distinct rates on one driver."""
-    if hurst == 0.5:
-        driver_rng, flow_rng = rng.spawn(2)
-        driver = _brownian_path(cfg.length, driver_rng)
-        _, xs = gen_fou(cfg.length, hurst, cfg.lam1, cfg.sigma, copy.deepcopy(flow_rng), driver=driver)
-        _, ys = gen_fou(cfg.length, hurst, cfg.lam2, cfg.sigma, copy.deepcopy(flow_rng), driver=driver)
-        return xs, ys
-    delta = 1.0 / cfg.length
-    pre_steps = ceil(10.0 / (min(cfg.lam1, cfg.lam2) * delta))
-    path = _extended_fbm(cfg.length, hurst, pre_steps, rng)
-    xs = _kernel_average_from_path(path, cfg.lam1, cfg.sigma, delta)[pre_steps:]
-    ys = _kernel_average_from_path(path, cfg.lam2, cfg.sigma, delta)[pre_steps:]
-    return xs, ys
-
-
 def _one_replication(cfg: ScenarioConfig, hurst: float, rng: np.random.Generator):
-    """One (x, y, noise) draw; D2/C2 defer their noise scaling to the batch."""
+    """One (x, y) draw; D2/C2 defer their noise scaling to the batch."""
     scenario = cfg.scenario
     if scenario == "null":
         x = gen_white_noise(cfg.length, rng)
@@ -387,7 +367,8 @@ def _one_replication(cfg: ScenarioConfig, hurst: float, rng: np.random.Generator
     elif scenario == "C6" or scenario == "C7":
         return gen_fou2(cfg.length, hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
     elif scenario in ("X-OU-Y-OU", "X-FOU-Y-FOU"):
-        return _shared_rate_pair(cfg, hurst, rng)
+        _, xs, ys = _two_rate_flows(cfg.length, hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
+        return xs, ys
     else:
         raise InvalidInputError(f"unknown scenario {scenario!r}")
 

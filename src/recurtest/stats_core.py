@@ -22,9 +22,9 @@ of one permutation -- and sweeps the fixed z-order once with state of shape
 ``(P, .)``.  The single-pairing kernels are blocks of one.  Each row's value
 is independent of the block it is evaluated in.
 
-The ``_naive`` variants evaluate the defining sums literally and serve as
-oracles.  Both agree to floating round-off and are invariant to how ties are
-broken (equal values carry equal weight-CDF values and equal counts).
+The literal-sum twins of the kernels live with the tests as oracles.  Both
+agree to floating round-off and are invariant to how ties are broken (equal
+values carry equal weight-CDF values and equal counts).
 
 The sqrt(n) / n prefactors always use the observation count n, never the
 pair count.
@@ -223,38 +223,6 @@ def l2_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) ->
     return _one(_prepare_l2(pd, wx, wy), pd)
 
 
-def l2_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
-    """Literal-sum evaluation of the quadratic closed form (oracle).
-
-    Materializes the pairwise maximum matrices and contracts the triple sum
-    directly; O(m^2) memory, for small m only.
-    """
-    m = pd.pair_count
-    if m == 1:
-        return 0.0
-    n = pd.n
-
-    z_order = np.argsort(pd.z, kind="stable")
-    z_sorted = pd.z[z_order]
-    t_aligned = pd.t[z_order]
-    t_sorted = np.sort(pd.t, kind="stable")
-
-    surv_z_pair = 1.0 - weight_cdf(wx, np.maximum.outer(z_sorted, z_sorted))
-    surv_t_pair = 1.0 - weight_cdf(wy, np.maximum.outer(t_aligned, t_aligned))
-
-    joint_term = float(np.sum(surv_z_pair * surv_t_pair)) / (m * m)
-
-    odd = 2.0 * np.arange(1, m + 1) - 1.0
-    product_term = (1.0 - float(np.dot(odd, weight_cdf(wx, z_sorted))) / (m * m)) * (
-        1.0 - float(np.dot(odd, weight_cdf(wy, t_sorted))) / (m * m)
-    )
-
-    cross_term = float(np.einsum("ij,ik->", surv_z_pair, surv_t_pair)) / (m * m * m)
-
-    value = n * (joint_term + product_term - 2.0 * cross_term)
-    return float(_clamp_nonnegative(value, "l2_statistic_naive"))
-
-
 # ---------------------------------------------------------------------------
 # Absolute (L1) functional
 
@@ -303,35 +271,6 @@ def l1_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) ->
     return _one(_prepare_l1(pd, wx, wy), pd)
 
 
-def l1_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
-    """Literal evaluation of the absolute closed form (oracle).
-
-    Builds the full count matrix c(h, j) from the defining indicator sums;
-    O(m^2) memory, for small m only.
-    """
-    m = pd.pair_count
-    if m == 1:
-        return 0.0
-    n = pd.n
-
-    z_order = np.argsort(pd.z, kind="stable")
-    z_sorted = pd.z[z_order]
-    t_aligned = pd.t[z_order]
-    t_sorted = np.sort(pd.t, kind="stable")
-
-    dg1 = np.diff(weight_cdf(wx, z_sorted))
-    dg2 = np.diff(weight_cdf(wy, t_sorted))
-
-    # counts[h-1, j-1] = #{i <= h : t_aligned[i] < t_sorted[j]} for h, j = 1..m-1
-    below = t_aligned[:, None] < t_sorted[None, 1:]
-    counts = np.cumsum(below, axis=0)[: m - 1].astype(float)
-
-    h = np.arange(1, m, dtype=float)[:, None]
-    j = np.arange(1, m, dtype=float)[None, :]
-    cells = np.abs(counts - h * j / m)
-    return float(np.sqrt(n) / m * (dg1 @ cells @ dg2))
-
-
 # ---------------------------------------------------------------------------
 # Supremum functional
 
@@ -369,27 +308,6 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
 def sup_statistic(pd: PairedDistances) -> float:
     """Supremum functional of the pairing in ``pd`` (see ``_prepare_sup``)."""
     return _one(_prepare_sup(pd), pd)
-
-
-def sup_statistic_naive(pd: PairedDistances) -> float:
-    """Brute-force dominance-count evaluation of the supremum (oracle).
-
-    Counts dominated pairs for every distinct-value grid point directly;
-    O(m^2) pairs times O(m) counting, for small m only.
-    """
-    m = pd.pair_count
-    if m == 1:
-        return 0.0
-    n = pd.n
-
-    z_distinct = np.unique(pd.z)
-    t_distinct = np.unique(pd.t)
-    z_le = pd.z[None, :] <= z_distinct[:, None]
-    t_le = pd.t[None, :] <= t_distinct[:, None]
-    joint = z_le.astype(np.int64) @ t_le.T.astype(np.int64)
-    marg = np.outer(z_le.sum(axis=1), t_le.sum(axis=1)) / m
-    best = float(np.abs(joint - marg).max())
-    return float(np.sqrt(n) * best / m)
 
 
 # ---------------------------------------------------------------------------

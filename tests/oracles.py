@@ -2,7 +2,9 @@
 
 These evaluate the statistic definitions directly -- numerical quadrature of
 the weighted integrals and exhaustive grid scans for the supremum -- without
-sharing any code path with the closed-form kernels they check.
+sharing any code path with the closed-form kernels they check.  The
+``*_statistic_naive`` functions evaluate the closed forms' defining sums
+literally, from the same weights.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import numpy as np
 from scipy.stats import norm
 
 from recurtest import PairedDistances
-from recurtest.weights import GaussianWeight
+from recurtest.stats_core import _clamp_nonnegative
+from recurtest.weights import GaussianWeight, weight_cdf
 
 
 def _discrepancy_on_grid(pd: PairedDistances, r_grid: np.ndarray, s_grid: np.ndarray):
@@ -123,3 +126,85 @@ def distance_naive(a, b, kind: str) -> float:
     if kind == "l2":
         return total**0.5
     return biggest
+
+
+def l2_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
+    """Literal-sum evaluation of the quadratic closed form (oracle).
+
+    Materializes the pairwise maximum matrices and contracts the triple sum
+    directly; O(m^2) memory, for small m only.
+    """
+    m = pd.pair_count
+    if m == 1:
+        return 0.0
+    n = pd.n
+
+    z_order = np.argsort(pd.z, kind="stable")
+    z_sorted = pd.z[z_order]
+    t_aligned = pd.t[z_order]
+    t_sorted = np.sort(pd.t, kind="stable")
+
+    surv_z_pair = 1.0 - weight_cdf(wx, np.maximum.outer(z_sorted, z_sorted))
+    surv_t_pair = 1.0 - weight_cdf(wy, np.maximum.outer(t_aligned, t_aligned))
+
+    joint_term = float(np.sum(surv_z_pair * surv_t_pair)) / (m * m)
+
+    odd = 2.0 * np.arange(1, m + 1) - 1.0
+    product_term = (1.0 - float(np.dot(odd, weight_cdf(wx, z_sorted))) / (m * m)) * (
+        1.0 - float(np.dot(odd, weight_cdf(wy, t_sorted))) / (m * m)
+    )
+
+    cross_term = float(np.einsum("ij,ik->", surv_z_pair, surv_t_pair)) / (m * m * m)
+
+    value = n * (joint_term + product_term - 2.0 * cross_term)
+    return float(_clamp_nonnegative(value, "l2_statistic_naive"))
+
+
+def l1_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
+    """Literal evaluation of the absolute closed form (oracle).
+
+    Builds the full count matrix c(h, j) from the defining indicator sums;
+    O(m^2) memory, for small m only.
+    """
+    m = pd.pair_count
+    if m == 1:
+        return 0.0
+    n = pd.n
+
+    z_order = np.argsort(pd.z, kind="stable")
+    z_sorted = pd.z[z_order]
+    t_aligned = pd.t[z_order]
+    t_sorted = np.sort(pd.t, kind="stable")
+
+    dg1 = np.diff(weight_cdf(wx, z_sorted))
+    dg2 = np.diff(weight_cdf(wy, t_sorted))
+
+    # counts[h-1, j-1] = #{i <= h : t_aligned[i] < t_sorted[j]} for h, j = 1..m-1
+    below = t_aligned[:, None] < t_sorted[None, 1:]
+    counts = np.cumsum(below, axis=0)[: m - 1].astype(float)
+
+    h = np.arange(1, m, dtype=float)[:, None]
+    j = np.arange(1, m, dtype=float)[None, :]
+    cells = np.abs(counts - h * j / m)
+    return float(np.sqrt(n) / m * (dg1 @ cells @ dg2))
+
+
+def sup_statistic_naive(pd: PairedDistances) -> float:
+    """Brute-force dominance-count evaluation of the supremum (oracle).
+
+    Counts dominated pairs for every distinct-value grid point directly;
+    O(m^2) pairs times O(m) counting, for small m only.
+    """
+    m = pd.pair_count
+    if m == 1:
+        return 0.0
+    n = pd.n
+
+    z_distinct = np.unique(pd.z)
+    t_distinct = np.unique(pd.t)
+    z_le = pd.z[None, :] <= z_distinct[:, None]
+    t_le = pd.t[None, :] <= t_distinct[:, None]
+    joint = z_le.astype(np.int64) @ t_le.T.astype(np.int64)
+    marg = np.outer(z_le.sum(axis=1), t_le.sum(axis=1)) / m
+    best = float(np.abs(joint - marg).max())
+    return float(np.sqrt(n) * best / m)

@@ -21,8 +21,11 @@ from oracles import (
     exact_integral_l1,
     exact_integral_l2,
     exhaustive_sup,
+    l1_statistic_naive,
+    l2_statistic_naive,
     quadrature_l1,
     quadrature_l2,
+    sup_statistic_naive,
 )
 
 T2_L1 = StatisticSpec(Functional.L2, Metric.L1, Metric.L1)
@@ -59,7 +62,7 @@ def test_criterion_1_quadratic_oracle_equivalence():
     worst_naive = worst_exact = worst_grid = 0.0
     for pd, wx, wy in oracle_instances():
         fast = rt.l2_statistic(pd, wx, wy)
-        naive = rt.l2_statistic_naive(pd, wx, wy)
+        naive = l2_statistic_naive(pd, wx, wy)
         exact = exact_integral_l2(pd, wx, wy)
         grid = quadrature_l2(pd, wx, wy)
         worst_naive = max(worst_naive, abs(fast - naive) / abs(naive))
@@ -83,13 +86,13 @@ def test_criterion_2_absolute_and_sup_oracle_equivalence():
     for pd, wx, wy in oracle_instances():
         fast1 = rt.l1_statistic(pd, wx, wy)
         worst_naive1 = max(
-            worst_naive1, abs(fast1 - rt.l1_statistic_naive(pd, wx, wy)) / fast1
+            worst_naive1, abs(fast1 - l1_statistic_naive(pd, wx, wy)) / fast1
         )
         worst_exact1 = max(worst_exact1, abs(fast1 - exact_integral_l1(pd, wx, wy)) / fast1)
         worst_grid1 = max(worst_grid1, abs(fast1 - quadrature_l1(pd, wx, wy)) / fast1)
         sup = rt.sup_statistic(pd)
         worst_sup = max(worst_sup, abs(sup - exhaustive_sup(pd)))
-        worst_sup_naive = max(worst_sup_naive, abs(sup - rt.sup_statistic_naive(pd)))
+        worst_sup_naive = max(worst_sup_naive, abs(sup - sup_statistic_naive(pd)))
     ok = (
         worst_naive1 <= 1e-10
         and worst_exact1 <= 1e-3

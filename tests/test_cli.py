@@ -161,6 +161,22 @@ class TestCmdSimulate:
              "--lambda1", "2.0"]
         ) == 2
 
+    @pytest.mark.parametrize(
+        "scenario, flags",
+        [
+            ("C7", ["--lambda1", "0", "--lambda2", "0.8"]),
+            ("C7", ["--lambda1", "-0.3", "--lambda2", "0.8"]),
+            ("X-FOU-Y-FOU", ["--lambda1", "2.0", "--lambda2", "4.0", "--sigma", "-1"]),
+        ],
+    )
+    def test_long_memory_bad_rate_or_scale_exit2(self, tmp_path, capsys, scenario, flags):
+        assert run(
+            ["simulate", "--scenario", scenario, "--n", "2", "--len", "20", "--seed", "1",
+             "--out-x", str(tmp_path / "x.csv"), "--out-y", str(tmp_path / "y.csv"), *flags]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_scenario_exit2(self, tmp_path):
         assert run(
             ["simulate", "--scenario", "Z9", "--n", "4", "--len", "10", "--seed", "1",

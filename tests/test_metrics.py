@@ -74,7 +74,7 @@ class TestEnsureSample:
 class TestPairedDistances:
     def test_hand_example(self):
         pd = rt.paired_distances([0, 1, 3], [0, 2, 3], Metric.L1, Metric.L1)
-        assert pd.n == 3 and pd.pair_count == 3 and pd.ordered_pair_count == 6
+        assert pd.n == 3 and pd.pair_count == 3
         assert list(zip(pd.z, pd.t)) == [(1, 2), (3, 3), (2, 1)]
 
     def test_two_observations_single_record(self):

@@ -1,14 +1,47 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import recurtest as rt
 from recurtest import InvalidInputError, ScenarioConfig
+from recurtest.simulate import _fbm_path
 
 
 def rng_of(*key):
     return np.random.default_rng(key)
+
+
+class UnitDraw:
+    """Generator stand-in whose draws are all zero except draw number k."""
+
+    def __init__(self, k):
+        self.k = k
+        self.used = 0
+
+    def standard_normal(self, size):
+        out = np.zeros(size)
+        if self.used <= self.k < self.used + size:
+            out[self.k - self.used] = 1.0
+        self.used += size
+        return out
+
+
+def linear_map(sample):
+    """Matrix A with sample(rng) = A @ draws, one column per draw."""
+    columns = []
+    while True:
+        rng = UnitDraw(len(columns))
+        columns.append(sample(rng))
+        if len(columns) == rng.used:
+            return np.array(columns).T
+
+
+def fbm_cov(times, hurst):
+    h2 = 2.0 * hurst
+    at = np.abs(times) ** h2
+    return 0.5 * (at[:, None] + at[None, :] - np.abs(times[:, None] - times[None, :]) ** h2)
 
 
 class TestWhiteNoise:
@@ -89,23 +122,37 @@ class TestFbm:
             with pytest.raises(InvalidInputError):
                 rt.gen_fbm(10, h, rng_of(10))
 
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("length", [2, 3, 7, 16])
+    def test_exact_covariance(self, hurst, length):
+        a = linear_map(lambda rng: rt.gen_fbm(length, hurst, rng))
+        times = np.arange(length) / length
+        assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("length, pre_steps", [(2, 1), (5, 3), (6, 11)])
+    def test_exact_covariance_with_negative_times(self, hurst, length, pre_steps):
+        a = linear_map(lambda rng: _fbm_path(length, hurst, pre_steps, rng))
+        times = (np.arange(pre_steps + length) - pre_steps) / length
+        assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
+
     def test_brownian_variance_near_end(self):
-        last = np.array([rt.gen_fbm(100, 0.5, rng_of(11, k))[-1] for k in range(20000)])
+        last = np.array([rt.gen_fbm(100, 0.5, rng_of(11, k))[-1] for k in range(40000)])
         # last grid point is t = 0.99
         assert last.var() == pytest.approx(0.99, abs=0.02)
 
     def test_brownian_disjoint_increments_uncorrelated(self):
-        paths = np.array([rt.gen_fbm(100, 0.5, rng_of(12, k)) for k in range(20000)])
+        paths = np.array([rt.gen_fbm(100, 0.5, rng_of(12, k)) for k in range(80000)])
         inc1 = paths[:, 30] - paths[:, 20]
         inc2 = paths[:, 60] - paths[:, 50]
         assert abs(np.corrcoef(inc1, inc2)[0, 1]) < 0.01
 
     def test_long_memory_variance_law(self):
-        mid = np.array([rt.gen_fbm(100, 0.7, rng_of(13, k))[50] for k in range(20000)])
+        mid = np.array([rt.gen_fbm(100, 0.7, rng_of(13, k))[50] for k in range(40000)])
         assert mid.var() == pytest.approx(0.5**1.4, rel=0.02)
 
     def test_covariance_probes(self):
-        paths = np.array([rt.gen_fbm(100, 0.7, rng_of(14, k)) for k in range(20000)])
+        paths = np.array([rt.gen_fbm(100, 0.7, rng_of(14, k)) for k in range(80000)])
         for i, j in [(20, 70), (10, 30), (50, 99), (5, 95), (40, 60)]:
             s, t = i / 100, j / 100
             want = 0.5 * (s**1.4 + t**1.4 - abs(t - s) ** 1.4)
@@ -242,6 +289,19 @@ class TestScenarios:
         resid = ys - root
         # residual noise is scaled to the pooled spread of sqrt(|x|)
         assert resid.std() == pytest.approx(root.std(), rel=0.02)
+
+    def test_long_memory_slow_reversion_bounded_memory(self):
+        # the burn-in grid has 10 / (lam * delta) = 100,000 points
+        cfg = ScenarioConfig(scenario="C5", n=2, length=100, lam=0.01, seed=38)
+        tracemalloc.start()
+        try:
+            xs, ys = rt.gen_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(xs).all() and np.isfinite(ys).all()
+        assert (xs[:, 0] == 0.0).all()
+        assert peak < 64 * 2**20
 
     def test_shared_driver_rates_are_dependent(self):
         cfg = ScenarioConfig(scenario="X-OU-Y-OU", n=200, length=50, seed=37)

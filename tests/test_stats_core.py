@@ -13,6 +13,8 @@ from recurtest import (
 )
 from recurtest.stats_core import _clamp_nonnegative
 
+from oracles import l1_statistic_naive, l2_statistic_naive, sup_statistic_naive
+
 SPEC22 = StatisticSpec(Functional.L2, Metric.L2, Metric.L2)
 
 
@@ -137,13 +139,13 @@ class TestKernelsSmall:
         pd = random_pairs((seed, ties), 4 + seed % 6, ties=ties)
         wx, wy = weights_for(pd)
         assert rt.l2_statistic(pd, wx, wy) == pytest.approx(
-            rt.l2_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
+            l2_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
         )
         assert rt.l1_statistic(pd, wx, wy) == pytest.approx(
-            rt.l1_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
+            l1_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
         )
         assert rt.sup_statistic(pd) == pytest.approx(
-            rt.sup_statistic_naive(pd), rel=1e-12, abs=1e-14
+            sup_statistic_naive(pd), rel=1e-12, abs=1e-14
         )
 
     @pytest.mark.parametrize("seed", range(5))
