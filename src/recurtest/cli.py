@@ -1,8 +1,9 @@
 """Command-line interface: test, power, dependogram, simulate.
 
 Exit codes: 0 success, 2 invalid input, 1 internal error.  Every command is a
-deterministic function of its flags and input file bytes (the elapsed_ms
-field of test reports is the one wall-clock exception).
+deterministic function of its flags and input file bytes, except for the
+wall-clock fields: elapsed_ms of test reports and the seconds column of power
+tables.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from .exceptions import InvalidInputError
 from .harness import run_power
 from .inference import dependogram, permutation_test
 from .metrics import Metric
-from .simulate import ScenarioConfig, gen_scenario
+from .simulate import SCENARIO_PARAMETERS, gen_scenario, scenario_config
 from .stats_core import Functional, StatisticSpec
 
 _METRIC_CHOICES = [m.value for m in Metric]
 _FUNCTIONAL_CHOICES = [f.value for f in Functional]
-_TWO_RATE_SCENARIOS = ("C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU")
 
 
 def _parse_levels(text: str) -> list[float]:
@@ -40,8 +40,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise InvalidInputError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _cmd_test(args) -> int:
@@ -92,29 +95,9 @@ def _cmd_dependogram(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.scenario in _TWO_RATE_SCENARIOS and (args.lambda1 is None or args.lambda2 is None):
-        raise InvalidInputError(
-            f"scenario {args.scenario} requires explicit --lambda1 and --lambda2"
-        )
-    kwargs = {"scenario": args.scenario, "n": args.n, "length": args.len, "seed": args.seed}
-    if args.phi is not None:
-        try:
-            kwargs["phi"] = tuple(float(v) for v in args.phi.split(","))
-        except ValueError:
-            raise InvalidInputError(f"--phi must be a comma-separated float list, got {args.phi!r}") from None
-    if args.theta is not None:
-        kwargs["theta"] = args.theta
-    if args.hurst is not None:
-        kwargs["hurst"] = args.hurst
-    if args.lam is not None:
-        kwargs["lam"] = args.lam
-    if args.lambda1 is not None:
-        kwargs["lam1"] = args.lambda1
-    if args.lambda2 is not None:
-        kwargs["lam2"] = args.lambda2
-    if args.sigma is not None:
-        kwargs["sigma"] = args.sigma
-    xs, ys = gen_scenario(ScenarioConfig(**kwargs))
+    # The scenario flags carry the parameters' external names; unset ones keep the defaults.
+    params = {k: v for k, v in vars(args).items() if k in SCENARIO_PARAMETERS and v is not None}
+    xs, ys = gen_scenario(scenario_config(args.scenario, args.n, params, args.seed))
     fileio.write_dataset(args.out_x, xs)
     fileio.write_dataset(args.out_y, ys)
     return 0
@@ -166,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--phi", help="comma-separated autoregressive coefficients")
     p_sim.add_argument("--theta", type=float)
     p_sim.add_argument("--hurst", type=float)
-    p_sim.add_argument("--lambda", dest="lam", type=float)
+    p_sim.add_argument("--lambda", type=float)
     p_sim.add_argument("--lambda1", type=float)
     p_sim.add_argument("--lambda2", type=float)
     p_sim.add_argument("--sigma", type=float)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInputError
+from .harness import PowerStudySpec
 from .metrics import Metric
-from .simulate import ScenarioConfig
+from .simulate import scenario_config
 from .stats_core import Functional, StatisticSpec
 
 POWER_SCHEMA_VERSION = 1
@@ -83,10 +84,13 @@ def read_dataset(path: str) -> np.ndarray:
 
 def write_dataset(path: str, data: np.ndarray) -> None:
     arr = np.asarray(data, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(_fmt(v) for v in row))
-            fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            for row in np.atleast_2d(arr):
+                fh.write(",".join(_fmt(v) for v in row))
+                fh.write("\n")
+    except OSError as err:
+        raise InvalidInputError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def report_to_json(report, levels, tool_version: str) -> str:
@@ -153,25 +157,34 @@ def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise InvalidInputError(f"{where}: missing required key {key!r}")
     value = doc[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # beyond the float range: rejected below
+            pass
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise InvalidInputError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
 
 
+def _reject_unknown_keys(doc: dict, known, where: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise InvalidInputError(f"{where}: unknown key {key!r} (expected {', '.join(known)})")
+
+
 def read_power_config(path: str):
-    """Parse a power-study config file (JSON, schema below).
+    """Parse a power-study config file (JSON, schema below; unknown keys are
+    rejected, and the optional scenario keys are those of
+    ``simulate.SCENARIO_PARAMETERS``).
 
     {
       "schema_version": 1,
-      "scenario": {"id": "D3", "n": 50, "len": 100, ...process params...},
+      "scenario": {"id": "D3", "n": 50, "len": 100, "phi": [0.1], ...},
       "specs": [{"functional": "l2", "metric_x": "l1", "metric_y": "l1"}, ...],
       "reps": 200, "m": 100, "alpha": 0.05, "seed": 0
     }
     """
-    from .harness import PowerStudySpec  # local import to avoid a cycle
-
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -180,6 +193,9 @@ def read_power_config(path: str):
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON: {err}") from None
     where = path
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{where}: the config must be a JSON object")
+    _reject_unknown_keys(doc, ("schema_version", "scenario", "specs", "reps", "m", "alpha", "seed"), where)
     version = _require(doc, "schema_version", int, where)
     if version != POWER_SCHEMA_VERSION:
         raise InvalidInputError(
@@ -188,24 +204,11 @@ def read_power_config(path: str):
     sc = _require(doc, "scenario", dict, where)
     sc_id = _require(sc, "id", str, f"{where}: scenario")
     sc_n = _require(sc, "n", int, f"{where}: scenario")
-    cfg_kwargs = {"scenario": sc_id, "n": sc_n}
-    optional = {
-        "len": ("length", int),
-        "phi": ("phi", list),
-        "theta": ("theta", float),
-        "hurst": ("hurst", float),
-        "lambda": ("lam", float),
-        "lambda1": ("lam1", float),
-        "lambda2": ("lam2", float),
-        "sigma": ("sigma", float),
-    }
-    for key, (attr, kind) in optional.items():
-        if key in sc:
-            value = _require(sc, key, kind, f"{where}: scenario")
-            if key == "phi":
-                value = tuple(float(v) for v in value)
-            cfg_kwargs[attr] = value
-    scenario = ScenarioConfig(**cfg_kwargs)
+    params = {key: value for key, value in sc.items() if key not in ("id", "n")}
+    try:
+        scenario = scenario_config(sc_id, sc_n, params)
+    except InvalidInputError as err:
+        raise InvalidInputError(f"{where}: scenario: {err}") from None
 
     raw_specs = _require(doc, "specs", list, where)
     if not raw_specs:
@@ -214,6 +217,7 @@ def read_power_config(path: str):
     for i, raw in enumerate(raw_specs):
         if not isinstance(raw, dict):
             raise InvalidInputError(f"{where}: specs[{i}] must be an object")
+        _reject_unknown_keys(raw, ("functional", "metric_x", "metric_y"), f"{where}: specs[{i}]")
         specs.append(
             StatisticSpec(
                 functional=Functional.parse(_require(raw, "functional", str, f"{where}: specs[{i}]")),

@@ -14,10 +14,10 @@ t = 0, 1/len, ..., (len-1)/len:
   decomposed conditionally on the returned driver increment.  For H != 0.5
   the integral is a Riemann-Stieltjes sum over a driver extended across a
   burn-in window [-10/lambda, 0) at the grid resolution (truncation error
-  ~e^-10);
+  ~e^-10) of at most 2**21 grid points, so lambda >= 10 * len / 2**21;
 * the fixed two-rate combination lam1/(lam1-lam2) * Y(lam1) +
   lam2/(lam2-lam1) * Y(lam2) sharing one driver.  The two components also
-  share the standardized innovation stream, so the combination is exactly
+  share the standardized innovation draws, so the combination is exactly
   linear in its components; each (driver, component) pair keeps its exact
   joint law, while the residual cross-correlation between components is
   approximated to O(lambda/len).
@@ -27,9 +27,8 @@ Every replication draws from a stream that depends only on (seed, index).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from math import ceil, exp, sqrt
+from math import ceil, exp, isfinite, sqrt
 
 import numpy as np
 from scipy.signal import lfilter
@@ -56,17 +55,22 @@ _SCENARIOS = (
 # Default Hurst exponent of the long-memory scenario variants.
 _LONG_MEMORY_DEFAULT = 0.7
 
+# Most grid points the long-memory burn-in window may have: about 256 MB of
+# working memory at the ~122 bytes per point the sampler and filters use.
+_MAX_BURN_IN = 2**21
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Parameters of one simulation scenario.
 
     ``n`` replications of an (X, Y) series pair of length ``length`` are
-    generated.  ``phi``/``theta`` parametrize the autoregressive scenarios,
-    ``hurst``/``lam``/``lam1``/``lam2``/``sigma`` the continuous ones; fields
-    irrelevant to a scenario are ignored.  ``hurst=None`` resolves to the
-    scenario default (0.5, or 0.7 for the long-memory variants C5/C7 and
-    X-FOU-Y-FOU).
+    generated.  ``phi``/``theta`` parametrize D1-D3, ``lam`` C4/C5,
+    ``lam1``/``lam2`` C6/C7, X-OU-Y-OU and X-FOU-Y-FOU, and ``sigma`` all six;
+    scenarios ignore the fields they do not use.  ``hurst=None`` resolves to
+    the scenario default: 0.7 for the long-memory variants C5/C7/X-FOU-Y-FOU,
+    0.5 otherwise.  A given ``hurst`` must lie in (0, 1), and be 0.5 for C4,
+    C6 and X-OU-Y-OU, which are defined on a Brownian driver.
     """
 
     scenario: str
@@ -82,6 +86,59 @@ class ScenarioConfig:
     seed: int = 0
 
 
+def _number(name: str, value, kind: type):
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, kind)):
+            return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    what = "an integer" if kind is int else "a real number"
+    raise InvalidInputError(f"scenario parameter {name!r} must be {what}, got {value!r}")
+
+
+def _reals(name: str, value) -> tuple[float, ...]:
+    try:
+        if isinstance(value, str):  # comma-separated, as on the command line
+            return tuple(float(v) for v in value.split(","))
+        if isinstance(value, (list, tuple)):
+            return tuple(_number(name, v, float) for v in value)
+    except ValueError:
+        pass
+    raise InvalidInputError(f"scenario parameter {name!r} must be a list of real numbers, got {value!r}")
+
+
+# External scenario-parameter names (``recurtest simulate`` flags, power-config
+# keys), each with the ScenarioConfig field it sets and the type of its value.
+SCENARIO_PARAMETERS = {
+    "len": ("length", int),
+    "phi": ("phi", tuple),
+    "theta": ("theta", float),
+    "hurst": ("hurst", float),
+    "lambda": ("lam", float),
+    "lambda1": ("lam1", float),
+    "lambda2": ("lam2", float),
+    "sigma": ("sigma", float),
+}
+
+
+def scenario_config(scenario: str, n: int, params: dict, seed: int = 0) -> ScenarioConfig:
+    """``ScenarioConfig`` from parameters under their external names.
+
+    ``len`` must be an integer, ``phi`` a list of real numbers or their
+    comma-separated text, every other value a real number; parameters not
+    given keep the ``ScenarioConfig`` defaults.
+    """
+    fields = {}
+    for name, value in params.items():
+        if name not in SCENARIO_PARAMETERS:
+            raise InvalidInputError(
+                f"unknown scenario parameter {name!r} (choose from {', '.join(SCENARIO_PARAMETERS)})"
+            )
+        field, kind = SCENARIO_PARAMETERS[name]
+        fields[field] = _reals(name, value) if kind is tuple else _number(name, value, kind)
+    return ScenarioConfig(scenario=scenario, n=n, seed=seed, **fields)
+
+
 def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
     """Standard Gaussian white noise of the given length."""
     if length < 1:
@@ -89,26 +146,28 @@ def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(length)
 
 
-def _check_stationary(phi: tuple[float, ...]) -> None:
-    coeffs = np.asarray(phi, dtype=float)
-    if coeffs.size == 0 or not np.any(coeffs):
-        return  # pure moving average
-    # Roots of 1 - phi_1 z - ... - phi_p z^p must lie outside the unit circle.
-    poly = np.concatenate([[-c for c in coeffs[::-1]], [1.0]])
-    roots = np.roots(poly)
-    if roots.size and np.min(np.abs(roots)) <= 1.0:
-        raise InvalidInputError(f"autoregressive coefficients {tuple(phi)} are not stationary")
+def _arma_coefficients(phi, theta) -> tuple[tuple[float, ...], float]:
+    """Validated ``(phi, theta)``: finite, with a stationary autoregressive part."""
+    phi = tuple(float(p) for p in np.atleast_1d(phi))
+    theta = float(theta)
+    if not all(isfinite(c) for c in (*phi, theta)):
+        raise InvalidInputError(f"ARMA coefficients must be finite, got phi {phi}, theta {theta}")
+    if any(phi):  # otherwise a pure moving average
+        # Roots of 1 - phi_1 z - ... - phi_p z^p must lie outside the unit circle.
+        roots = np.roots([*(-c for c in phi[::-1]), 1.0])
+        if np.min(np.abs(roots)) <= 1.0:
+            raise InvalidInputError(f"autoregressive coefficients {phi} are not stationary")
+    return phi, theta
 
 
 def arma_stationary_sd(phi, theta: float, tol: float = 1e-15) -> float:
     """Stationary standard deviation of the ARMA recursion under unit noise,
     from its moving-average expansion."""
-    phi = tuple(float(p) for p in np.atleast_1d(phi))
-    _check_stationary(phi)
+    phi, theta = _arma_coefficients(phi, theta)
     psi = [1.0]
     total = 1.0
     for j in range(1, 100_000):
-        value = float(theta) if j == 1 else 0.0
+        value = theta if j == 1 else 0.0
         for i, p in enumerate(phi, start=1):
             if j - i >= 0:
                 value += p * psi[j - i]
@@ -134,11 +193,10 @@ def gen_ar_arma(
     """
     if length < 1:
         raise InvalidInputError(f"length must be >= 1, got {length}")
-    phi = tuple(float(p) for p in np.atleast_1d(phi))
-    _check_stationary(phi)
+    phi, theta = _arma_coefficients(phi, theta)
     eps = rng.standard_normal(burnin + length)
     ar = np.concatenate([[1.0], [-p for p in phi]])
-    ma = np.array([1.0, float(theta)])
+    ma = np.array([1.0, theta])
     series = lfilter(ma, ar, eps)
     return series[burnin:]
 
@@ -190,126 +248,74 @@ def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     return _fbm_path(length, hurst, 0, rng)
 
 
-def _brownian_path(length: int, rng: np.random.Generator) -> np.ndarray:
-    steps = rng.standard_normal(length - 1) * sqrt(1.0 / length)
-    path = np.empty(length)
-    path[0] = 0.0
-    np.cumsum(steps, out=path[1:])
-    return path
-
-
-def _validate_flow(length: int, hurst: float, lams, sigma: float):
-    """Validated ``(hurst, lams, sigma)`` of exponential-kernel processes."""
+def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generator):
+    """Driver on [0, 1) and its exponential-kernel averages at the rates ``lams``,
+    ``(x, y_1, ..., y_k)`` of ``length`` points each.  For H = 0.5 every rate
+    consumes the same stationary-start and residual draws."""
     if length < 2:
         raise InvalidInputError(f"length must be >= 2, got {length}")
     hurst = _validate_hurst(hurst)
     lams = tuple(float(lam) for lam in lams)
-    for lam in lams:
-        if not lam > 0:
-            raise InvalidInputError(f"mean-reversion rate must be positive, got {lam}")
     sigma = float(sigma)
-    if not sigma > 0:
-        raise InvalidInputError(f"scale must be positive, got {sigma}")
-    return hurst, lams, sigma
-
-
-def _kernel_average_from_path(path: np.ndarray, lam: float, sigma: float, delta: float):
-    """Riemann-Stieltjes sum of the exponential kernel against a driver path."""
-    decay = exp(-lam * delta)
-    increments = np.diff(path)
-    inp = np.empty(path.size)
-    inp[0] = 0.0
-    inp[1:] = sigma * increments
-    return lfilter([decay], [1.0, -decay], inp)
-
-
-def _long_memory_flows(length, hurst, lams, sigma, rng, driver):
-    """Driver on [0, 1), then its exponential-kernel average at each rate.
-
-    The fBm driver is drawn over a burn-in window [-10/min(lams), 0) as well,
-    jointly with its segment on [0, 1), so it cannot be supplied.
-    """
-    if driver is not None:
-        raise InvalidInputError(
-            "an external driver is only supported for hurst = 0.5; the "
-            "long-memory driver must be generated internally"
-        )
+    for lam in lams:
+        if not (0.0 < lam < float("inf") and sigma > 0.0 and isfinite(sigma * sigma / (2.0 * lam))):
+            raise InvalidInputError(
+                "mean-reversion rate lambda and scale sigma must be positive and finite, with a "
+                f"finite stationary variance sigma^2/(2 lambda); got lambda {lam}, sigma {sigma}"
+            )
     delta = 1.0 / length
-    pre_steps = ceil(10.0 / (min(lams) * delta))
-    path = _fbm_path(length, hurst, pre_steps, rng)
-    flows = (_kernel_average_from_path(path, lam, sigma, delta)[pre_steps:] for lam in lams)
-    return (path[pre_steps:], *flows)
+
+    if hurst != 0.5:
+        slowest = min(lams)
+        # 10*len and the power-of-two cap times a rate are exact, so this
+        # admits exactly the rates >= the smallest one named below.
+        if 10.0 * length > _MAX_BURN_IN * slowest:
+            raise InvalidInputError(
+                f"mean-reversion rate lambda {slowest} is too small for len {length}: the "
+                f"long-memory burn-in would need more than {_MAX_BURN_IN} grid points; the "
+                f"smallest lambda allowed at this length is {10.0 * length / _MAX_BURN_IN}"
+            )
+        pre_steps = ceil(10.0 / (slowest * delta))
+        path = _fbm_path(length, hurst, pre_steps, rng)
+        # Riemann-Stieltjes sum of the exponential kernel against the path.
+        inp = np.empty(path.size)
+        inp[0] = 0.0
+        inp[1:] = sigma * np.diff(path)
+        flows = []
+        for lam in lams:
+            decay = exp(-lam * delta)
+            flows.append(lfilter([decay], [1.0, -decay], inp)[pre_steps:])
+        return (path[pre_steps:], *flows)
+
+    driver = np.zeros(length)
+    np.cumsum(rng.standard_normal(length - 1) * sqrt(1.0 / length), out=driver[1:])
+    d_w = np.diff(driver)
+    start = rng.standard_normal()
+    resid = rng.standard_normal(length - 1)
+    flows = []
+    for lam in lams:
+        # Exact one-step law: y_{k+1} = decay * y_k + eta_k with the innovation
+        # split into its projection on the driver increment plus an independent
+        # residual, so (driver, y) has the exact joint distribution.
+        decay = exp(-lam * delta)
+        eta_var = sigma * sigma * (1.0 - decay * decay) / (2.0 * lam)
+        loading = sigma * (1.0 - decay) / (lam * delta)
+        resid_var = max(eta_var - loading * loading * delta, 0.0)
+        y = np.empty(length)
+        y[0] = sqrt(sigma * sigma / (2.0 * lam)) * start
+        eta = loading * d_w + sqrt(resid_var) * resid
+        y[1:] = lfilter([1.0], [1.0, -decay], eta, zi=np.array([decay * y[0]]))[0]
+        flows.append(y)
+    return (driver, *flows)
 
 
-def gen_fou(
-    length: int,
-    hurst: float,
-    lam: float,
-    sigma: float,
-    rng: np.random.Generator,
-    driver: np.ndarray | None = None,
-):
+def gen_fou(length: int, hurst: float, lam: float, sigma: float, rng: np.random.Generator):
     """Exponential-kernel average of a (fractional) Brownian driver.
 
     Returns ``(x, y)`` where ``x`` is the driver path on [0, 1) and ``y`` the
-    smoothed process, both of ``length`` points.  For H = 0.5 an externally
-    generated driver path may be supplied (its increments are consumed); for
-    H != 0.5 the driver must be generated internally because the burn-in
-    segment has to be drawn jointly with it.
+    smoothed process, both of ``length`` points.
     """
-    hurst, (lam,), sigma = _validate_flow(length, hurst, (lam,), sigma)
-    delta = 1.0 / length
-
-    if hurst != 0.5:
-        return _long_memory_flows(length, hurst, (lam,), sigma, rng, driver)
-
-    if driver is None:
-        driver = _brownian_path(length, rng)
-    else:
-        driver = np.asarray(driver, dtype=float)
-        if driver.ndim != 1 or driver.size != length:
-            raise InvalidInputError(
-                f"driver must be a 1-D path of {length} points, got shape {driver.shape}"
-            )
-    d_w = np.diff(driver)
-
-    # Exact one-step law: y_{k+1} = decay * y_k + eta_k with the innovation
-    # split into its projection on the driver increment plus an independent
-    # residual, so (driver, y) has the exact joint distribution.
-    decay = exp(-lam * delta)
-    eta_var = sigma * sigma * (1.0 - decay * decay) / (2.0 * lam)
-    loading = sigma * (1.0 - decay) / (lam * delta)
-    resid_var = max(eta_var - loading * loading * delta, 0.0)
-
-    start = sqrt(sigma * sigma / (2.0 * lam)) * rng.standard_normal()
-    resid = sqrt(resid_var) * rng.standard_normal(length - 1)
-    eta = loading * d_w + resid
-
-    y = np.empty(length)
-    y[0] = start
-    y[1:] = lfilter([1.0], [1.0, -decay], eta, zi=np.array([decay * start]))[0]
-    return driver, y
-
-
-def _two_rate_flows(length, hurst, lam1, lam2, sigma, rng, driver=None):
-    """Driver and its exponential-kernel averages at two rates, ``(x, y1, y2)``.
-
-    For H = 0.5 both components consume identical innovation draws against
-    the shared driver.
-    """
-    hurst, lams, sigma = _validate_flow(length, hurst, (lam1, lam2), sigma)
-    if hurst != 0.5:
-        return _long_memory_flows(length, hurst, lams, sigma, rng, driver)
-    if driver is None:
-        driver_rng, flow_rng = rng.spawn(2)
-        driver = _brownian_path(length, driver_rng)
-    else:
-        flow_rng = rng
-    y1, y2 = (
-        gen_fou(length, hurst, lam, sigma, copy.deepcopy(flow_rng), driver=driver)[1]
-        for lam in lams
-    )
-    return np.asarray(driver, dtype=float), y1, y2
+    return _flows(length, hurst, (lam,), sigma, rng)
 
 
 def fou_pair_weights(lam1: float, lam2: float) -> tuple[float, float]:
@@ -319,34 +325,28 @@ def fou_pair_weights(lam1: float, lam2: float) -> tuple[float, float]:
     return lam1 / (lam1 - lam2), lam2 / (lam2 - lam1)
 
 
-def gen_fou2(
-    length: int,
-    hurst: float,
-    lam1: float,
-    lam2: float,
-    sigma: float,
-    rng: np.random.Generator,
-    driver: np.ndarray | None = None,
-):
+def gen_fou2(length: int, hurst: float, lam1: float, lam2: float, sigma: float, rng: np.random.Generator):
     """Two-rate combination of exponential-kernel averages of one driver.
 
     Equals w1 * y(lam1) + w2 * y(lam2) exactly, where both components consume
     identical innovation draws against the shared driver.
     """
     w1, w2 = fou_pair_weights(lam1, lam2)
-    x, y1, y2 = _two_rate_flows(length, hurst, lam1, lam2, sigma, rng, driver)
+    x, y1, y2 = _flows(length, hurst, (lam1, lam2), sigma, rng)
     return x, w1 * y1 + w2 * y2
 
 
 def _resolve_hurst(cfg: ScenarioConfig) -> float:
-    if cfg.scenario in ("C5", "C7", "X-FOU-Y-FOU"):
-        return _LONG_MEMORY_DEFAULT if cfg.hurst is None else _validate_hurst(cfg.hurst)
     if cfg.scenario in ("C4", "C6", "X-OU-Y-OU"):
-        return 0.5  # the short-memory processes are defined on a Brownian driver
-    return 0.5 if cfg.hurst is None else _validate_hurst(cfg.hurst)
+        if cfg.hurst is not None and cfg.hurst != 0.5:
+            raise InvalidInputError(f"scenario {cfg.scenario} has a Brownian driver: hurst must be 0.5, got {cfg.hurst}")
+        return 0.5
+    if cfg.hurst is not None:
+        return _validate_hurst(cfg.hurst)
+    return _LONG_MEMORY_DEFAULT if cfg.scenario in ("C5", "C7", "X-FOU-Y-FOU") else 0.5
 
 
-def _one_replication(cfg: ScenarioConfig, hurst: float, rng: np.random.Generator):
+def _one_replication(cfg: ScenarioConfig, hurst: float, arma_sd: float, rng: np.random.Generator):
     """One (x, y) draw; D2/C2 defer their noise scaling to the batch."""
     scenario = cfg.scenario
     if scenario == "null":
@@ -358,8 +358,7 @@ def _one_replication(cfg: ScenarioConfig, hurst: float, rng: np.random.Generator
         # The discrete scenarios use the series in units of its stationary
         # spread; only the quadratic alternative is sensitive to the scale
         # (the other transforms are exactly scale-equivariant).
-        x = gen_ar_arma(cfg.length, cfg.phi, cfg.theta, rng)
-        x = x / arma_stationary_sd(cfg.phi, cfg.theta)
+        x = gen_ar_arma(cfg.length, cfg.phi, cfg.theta, rng) / arma_sd
     elif scenario in ("C1", "C2", "C3"):
         x = gen_fbm(cfg.length, hurst, rng)
     elif scenario == "C4" or scenario == "C5":
@@ -367,10 +366,8 @@ def _one_replication(cfg: ScenarioConfig, hurst: float, rng: np.random.Generator
     elif scenario == "C6" or scenario == "C7":
         return gen_fou2(cfg.length, hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
     elif scenario in ("X-OU-Y-OU", "X-FOU-Y-FOU"):
-        _, xs, ys = _two_rate_flows(cfg.length, hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
+        _, xs, ys = _flows(cfg.length, hurst, (cfg.lam1, cfg.lam2), cfg.sigma, rng)
         return xs, ys
-    else:
-        raise InvalidInputError(f"unknown scenario {scenario!r}")
 
     eps = gen_white_noise(cfg.length, rng)
     if scenario in ("D1", "C1"):
@@ -401,12 +398,13 @@ def gen_scenario(cfg: ScenarioConfig):
     if cfg.length < 1:
         raise InvalidInputError(f"series length must be >= 1, got {cfg.length}")
     hurst = _resolve_hurst(cfg)
+    arma_sd = arma_stationary_sd(cfg.phi, cfg.theta) if cfg.scenario in ("D1", "D2", "D3") else 1.0
 
     xs = np.empty((cfg.n, cfg.length))
     ys = np.empty((cfg.n, cfg.length))
     for k in range(cfg.n):
         rng = streams.substream(cfg.seed, streams.SCENARIO, k)
-        xs[k], ys[k] = _one_replication(cfg, hurst, rng)
+        xs[k], ys[k] = _one_replication(cfg, hurst, arma_sd, rng)
 
     if cfg.scenario in ("D2", "C2"):
         root = np.sqrt(np.abs(xs))

@@ -5,7 +5,7 @@ import pytest
 
 import recurtest as rt
 from recurtest.cli import main
-from recurtest.fileio import read_dataset, write_dataset
+from recurtest.fileio import read_dataset, read_power_config, write_dataset
 
 
 def run(argv):
@@ -154,12 +154,24 @@ class TestCmdSimulate:
         assert (tmp_path / "x.csv").read_bytes() == x1
         assert (tmp_path / "y.csv").read_bytes() == y1
 
-    def test_two_rate_scenario_requires_rates(self, tmp_path):
-        assert run(
-            ["simulate", "--scenario", "C7", "--n", "4", "--len", "20", "--seed", "1",
-             "--out-x", str(tmp_path / "x.csv"), "--out-y", str(tmp_path / "y.csv"),
-             "--lambda1", "2.0"]
-        ) == 2
+    def test_flags_set_the_documented_fields(self, tmp_path):
+        flags = ["--hurst", "0.6", "--lambda", "9", "--lambda1", "2", "--lambda2", "4",
+                 "--sigma", "2", "--phi", "0.2,0.5", "--theta", "0.2"]
+        xs_path, ys_path = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+        assert run(["simulate", "--scenario", "C7", "--n", "3", "--len", "20", "--seed", "4",
+                    "--out-x", xs_path, "--out-y", ys_path, *flags]) == 0
+        cfg = rt.ScenarioConfig(scenario="C7", n=3, length=20, seed=4, hurst=0.6, lam=9.0,
+                                lam1=2.0, lam2=4.0, sigma=2.0, phi=(0.2, 0.5), theta=0.2)
+        xs, ys = rt.gen_scenario(cfg)
+        assert np.array_equal(read_dataset(xs_path), xs)
+        assert np.array_equal(read_dataset(ys_path), ys)
+
+    def test_two_rate_scenario_uses_default_rates(self, tmp_path):
+        ys_path = str(tmp_path / "y.csv")
+        assert run(["simulate", "--scenario", "X-OU-Y-OU", "--n", "3", "--len", "20",
+                    "--seed", "4", "--out-x", str(tmp_path / "x.csv"), "--out-y", ys_path]) == 0
+        cfg = rt.ScenarioConfig(scenario="X-OU-Y-OU", n=3, length=20, seed=4)
+        assert np.array_equal(read_dataset(ys_path), rt.gen_scenario(cfg)[1])
 
     @pytest.mark.parametrize(
         "scenario, flags",
@@ -244,6 +256,79 @@ class TestCmdPower:
     def test_bad_schema_version_exit2(self, tmp_path):
         cfg = self.make_config(tmp_path, schema_version=99)
         assert run(["power", "--config", str(cfg)]) == 2
+
+    def test_scenario_keys_set_the_documented_fields(self, tmp_path):
+        keys = {"len": 20, "phi": [0.2, 0.5], "theta": 0.2, "hurst": 0.6, "lambda": 9,
+                "lambda1": 2.0, "lambda2": 4.0, "sigma": 2.0}
+        cfg = self.make_config(tmp_path, scenario={"id": "C7", "n": 3, **keys})
+        assert read_power_config(str(cfg)).scenario == rt.ScenarioConfig(
+            scenario="C7", n=3, length=20, hurst=0.6, lam=9.0, lam1=2.0, lam2=4.0,
+            sigma=2.0, phi=(0.2, 0.5), theta=0.2)
+
+
+def _simulate(*flags):
+    def argv(tmp_path):
+        return ["simulate", "--n", "2", "--len", "20", "--seed", "1",
+                "--out-x", str(tmp_path / "x.csv"), "--out-y", str(tmp_path / "y.csv"), *flags]
+    return argv
+
+
+def _power(scenario=(), **top):
+    def argv(tmp_path):
+        doc = {"schema_version": 1, "scenario": {"id": "null", "n": 8, "len": 3, **dict(scenario)},
+               "specs": [{"functional": "l2", "metric_x": "l2", "metric_y": "l2"}],
+               "reps": 2, "m": 19, "alpha": 0.05, "seed": 3, **top}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return ["power", "--config", str(path)]
+    return argv
+
+
+def _test_out_to_missing_dir(tmp_path):
+    for name in ("x.csv", "y.csv"):
+        write_dataset(str(tmp_path / name), np.random.default_rng(46).standard_normal((10, 2)))
+    return ["test", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+            "--functional", "l2", "--metric-x", "l2", "--metric-y", "l2", "--perms", "9",
+            "--seed", "1", "--out", str(tmp_path / "missing" / "r.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(_simulate("--scenario", "D1", "--theta", "nan"), "theta", id="theta-nan"),
+        pytest.param(_simulate("--scenario", "D1", "--theta", "inf"), "theta", id="theta-inf"),
+        pytest.param(_simulate("--scenario", "D1", "--phi", "nan"), "phi", id="phi-nan"),
+        pytest.param(_simulate("--scenario", "D1", "--phi", "0.1,x"), "phi", id="phi-text"),
+        pytest.param(_simulate("--scenario", "C5", "--lambda", "inf"), "lambda", id="lambda-inf"),
+        pytest.param(_simulate("--scenario", "C4", "--lambda", "1e-310"), "lambda",
+                     id="variance-overflow-rate"),
+        pytest.param(_simulate("--scenario", "C6", "--sigma", "1e200"), "sigma",
+                     id="variance-overflow-scale"),
+        pytest.param(_simulate("--scenario", "C4", "--hurst", "5"), "hurst", id="C4-hurst"),
+        pytest.param(_simulate("--scenario", "X-OU-Y-OU", "--hurst", "0.7"), "hurst",
+                     id="X-OU-Y-OU-hurst"),
+        # about 80 GB of burn-in without the cap: never run this case on older code
+        pytest.param(_simulate("--scenario", "C5", "--lambda", "1e-7"), "len 20", id="burn-in-cap"),
+        pytest.param(lambda tmp_path: _simulate("--scenario", "null")(tmp_path / "missing"),
+                     "cannot write", id="simulate-out-missing-dir"),
+        pytest.param(_test_out_to_missing_dir, "cannot write", id="test-out-missing-dir"),
+        pytest.param(_power(scenario={"lamda": 5.0}), "lamda", id="config-unknown-scenario-key"),
+        pytest.param(_power(scenario={"id": "C4", "hurst": 0.9}), "hurst", id="config-C4-hurst"),
+        pytest.param(_power(rep=500), "rep", id="config-unknown-key"),
+        pytest.param(_power(scenario={"id": "D1", "phi": ["x"]}), "phi", id="config-phi-text"),
+        pytest.param(_power(scenario={"id": "D1", "phi": [[0.1]]}), "phi", id="config-phi-nested"),
+        pytest.param(_power(scenario={"id": "D1", "theta": 10**400}), "theta",
+                     id="config-theta-overflow"),
+        pytest.param(_power(scenario={"n": True}), "'n'", id="config-n-bool"),
+        pytest.param(_power(reps=True), "reps", id="config-reps-bool"),
+        pytest.param(_power(alpha=10**400), "alpha", id="config-alpha-overflow"),
+    ],
+)
+def test_invalid_input_exit2_one_line(tmp_path, capsys, argv, named):
+    assert run(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 class TestCmdDependogram:

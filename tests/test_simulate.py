@@ -1,11 +1,10 @@
-import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import recurtest as rt
-from recurtest import InvalidInputError, ScenarioConfig
+from recurtest import InvalidInputError, ScenarioConfig, streams
 from recurtest.simulate import _fbm_path
 
 
@@ -192,17 +191,6 @@ class TestFou:
         with pytest.raises(InvalidInputError):
             rt.gen_fou(100, 0.5, 0.3, -1.0, rng_of(19))
 
-    def test_external_driver_consumed(self):
-        driver = rt.gen_fbm(50, 0.5, rng_of(20))
-        x, y = rt.gen_fou(50, 0.5, 0.4, 1.0, rng_of(21), driver=driver)
-        assert np.array_equal(x, driver)
-        assert y.shape == (50,)
-
-    def test_long_memory_driver_must_be_internal(self):
-        driver = rt.gen_fbm(50, 0.7, rng_of(22))
-        with pytest.raises(InvalidInputError):
-            rt.gen_fou(50, 0.7, 0.4, 1.0, rng_of(23), driver=driver)
-
     def test_long_memory_smoke(self):
         x, y = rt.gen_fou(50, 0.7, 2.0, 1.0, rng_of(24))
         assert x.shape == y.shape == (50,)
@@ -220,13 +208,13 @@ class TestFou2:
             rt.gen_fou2(50, 0.5, 0.5, 0.5, 1.0, rng_of(25))
 
     def test_linearity_exact(self):
-        driver = rt.gen_fbm(100, 0.5, rng_of(26))
-        base = rng_of(27)
-        _, y1 = rt.gen_fou(100, 0.5, 0.3, 1.0, copy.deepcopy(base), driver=driver)
-        _, y2 = rt.gen_fou(100, 0.5, 0.8, 1.0, copy.deepcopy(base), driver=driver)
-        _, combo = rt.gen_fou2(100, 0.5, 0.3, 0.8, 1.0, copy.deepcopy(base), driver=driver)
+        # X-OU-Y-OU returns the two components that gen_fou2 combines
+        y1, y2 = rt.gen_scenario(ScenarioConfig(scenario="X-OU-Y-OU", n=3, length=100, seed=27))
         w1, w2 = rt.fou_pair_weights(0.3, 0.8)
-        assert np.abs(combo - (w1 * y1 + w2 * y2)).max() < 1e-12
+        for k in range(3):
+            rng = streams.substream(27, streams.SCENARIO, k)
+            _, combo = rt.gen_fou2(100, 0.5, 0.3, 0.8, 1.0, rng)
+            assert np.abs(combo - (w1 * y1[k] + w2 * y2[k])).max() < 1e-12
 
     def test_deterministic(self):
         a = rt.gen_fou2(60, 0.5, 0.3, 0.8, 1.0, rng_of(28))
@@ -302,6 +290,19 @@ class TestScenarios:
         assert np.isfinite(xs).all() and np.isfinite(ys).all()
         assert (xs[:, 0] == 0.0).all()
         assert peak < 64 * 2**20
+
+    def test_long_memory_burn_in_capped(self):
+        # 10 / (lam * delta) = 1e10 burn-in points: rejected before any allocation
+        cfg = ScenarioConfig(scenario="C5", n=2, length=100, lam=1e-7, seed=38)
+        tracemalloc.start()
+        try:
+            # 10 * len / 2**21 is the smallest rate with at most 2**21 burn-in points
+            with pytest.raises(InvalidInputError, match=r"lambda 1e-07 .* len 100: .* 0\.000476837158203125$"):
+                rt.gen_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_shared_driver_rates_are_dependent(self):
         cfg = ScenarioConfig(scenario="X-OU-Y-OU", n=200, length=50, seed=37)
