@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from . import streams
 from .exceptions import InvalidInputError
@@ -90,8 +89,9 @@ def permutation_test(
     evaluate = prepare(pd0, spec.functional)
     observed = float(evaluate(pd0.t[None, :])[0])
 
-    dist_y = squareform(pd0.t)
     rows, cols = np.triu_indices(n, 1)
+    dist_y = np.zeros((n, n))
+    dist_y[rows, cols] = dist_y[cols, rows] = pd0.t
     block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
     perm_stats = np.empty(m)
     for first in range(0, m, block):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .exceptions import InvalidInputError
 
@@ -31,9 +30,6 @@ class Metric(Enum):
         except ValueError:
             choices = ", ".join(m.value for m in cls)
             raise InvalidInputError(f"unknown metric {text!r} (choose from {choices})") from None
-
-
-_PDIST_NAME = {Metric.L1: "cityblock", Metric.L2: "euclidean", Metric.LINF: "chebyshev"}
 
 
 def ensure_sample(data, name: str = "sample") -> np.ndarray:
@@ -67,12 +63,30 @@ def distance(a, b, kind: Metric) -> float:
         raise InvalidInputError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
     if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
         raise InvalidInputError("observations contain non-finite entries")
-    diff = np.abs(av - bv)
+    return float(_norm(np.abs(av - bv), kind))
+
+
+def _norm(diff: np.ndarray, kind: Metric):
+    """Norm under ``kind`` of absolute coordinate differences, along the last axis."""
     if kind == Metric.L1:
-        return float(diff.sum())
+        return diff.sum(axis=-1)
     if kind == Metric.L2:
-        return float(np.sqrt(np.square(diff).sum()))
-    return float(diff.max())
+        return np.sqrt(np.square(diff).sum(axis=-1))
+    return diff.max(axis=-1)
+
+
+def _pairwise(a: np.ndarray, kind: Metric) -> np.ndarray:
+    """Distances between the rows of ``a`` over the pairs i < j, in lexicographic
+    order, one row against its successors at a time (O(n d) working memory).
+    Equal rows are exactly 0 apart."""
+    n = a.shape[0]
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        out[start:stop] = _norm(np.abs(a[i + 1 :] - a[i]), kind)
+        start = stop
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,4 @@ def paired_distances(x, y, metric_x: Metric, metric_y: Metric) -> PairedDistance
         raise InvalidInputError(
             f"sample sizes differ: x has {xs.shape[0]} rows, y has {ys.shape[0]}"
         )
-    z = pdist(xs, _PDIST_NAME[metric_x])
-    t = pdist(ys, _PDIST_NAME[metric_y])
-    return PairedDistances(n=xs.shape[0], z=z, t=t)
+    return PairedDistances(n=xs.shape[0], z=_pairwise(xs, metric_x), t=_pairwise(ys, metric_y))

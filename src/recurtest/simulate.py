@@ -27,11 +27,10 @@ Every replication draws from a stream that depends only on (seed, index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, exp, isfinite, sqrt
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import streams
 from .exceptions import InvalidInputError
@@ -58,6 +57,14 @@ _LONG_MEMORY_DEFAULT = 0.7
 # Most grid points the long-memory burn-in window may have: about 256 MB of
 # working memory at the ~122 bytes per point the sampler and filters use.
 _MAX_BURN_IN = 2**21
+
+# Steps the ARMA recursion runs, and discards, before a discrete series starts.
+_ARMA_BURN_IN = 500
+
+# Fewest replications whose ARMA recursions step together as numpy rows;
+# fewer step one at a time as floats.  A float step costs about 0.4 us per
+# row and a step of rows about 4-6 us (2-core Xeon, numpy 2.4).
+_MIN_ARRAY_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,8 @@ def scenario_config(scenario: str, n: int, params: dict, seed: int = 0) -> Scena
 
     ``len`` must be an integer, ``phi`` a list of real numbers or their
     comma-separated text, every other value a real number; parameters not
-    given keep the ``ScenarioConfig`` defaults.
+    given keep the ``ScenarioConfig`` defaults.  The config is checked as
+    ``gen_scenario`` checks it, without drawing.
     """
     fields = {}
     for name, value in params.items():
@@ -136,7 +144,9 @@ def scenario_config(scenario: str, n: int, params: dict, seed: int = 0) -> Scena
             )
         field, kind = SCENARIO_PARAMETERS[name]
         fields[field] = _reals(name, value) if kind is tuple else _number(name, value, kind)
-    return ScenarioConfig(scenario=scenario, n=n, seed=seed, **fields)
+    cfg = ScenarioConfig(scenario=scenario, n=n, seed=seed, **fields)
+    _check_scenario(cfg)
+    return cfg
 
 
 def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
@@ -144,6 +154,32 @@ def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
     if length < 1:
         raise InvalidInputError(f"length must be >= 1, got {length}")
     return rng.standard_normal(length)
+
+
+def _lfilter(b, a, steps, state=None) -> list:
+    """Outputs of the recursive filter ``b(z) / a(z)``, ``a[0] == 1``, over ``steps``.
+
+    Transposed direct form II with the shorter of ``b``/``a`` zero-padded to
+    the common order (at least 2), in the operation order of
+    ``scipy.signal.lfilter``, so the outputs equal its outputs bit for bit.
+    Each step is a float, or an array of rows filtered together.  ``state``
+    is the initial delay line (zeros when omitted).
+    """
+    order = max(len(a), len(b))
+    b = [*b, *[0.0] * (order - len(b))]
+    a = [*a, *[0.0] * (order - len(a))]
+    z = list(state) if state is not None else [0.0] * (order - 1)
+    # Coefficients bound once: list indexing would double the cost of a float step.
+    b_first, b_last, a_last = b[0], b[-1], a[-1]
+    middle = [(i, b[i + 1], a[i + 1]) for i in range(order - 2)]
+    out = []
+    for x in steps:
+        y = z[0] + b_first * x
+        for i, b_i, a_i in middle:
+            z[i] = z[i + 1] + x * b_i - y * a_i
+        z[-1] = x * b_last - y * a_last
+        out.append(y)
+    return out
 
 
 def _arma_coefficients(phi, theta) -> tuple[tuple[float, ...], float]:
@@ -160,10 +196,12 @@ def _arma_coefficients(phi, theta) -> tuple[tuple[float, ...], float]:
     return phi, theta
 
 
-def arma_stationary_sd(phi, theta: float, tol: float = 1e-15) -> float:
-    """Stationary standard deviation of the ARMA recursion under unit noise,
-    from its moving-average expansion."""
-    phi, theta = _arma_coefficients(phi, theta)
+def _arma(phi: tuple[float, ...], theta: float, noise) -> list:
+    """ARMA recursion over ``noise`` (floats, or arrays of rows) from a zero start."""
+    return _lfilter((1.0, theta), (1.0, *(-p for p in phi)), noise)
+
+
+def _stationary_sd(phi: tuple[float, ...], theta: float, tol: float = 1e-15) -> float:
     psi = [1.0]
     total = 1.0
     for j in range(1, 100_000):
@@ -178,12 +216,18 @@ def arma_stationary_sd(phi, theta: float, tol: float = 1e-15) -> float:
     return float(np.sqrt(total))
 
 
+def arma_stationary_sd(phi, theta: float, tol: float = 1e-15) -> float:
+    """Stationary standard deviation of the ARMA recursion under unit noise,
+    from its moving-average expansion."""
+    return _stationary_sd(*_arma_coefficients(phi, theta), tol)
+
+
 def gen_ar_arma(
     length: int,
     phi,
     theta: float,
     rng: np.random.Generator,
-    burnin: int = 500,
+    burnin: int = _ARMA_BURN_IN,
 ) -> np.ndarray:
     """ARMA series x_t = sum_i phi_i x_{t-i} + e_t + theta e_{t-1}.
 
@@ -195,10 +239,7 @@ def gen_ar_arma(
         raise InvalidInputError(f"length must be >= 1, got {length}")
     phi, theta = _arma_coefficients(phi, theta)
     eps = rng.standard_normal(burnin + length)
-    ar = np.concatenate([[1.0], [-p for p in phi]])
-    ma = np.array([1.0, theta])
-    series = lfilter(ma, ar, eps)
-    return series[burnin:]
+    return np.array(_arma(phi, theta, eps.tolist())[burnin:])
 
 
 def _validate_hurst(hurst: float) -> float:
@@ -248,10 +289,8 @@ def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     return _fbm_path(length, hurst, 0, rng)
 
 
-def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generator):
-    """Driver on [0, 1) and its exponential-kernel averages at the rates ``lams``,
-    ``(x, y_1, ..., y_k)`` of ``length`` points each.  For H = 0.5 every rate
-    consumes the same stationary-start and residual draws."""
+def _flow_parameters(length: int, hurst: float, lams, sigma: float):
+    """Validated ``(hurst, lams, sigma)`` of ``_flows`` and its burn-in step count."""
     if length < 2:
         raise InvalidInputError(f"length must be >= 2, got {length}")
     hurst = _validate_hurst(hurst)
@@ -263,28 +302,36 @@ def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generat
                 "mean-reversion rate lambda and scale sigma must be positive and finite, with a "
                 f"finite stationary variance sigma^2/(2 lambda); got lambda {lam}, sigma {sigma}"
             )
+    if hurst == 0.5:
+        return hurst, lams, sigma, 0
+    slowest = min(lams)
+    # 10*len and the power-of-two cap times a rate are exact, so this admits
+    # exactly the rates >= the smallest one named below.
+    if 10.0 * length > _MAX_BURN_IN * slowest:
+        raise InvalidInputError(
+            f"mean-reversion rate lambda {slowest} is too small for len {length}: the "
+            f"long-memory burn-in would need more than {_MAX_BURN_IN} grid points; the "
+            f"smallest lambda allowed at this length is {10.0 * length / _MAX_BURN_IN}"
+        )
+    delta = 1.0 / length
+    return hurst, lams, sigma, ceil(10.0 / (slowest * delta))
+
+
+def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generator):
+    """Driver on [0, 1) and its exponential-kernel averages at the rates ``lams``,
+    ``(x, y_1, ..., y_k)`` of ``length`` points each.  For H = 0.5 every rate
+    consumes the same stationary-start and residual draws."""
+    hurst, lams, sigma, pre_steps = _flow_parameters(length, hurst, lams, sigma)
     delta = 1.0 / length
 
     if hurst != 0.5:
-        slowest = min(lams)
-        # 10*len and the power-of-two cap times a rate are exact, so this
-        # admits exactly the rates >= the smallest one named below.
-        if 10.0 * length > _MAX_BURN_IN * slowest:
-            raise InvalidInputError(
-                f"mean-reversion rate lambda {slowest} is too small for len {length}: the "
-                f"long-memory burn-in would need more than {_MAX_BURN_IN} grid points; the "
-                f"smallest lambda allowed at this length is {10.0 * length / _MAX_BURN_IN}"
-            )
-        pre_steps = ceil(10.0 / (slowest * delta))
         path = _fbm_path(length, hurst, pre_steps, rng)
         # Riemann-Stieltjes sum of the exponential kernel against the path.
-        inp = np.empty(path.size)
-        inp[0] = 0.0
-        inp[1:] = sigma * np.diff(path)
+        inp = [0.0, *(sigma * np.diff(path)).tolist()]
         flows = []
         for lam in lams:
             decay = exp(-lam * delta)
-            flows.append(lfilter([decay], [1.0, -decay], inp)[pre_steps:])
+            flows.append(np.array(_lfilter((decay,), (1.0, -decay), inp)[pre_steps:]))
         return (path[pre_steps:], *flows)
 
     driver = np.zeros(length)
@@ -301,11 +348,9 @@ def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generat
         eta_var = sigma * sigma * (1.0 - decay * decay) / (2.0 * lam)
         loading = sigma * (1.0 - decay) / (lam * delta)
         resid_var = max(eta_var - loading * loading * delta, 0.0)
-        y = np.empty(length)
-        y[0] = sqrt(sigma * sigma / (2.0 * lam)) * start
+        y0 = sqrt(sigma * sigma / (2.0 * lam)) * start
         eta = loading * d_w + sqrt(resid_var) * resid
-        y[1:] = lfilter([1.0], [1.0, -decay], eta, zi=np.array([decay * y[0]]))[0]
-        flows.append(y)
+        flows.append(np.array([y0, *_lfilter((1.0,), (1.0, -decay), eta.tolist(), (decay * y0,))]))
     return (driver, *flows)
 
 
@@ -346,48 +391,11 @@ def _resolve_hurst(cfg: ScenarioConfig) -> float:
     return _LONG_MEMORY_DEFAULT if cfg.scenario in ("C5", "C7", "X-FOU-Y-FOU") else 0.5
 
 
-def _one_replication(cfg: ScenarioConfig, hurst: float, arma_sd: float, rng: np.random.Generator):
-    """One (x, y) draw; D2/C2 defer their noise scaling to the batch."""
-    scenario = cfg.scenario
-    if scenario == "null":
-        x = gen_white_noise(cfg.length, rng)
-        y = gen_white_noise(cfg.length, rng)
-        return x, y
+def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Run every parameter check of ``gen_scenario`` without drawing.
 
-    if scenario in ("D1", "D2", "D3"):
-        # The discrete scenarios use the series in units of its stationary
-        # spread; only the quadratic alternative is sensitive to the scale
-        # (the other transforms are exactly scale-equivariant).
-        x = gen_ar_arma(cfg.length, cfg.phi, cfg.theta, rng) / arma_sd
-    elif scenario in ("C1", "C2", "C3"):
-        x = gen_fbm(cfg.length, hurst, rng)
-    elif scenario == "C4" or scenario == "C5":
-        return gen_fou(cfg.length, hurst, cfg.lam, cfg.sigma, rng)
-    elif scenario == "C6" or scenario == "C7":
-        return gen_fou2(cfg.length, hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
-    elif scenario in ("X-OU-Y-OU", "X-FOU-Y-FOU"):
-        _, xs, ys = _flows(cfg.length, hurst, (cfg.lam1, cfg.lam2), cfg.sigma, rng)
-        return xs, ys
-
-    eps = gen_white_noise(cfg.length, rng)
-    if scenario in ("D1", "C1"):
-        return x, x * x + 3.0 * eps
-    if scenario in ("D2", "C2"):
-        return x, eps  # noise scale applied across the batch
-    if scenario == "D3":
-        return x, eps * x
-    # C3
-    eps2 = gen_white_noise(cfg.length, rng)
-    return x, eps * x + 3.0 * eps2
-
-
-def gen_scenario(cfg: ScenarioConfig):
-    """Generate ``cfg.n`` independent replications of the scenario.
-
-    Returns two (n, length) matrices, one series per row.  Replication k
-    draws only from the stream (cfg.seed, k).  In D2/C2 the noise added to
-    sqrt(|x|) is scaled by the pooled sample standard deviation of sqrt(|x|)
-    across the whole replication batch.
+    Returns the config with its Hurst exponent resolved and, for D1-D3, its
+    ARMA coefficients validated as floats.
     """
     if cfg.scenario not in _SCENARIOS:
         raise InvalidInputError(
@@ -398,13 +406,90 @@ def gen_scenario(cfg: ScenarioConfig):
     if cfg.length < 1:
         raise InvalidInputError(f"series length must be >= 1, got {cfg.length}")
     hurst = _resolve_hurst(cfg)
-    arma_sd = arma_stationary_sd(cfg.phi, cfg.theta) if cfg.scenario in ("D1", "D2", "D3") else 1.0
+    if cfg.scenario in ("D1", "D2", "D3"):
+        phi, theta = _arma_coefficients(cfg.phi, cfg.theta)
+        return replace(cfg, hurst=hurst, phi=phi, theta=theta)
+    if cfg.scenario in ("C4", "C5"):
+        _flow_parameters(cfg.length, hurst, (cfg.lam,), cfg.sigma)
+    elif cfg.scenario in ("C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU"):
+        if cfg.scenario in ("C6", "C7"):
+            fou_pair_weights(cfg.lam1, cfg.lam2)
+        _flow_parameters(cfg.length, hurst, (cfg.lam1, cfg.lam2), cfg.sigma)
+    return replace(cfg, hurst=hurst)
 
-    xs = np.empty((cfg.n, cfg.length))
-    ys = np.empty((cfg.n, cfg.length))
+
+def _response(scenario: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Y of the D/C alternatives from the signal and its noise; D2/C2 defer
+    their noise scaling to the batch, and C3 adds a second noise."""
+    if scenario in ("D1", "C1"):
+        return x * x + 3.0 * eps
+    if scenario in ("D2", "C2"):
+        return eps
+    return eps * x
+
+
+def _discrete_batch(cfg: ScenarioConfig):
+    """D1-D3: replication k draws its ARMA noise and then its response noise
+    from the stream (cfg.seed, k); the recursion then steps all rows together
+    as numpy arrays, or, for fewer than ``_MIN_ARRAY_ROWS`` rows, each row as
+    floats."""
+    steps = _ARMA_BURN_IN + cfg.length
+    noise = np.empty((steps, cfg.n))
+    eps = np.empty((cfg.n, cfg.length))
     for k in range(cfg.n):
         rng = streams.substream(cfg.seed, streams.SCENARIO, k)
-        xs[k], ys[k] = _one_replication(cfg, hurst, arma_sd, rng)
+        noise[:, k] = rng.standard_normal(steps)
+        eps[k] = gen_white_noise(cfg.length, rng)
+    if cfg.n < _MIN_ARRAY_ROWS:
+        series = np.array([_arma(cfg.phi, cfg.theta, row) for row in noise.T.tolist()])
+    else:
+        series = np.array(_arma(cfg.phi, cfg.theta, noise)).T
+    # The discrete scenarios use the series in units of its stationary
+    # spread; only the quadratic alternative is sensitive to the scale (the
+    # other transforms are exactly scale-equivariant).
+    x = np.ascontiguousarray(series[:, _ARMA_BURN_IN:])
+    x /= _stationary_sd(cfg.phi, cfg.theta)
+    return x, _response(cfg.scenario, x, eps)
+
+
+def _one_replication(cfg: ScenarioConfig, rng: np.random.Generator):
+    """One (x, y) draw of a scenario other than D1-D3."""
+    scenario = cfg.scenario
+    if scenario == "null":
+        x = gen_white_noise(cfg.length, rng)
+        y = gen_white_noise(cfg.length, rng)
+        return x, y
+    if scenario == "C4" or scenario == "C5":
+        return gen_fou(cfg.length, cfg.hurst, cfg.lam, cfg.sigma, rng)
+    if scenario == "C6" or scenario == "C7":
+        return gen_fou2(cfg.length, cfg.hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
+    if scenario in ("X-OU-Y-OU", "X-FOU-Y-FOU"):
+        _, xs, ys = _flows(cfg.length, cfg.hurst, (cfg.lam1, cfg.lam2), cfg.sigma, rng)
+        return xs, ys
+    x = gen_fbm(cfg.length, cfg.hurst, rng)
+    y = _response(scenario, x, gen_white_noise(cfg.length, rng))
+    if scenario == "C3":
+        y = y + 3.0 * gen_white_noise(cfg.length, rng)
+    return x, y
+
+
+def gen_scenario(cfg: ScenarioConfig):
+    """Generate ``cfg.n`` independent replications of the scenario.
+
+    Returns two (n, length) matrices, one series per row.  Replication k
+    draws only from the stream (cfg.seed, k).  In D2/C2 the noise added to
+    sqrt(|x|) is scaled by the pooled sample standard deviation of sqrt(|x|)
+    across the whole replication batch.
+    """
+    cfg = _check_scenario(cfg)
+    if cfg.scenario in ("D1", "D2", "D3"):
+        xs, ys = _discrete_batch(cfg)
+    else:
+        xs = np.empty((cfg.n, cfg.length))
+        ys = np.empty((cfg.n, cfg.length))
+        for k in range(cfg.n):
+            rng = streams.substream(cfg.seed, streams.SCENARIO, k)
+            xs[k], ys[k] = _one_replication(cfg, rng)
 
     if cfg.scenario in ("D2", "C2"):
         root = np.sqrt(np.abs(xs))

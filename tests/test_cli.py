@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,7 +317,12 @@ def _test_out_to_missing_dir(tmp_path):
                      "cannot write", id="simulate-out-missing-dir"),
         pytest.param(_test_out_to_missing_dir, "cannot write", id="test-out-missing-dir"),
         pytest.param(_power(scenario={"lamda": 5.0}), "lamda", id="config-unknown-scenario-key"),
-        pytest.param(_power(scenario={"id": "C4", "hurst": 0.9}), "hurst", id="config-C4-hurst"),
+        # scenario values are checked when the config is read, before any draw
+        pytest.param(_power(scenario={"id": "C4", "hurst": 0.9}),
+                     "cfg.json: scenario: scenario C4 has a Brownian driver: hurst",
+                     id="config-C4-hurst"),
+        pytest.param(_power(scenario={"id": "C4", "lambda": 0}),
+                     "cfg.json: scenario: mean-reversion rate lambda", id="config-lambda-zero"),
         pytest.param(_power(rep=500), "rep", id="config-unknown-key"),
         pytest.param(_power(scenario={"id": "D1", "phi": ["x"]}), "phi", id="config-phi-text"),
         pytest.param(_power(scenario={"id": "D1", "phi": [[0.1]]}), "phi", id="config-phi-nested"),
@@ -329,6 +338,25 @@ def test_invalid_input_exit2_one_line(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the package and runs a long-memory simulation must not load scipy.
+    code = (
+        "import sys, recurtest, recurtest.cli\n"
+        "code = recurtest.cli.main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "sys.exit(f'scipy modules loaded: {loaded}' if loaded else code)\n"
+    )
+    src = str(Path(rt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = _simulate("--scenario", "C5")(tmp_path)
+    argv[argv.index("--len") + 1] = "10"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_dataset(str(tmp_path / "x.csv")).shape == (2, 10)
 
 
 class TestCmdDependogram:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 import recurtest as rt
 from recurtest import InvalidInputError, Metric
@@ -125,6 +126,28 @@ class TestPairedDistances:
         for r in (0.5, 1.0, 2.0):
             assert rt.recurrence_rate(pd, "x", r) == rt.recurrence_rate(dup, "x", r)
         assert rt.joint_recurrence_rate(pd, 1.0, 1.5) == rt.joint_recurrence_rate(dup, 1.0, 1.5)
+
+    @pytest.mark.parametrize("kind", list(Metric))
+    @pytest.mark.parametrize("n, d", [(2, 1), (30, 1), (50, 100), (101, 7)])
+    def test_matches_pdist(self, kind, n, d):
+        name = {Metric.L1: "cityblock", Metric.L2: "euclidean", Metric.LINF: "chebyshev"}[kind]
+        rng = np.random.default_rng((n, d))
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        y = rng.integers(-3, 4, (n, d)).astype(float)  # integer-valued, with equal rows
+        pd = rt.paired_distances(x, y, kind, kind)
+        assert np.array_equal(pd.t, pdist(y, name))  # exact sums of integers
+        if kind is Metric.LINF:
+            assert np.array_equal(pd.z, pdist(x, name))
+        else:  # summation order may differ in the last bits
+            np.testing.assert_allclose(pd.z, pdist(x, name), rtol=4e-15, atol=0.0)
+
+    def test_equal_rows_are_exactly_zero_apart(self):
+        x = np.repeat(np.random.default_rng(7).standard_normal((4, 9)) * 1e3 + 1e6, 2, axis=0)
+        for kind in Metric:
+            pd = rt.paired_distances(x, x, kind, kind)
+            pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+            twins = [k for k, (i, j) in enumerate(pairs) if j == i + 1 and i % 2 == 0]
+            assert np.all(pd.z[twins] == 0.0) and np.all(np.delete(pd.z, twins) > 0.0)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidInputError):

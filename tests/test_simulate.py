@@ -1,11 +1,13 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import recurtest as rt
 from recurtest import InvalidInputError, ScenarioConfig, streams
-from recurtest.simulate import _fbm_path
+from recurtest.simulate import _MIN_ARRAY_ROWS, _fbm_path, _lfilter
 
 
 def rng_of(*key):
@@ -72,6 +74,34 @@ def arma_variance_oracle(phi, theta, terms=4000):
     return float(np.sum(np.square(psi)))
 
 
+class TestLfilter:
+    """``_lfilter`` against ``scipy.signal.lfilter``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "b, a",
+        [
+            ((1.0, 0.0), (1.0, -0.6)),  # ARMA(1, 0)
+            ((1.0, 0.2), (1.0, -0.2, -0.5)),  # ARMA(2, 1)
+            ((0.97,), (1.0, -0.97)),  # first order, as the long-memory kernel sum
+        ],
+    )
+    def test_matches_scipy(self, b, a):
+        x = rng_of(60, len(a)).standard_normal(5000) * 10.0 ** rng_of(61).integers(-3, 4, 5000)
+        assert np.array_equal(_lfilter(b, a, x.tolist()), lfilter(b, a, x))
+
+    def test_matches_scipy_from_a_state(self):
+        x = rng_of(62).standard_normal(3000)
+        zi = float(rng_of(63).standard_normal())
+        want = lfilter((1.0,), (1.0, -0.9), x, zi=np.array([zi]))[0]
+        assert np.array_equal(_lfilter((1.0,), (1.0, -0.9), x.tolist(), (zi,)), want)
+
+    def test_rows_step_together(self):
+        x = rng_of(64).standard_normal((5, 400))
+        got = np.array(_lfilter((1.0, 0.2), (1.0, -0.2, -0.5), x.T)).T
+        for row, want in zip(got, x):
+            assert np.array_equal(row, lfilter((1.0, 0.2), (1.0, -0.2, -0.5), want))
+
+
 class TestArArma:
     def test_degenerate_coefficients_give_white_noise(self):
         series = rt.gen_ar_arma(1000, (0.0,), 0.0, rng_of(4))
@@ -102,6 +132,15 @@ class TestArArma:
         for phi, theta in [((0.1,), 0.0), ((0.2, 0.5), 0.2), ((0.9,), 0.0), ((0.0,), 0.0)]:
             want = np.sqrt(arma_variance_oracle(phi, theta))
             assert rt.arma_stationary_sd(phi, theta) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 4, _MIN_ARRAY_ROWS])  # rows stepped as floats, as arrays
+    def test_discrete_batch_equals_single_series(self, n):
+        cfg = ScenarioConfig(scenario="D3", n=n, length=30, phi=(0.2, 0.5), theta=0.2, seed=65)
+        xs, _ = rt.gen_scenario(cfg)
+        sd = rt.arma_stationary_sd(cfg.phi, cfg.theta)
+        for k in range(n):
+            rng = streams.substream(cfg.seed, streams.SCENARIO, k)
+            assert np.array_equal(xs[k], rt.gen_ar_arma(cfg.length, cfg.phi, cfg.theta, rng) / sd)
 
     def test_discrete_scenarios_use_unit_variance_series(self):
         cfg = ScenarioConfig(scenario="D1", n=400, length=100, phi=(0.2, 0.5), theta=0.2, seed=90)
@@ -246,6 +285,35 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(InvalidInputError):
             rt.gen_scenario(ScenarioConfig(scenario="nope", n=2))
+
+    # SHA-256 of the bytes of gen_scenario's (xs, ys) at n = 3, over seeds
+    # 0, 1, 7, 42, 901 and len 2, 25, 100 with default parameters: seeded
+    # data must not change with the implementation of its filters or samplers.
+    DRAW_DIGESTS = {
+        "null": "e6dcc9391bb26f246424706db0b8134fb7adc4f5631d44589b9ff1e21830722b",
+        "D1": "46e1446b8c46e183b5a9471f39c3809426079fca78ba01c4404f250f64e4f4eb",
+        "D2": "20fbaff5874e1e2e9e18143933184e79ddc536eec74063d57915a0ee3ab96c8d",
+        "D3": "1546d24f210cc23d73a4cb39c7d6ad048dafd6a968460dfec0435c97e43ed3ff",
+        "C1": "cbcb4df362fa8066ae3905fc103a728f88c3961b3714c3a124ce15da918878d0",
+        "C2": "7cb3956151f0a9920259364b326cc6929db92661ecc7621330a867972f52eff4",
+        "C3": "0857bf2d0542d2b11e898a24d9a0b59f82f8ccd1db62f6e8b19fbf98dbd2e92b",
+        "C4": "5b407191a71fda4b1447b6d5bba7611c46f3ccbf60648a0f64a6ea08ccc15c9f",
+        "C5": "2abe3538afd892b5a2a630988ef283ccb741b17e96cfd32e23e5fa02a70ae05a",
+        "C6": "37574f3030c739978e4b5ef37e77363e3263e429cf1ccdd68cb6dbe826097bce",
+        "C7": "bca8454d11fa55e3b6d30073e307e95301be5b70b66d2d11961046d003bfc05d",
+        "X-OU-Y-OU": "635caa476a8fa10700f433845ba5fbfb19dd62ba891497643b8b83e92494b494",
+        "X-FOU-Y-FOU": "8d3e038173adb5aa81334f008db9bfea08808c614990dd6ce884fcff348fe0a8",
+    }
+
+    @pytest.mark.parametrize("sid", sorted(DRAW_DIGESTS))
+    def test_seeded_draws_are_pinned(self, sid):
+        digest = hashlib.sha256()
+        for seed in (0, 1, 7, 42, 901):
+            for length in (2, 25, 100):
+                xs, ys = rt.gen_scenario(ScenarioConfig(scenario=sid, n=3, length=length, seed=seed))
+                digest.update(xs.tobytes())
+                digest.update(ys.tobytes())
+        assert digest.hexdigest() == self.DRAW_DIGESTS[sid]
 
     def test_replication_streams_are_stable(self):
         # replication k depends only on (seed, k): growing n keeps a prefix

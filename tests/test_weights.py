@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import recurtest as rt
 from recurtest import DegenerateWeightError, GaussianWeight, InvalidInputError
@@ -74,6 +75,16 @@ class TestWeightCdf:
         w = GaussianWeight(0.0, 1.0)
         out = rt.weight_cdf(w, np.array([0.0, 1.0]))
         assert out.shape == (2,) and out[0] == 0.5
+
+    def test_scalar_gives_float(self):
+        w = GaussianWeight(0.0, 1.0)
+        assert type(rt.weight_cdf(w, 0.3)) is float
+        assert type(rt.weight_cdf(w, np.float64(0.3))) is float
+
+    def test_matches_scipy_ndtr(self):
+        x = np.linspace(-38.0, 38.0, 200001)
+        got = rt.weight_cdf(GaussianWeight(0.0, 1.0), x)
+        assert np.max(np.abs(got - ndtr(x))) <= 2.3e-16
 
 
 @settings(max_examples=60, deadline=None)
