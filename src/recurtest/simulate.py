@@ -28,6 +28,7 @@ Every replication draws from a stream that depends only on (seed, index).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import ceil, exp, isfinite, sqrt
 
 import numpy as np
@@ -60,11 +61,6 @@ _MAX_BURN_IN = 2**21
 
 # Steps the ARMA recursion runs, and discards, before a discrete series starts.
 _ARMA_BURN_IN = 500
-
-# Fewest replications whose ARMA recursions step together as numpy rows;
-# fewer step one at a time as floats.  A float step costs about 0.4 us per
-# row and a step of rows about 4-6 us (2-core Xeon, numpy 2.4).
-_MIN_ARRAY_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -156,14 +152,17 @@ def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(length)
 
 
-def _lfilter(b, a, steps, state=None) -> list:
-    """Outputs of the recursive filter ``b(z) / a(z)``, ``a[0] == 1``, over ``steps``.
+def _lfilter(b, a, steps, state=None, skip: int = 0) -> np.ndarray:
+    """Outputs of the recursive filter ``b(z) / a(z)``, ``a[0] == 1``, over
+    ``steps``, without the first ``skip``.
 
     Transposed direct form II with the shorter of ``b``/``a`` zero-padded to
     the common order (at least 2), in the operation order of
     ``scipy.signal.lfilter``, so the outputs equal its outputs bit for bit.
-    Each step is a float, or an array of rows filtered together.  ``state``
-    is the initial delay line (zeros when omitted).
+    ``steps`` is a list of floats (one sequence), or a 2-D array whose rows
+    are the steps of its columns, filtered together; the result has the
+    shape of ``steps`` less ``skip`` rows, and only those outputs are stored.
+    ``state`` is the initial delay line (zeros when omitted).
     """
     order = max(len(a), len(b))
     b = [*b, *[0.0] * (order - len(b))]
@@ -172,14 +171,17 @@ def _lfilter(b, a, steps, state=None) -> list:
     # Coefficients bound once: list indexing would double the cost of a float step.
     b_first, b_last, a_last = b[0], b[-1], a[-1]
     middle = [(i, b[i + 1], a[i + 1]) for i in range(order - 2)]
-    out = []
-    for x in steps:
-        y = z[0] + b_first * x
-        for i, b_i, a_i in middle:
-            z[i] = z[i + 1] + x * b_i - y * a_i
-        z[-1] = x * b_last - y * a_last
-        out.append(y)
-    return out
+
+    def outputs():
+        for x in steps:
+            y = z[0] + b_first * x
+            for i, b_i, a_i in middle:
+                z[i] = z[i + 1] + x * b_i - y * a_i
+            z[-1] = x * b_last - y * a_last
+            yield y
+
+    kept = np.dtype((float, np.shape(steps[0])))
+    return np.fromiter(islice(outputs(), skip, None), kept, len(steps) - skip)
 
 
 def _arma_coefficients(phi, theta) -> tuple[tuple[float, ...], float]:
@@ -196,9 +198,10 @@ def _arma_coefficients(phi, theta) -> tuple[tuple[float, ...], float]:
     return phi, theta
 
 
-def _arma(phi: tuple[float, ...], theta: float, noise) -> list:
-    """ARMA recursion over ``noise`` (floats, or arrays of rows) from a zero start."""
-    return _lfilter((1.0, theta), (1.0, *(-p for p in phi)), noise)
+def _arma(phi: tuple[float, ...], theta: float, noise, burnin: int) -> np.ndarray:
+    """ARMA recursion over ``noise`` (as ``_lfilter`` takes steps) from a zero
+    start, without its first ``burnin`` outputs."""
+    return _lfilter((1.0, theta), (1.0, *(-p for p in phi)), noise, skip=burnin)
 
 
 def _stationary_sd(phi: tuple[float, ...], theta: float, tol: float = 1e-15) -> float:
@@ -239,7 +242,7 @@ def gen_ar_arma(
         raise InvalidInputError(f"length must be >= 1, got {length}")
     phi, theta = _arma_coefficients(phi, theta)
     eps = rng.standard_normal(burnin + length)
-    return np.array(_arma(phi, theta, eps.tolist())[burnin:])
+    return _arma(phi, theta, eps.tolist(), burnin)
 
 
 def _validate_hurst(hurst: float) -> float:
@@ -331,7 +334,7 @@ def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generat
         flows = []
         for lam in lams:
             decay = exp(-lam * delta)
-            flows.append(np.array(_lfilter((decay,), (1.0, -decay), inp)[pre_steps:]))
+            flows.append(_lfilter((decay,), (1.0, -decay), inp, skip=pre_steps))
         return (path[pre_steps:], *flows)
 
     driver = np.zeros(length)
@@ -350,7 +353,8 @@ def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generat
         resid_var = max(eta_var - loading * loading * delta, 0.0)
         y0 = sqrt(sigma * sigma / (2.0 * lam)) * start
         eta = loading * d_w + sqrt(resid_var) * resid
-        flows.append(np.array([y0, *_lfilter((1.0,), (1.0, -decay), eta.tolist(), (decay * y0,))]))
+        y = _lfilter((1.0,), (1.0, -decay), eta.tolist(), (decay * y0,))
+        flows.append(np.concatenate(([y0], y)))
     return (driver, *flows)
 
 
@@ -430,9 +434,8 @@ def _response(scenario: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 def _discrete_batch(cfg: ScenarioConfig):
     """D1-D3: replication k draws its ARMA noise and then its response noise
-    from the stream (cfg.seed, k); the recursion then steps all rows together
-    as numpy arrays, or, for fewer than ``_MIN_ARRAY_ROWS`` rows, each row as
-    floats."""
+    from the stream (cfg.seed, k); the recursion then steps all replications
+    together, one numpy row per time step."""
     steps = _ARMA_BURN_IN + cfg.length
     noise = np.empty((steps, cfg.n))
     eps = np.empty((cfg.n, cfg.length))
@@ -440,14 +443,10 @@ def _discrete_batch(cfg: ScenarioConfig):
         rng = streams.substream(cfg.seed, streams.SCENARIO, k)
         noise[:, k] = rng.standard_normal(steps)
         eps[k] = gen_white_noise(cfg.length, rng)
-    if cfg.n < _MIN_ARRAY_ROWS:
-        series = np.array([_arma(cfg.phi, cfg.theta, row) for row in noise.T.tolist()])
-    else:
-        series = np.array(_arma(cfg.phi, cfg.theta, noise)).T
     # The discrete scenarios use the series in units of its stationary
     # spread; only the quadratic alternative is sensitive to the scale (the
     # other transforms are exactly scale-equivariant).
-    x = np.ascontiguousarray(series[:, _ARMA_BURN_IN:])
+    x = np.ascontiguousarray(_arma(cfg.phi, cfg.theta, noise, _ARMA_BURN_IN).T)
     x /= _stationary_sd(cfg.phi, cfg.theta)
     return x, _response(cfg.scenario, x, eps)
 

@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 
 import recurtest as rt
 from recurtest import InvalidInputError, ScenarioConfig, streams
-from recurtest.simulate import _MIN_ARRAY_ROWS, _fbm_path, _lfilter
+from recurtest.simulate import _fbm_path, _lfilter
 
 
 def rng_of(*key):
@@ -95,11 +95,12 @@ class TestLfilter:
         want = lfilter((1.0,), (1.0, -0.9), x, zi=np.array([zi]))[0]
         assert np.array_equal(_lfilter((1.0,), (1.0, -0.9), x.tolist(), (zi,)), want)
 
-    def test_rows_step_together(self):
+    def test_rows_step_together_and_skip(self):
         x = rng_of(64).standard_normal((5, 400))
-        got = np.array(_lfilter((1.0, 0.2), (1.0, -0.2, -0.5), x.T)).T
-        for row, want in zip(got, x):
-            assert np.array_equal(row, lfilter((1.0, 0.2), (1.0, -0.2, -0.5), want))
+        got = _lfilter((1.0, 0.2), (1.0, -0.2, -0.5), x.T, skip=150).T
+        assert got.shape == (5, 250)
+        for row, steps in zip(got, x):
+            assert np.array_equal(row, lfilter((1.0, 0.2), (1.0, -0.2, -0.5), steps)[150:])
 
 
 class TestArArma:
@@ -133,7 +134,7 @@ class TestArArma:
             want = np.sqrt(arma_variance_oracle(phi, theta))
             assert rt.arma_stationary_sd(phi, theta) == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [1, 4, _MIN_ARRAY_ROWS])  # rows stepped as floats, as arrays
+    @pytest.mark.parametrize("n", [1, 4])
     def test_discrete_batch_equals_single_series(self, n):
         cfg = ScenarioConfig(scenario="D3", n=n, length=30, phi=(0.2, 0.5), theta=0.2, seed=65)
         xs, _ = rt.gen_scenario(cfg)
