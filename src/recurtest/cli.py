@@ -21,6 +21,7 @@ from .stats_core import Functional, StatisticSpec
 
 _METRIC_CHOICES = [m.value for m in Metric]
 _FUNCTIONAL_CHOICES = [f.value for f in Functional]
+_JOBS_HELP = "worker processes (default: every usable CPU); the output does not depend on it"
 
 
 def _parse_levels(text: str) -> list[float]:
@@ -67,7 +68,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_power(args) -> int:
     study = fileio.read_power_config(args.config)
-    result = run_power(study)
+    result = run_power(study, jobs=args.jobs)
     _write_text(args.out, fileio.power_result_to_csv(result))
     return 0
 
@@ -89,6 +90,7 @@ def _cmd_dependogram(args) -> int:
         args.seed,
         levels,
         labels=[g.name for g in groups],
+        jobs=args.jobs,
     )
     _write_text(args.out, fileio.dependogram_to_csv(dep, levels))
     return 0
@@ -126,6 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_power = sub.add_parser("power", help="Monte-Carlo power study from a JSON config")
     p_power.add_argument("--config", required=True, help="JSON study config")
     p_power.add_argument("--out", help="write the CSV table here (default: stdout)")
+    p_power.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p_power.set_defaults(func=_cmd_power)
 
     p_dep = sub.add_parser("dependogram", help="pairwise tests between column groups of one CSV")
@@ -137,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dep.add_argument("--levels", default="0.05,0.1")
     p_dep.add_argument("--seed", required=True, type=int)
     p_dep.add_argument("--out", help="write the CSV table here (default: stdout)")
+    p_dep.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p_dep.set_defaults(func=_cmd_dependogram)
 
     p_sim = sub.add_parser("simulate", help="emit synthetic scenario data as two CSV files")

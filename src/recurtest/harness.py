@@ -9,6 +9,7 @@ from math import sqrt
 import numpy as np
 
 from . import streams
+from ._workers import run_units
 from .exceptions import InvalidInputError
 from .inference import check_level, permutation_test
 from .simulate import ScenarioConfig, gen_scenario
@@ -54,33 +55,44 @@ class PowerResult:
         return [float(np.mean(self.p_values[:, j] <= alpha)) for j in range(len(self.rows))]
 
 
-def run_power(study: PowerStudySpec) -> PowerResult:
-    """Run the study; deterministic given its seed."""
+def _replication(study: PowerStudySpec, k: int):
+    """Replication ``k``: its p-value and test time under each statistic."""
+    try:
+        data_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 0)
+        xs, ys = gen_scenario(replace(study.scenario, seed=data_seed))
+        p_values, seconds = [], []
+        for j, spec in enumerate(study.specs):
+            test_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 1 + j)
+            t0 = time.perf_counter()
+            p_values.append(permutation_test(xs, ys, spec, study.m, test_seed).p_value)
+            seconds.append(time.perf_counter() - t0)
+        return p_values, seconds
+    except Exception as err:
+        # Same type (the CLI's exit code depends on it), built without
+        # calling a constructor whose signature is unknown.
+        wrapped = type(err).__new__(type(err), f"power replication {k} failed: {err}")
+        wrapped.__dict__.update(vars(err))
+        raise wrapped from err
+
+
+def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
+    """Run the study; deterministic given its seed.
+
+    The replications run over ``jobs`` forked worker processes (default:
+    every usable CPU; ``jobs=1`` starts none).  Every output but the
+    wall-clock ``seconds`` of each row, the test time summed over
+    replications, is the same for every ``jobs``, and so is the error a
+    failing replication raises: that of the lowest failing index.
+    """
     if study.reps < 1:
         raise InvalidInputError(f"replication count must be >= 1, got {study.reps}")
     check_level(study.alpha, study.m)
     if not study.specs:
         raise InvalidInputError("at least one statistic spec is required")
 
-    n_specs = len(study.specs)
-    p_values = np.empty((study.reps, n_specs))
-    seconds = np.zeros(n_specs)
-    for k in range(study.reps):
-        try:
-            data_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 0)
-            xs, ys = gen_scenario(replace(study.scenario, seed=data_seed))
-            for j, spec in enumerate(study.specs):
-                test_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 1 + j)
-                t0 = time.perf_counter()
-                report = permutation_test(xs, ys, spec, study.m, test_seed)
-                seconds[j] += time.perf_counter() - t0
-                p_values[k, j] = report.p_value
-        except Exception as err:
-            # Same type (the CLI's exit code depends on it), built without
-            # calling a constructor whose signature is unknown.
-            wrapped = type(err).__new__(type(err), f"power replication {k} failed: {err}")
-            wrapped.__dict__.update(vars(err))
-            raise wrapped from err
+    outcomes = run_units(_replication, (study,), study.reps, jobs)
+    p_values = np.array([p for p, _ in outcomes])
+    seconds = np.sum([s for _, s in outcomes], axis=0)
 
     rows = []
     for j, spec in enumerate(study.specs):

@@ -21,6 +21,7 @@ from math import ceil
 import numpy as np
 
 from . import streams
+from ._workers import run_units
 from .exceptions import InvalidInputError
 from .metrics import ensure_sample, paired_distances
 from .stats_core import StatisticSpec, prepare
@@ -90,8 +91,10 @@ def permutation_test(
     observed = float(evaluate(pd0.t[None, :])[0])
 
     rows, cols = np.triu_indices(n, 1)
-    dist_y = np.zeros((n, n))
-    dist_y[rows, cols] = dist_y[cols, rows] = pd0.t
+    # Pair (i, j), i < j, sits at i*n - i(i+1)/2 + j - i - 1 of pd0.t (the
+    # row-major upper triangle): offset[i] + j.
+    i = np.arange(n)
+    offset = i * n - i * (i + 1) // 2 - i - 1
     block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
     perm_stats = np.empty(m)
     for first in range(0, m, block):
@@ -99,7 +102,9 @@ def permutation_test(
         perms = np.array(
             [streams.substream(seed, streams.PERMUTATION, k).permutation(n) for k in ks]
         )
-        perm_stats[first : first + len(ks)] = evaluate(dist_y[perms[:, rows], perms[:, cols]])
+        perm_stats[first : first + len(ks)] = evaluate(
+            _permuted_pairs(pd0.t, perms, rows, cols, offset)
+        )
 
     p_value = (1.0 + float(np.count_nonzero(perm_stats >= observed))) / (m + 1)
     return TestReport(
@@ -112,6 +117,21 @@ def permutation_test(
         perm_stats=perm_stats if keep_perm_stats else None,
         elapsed=time.perf_counter() - start,
     )
+
+
+def _permuted_pairs(t, perms, rows, cols, offset) -> np.ndarray:
+    """``t`` re-paired by each row of ``perms``: pair (i, j) takes the value
+    of pair (perm[i], perm[j]), found at ``offset[low] + high`` of ``t``.
+
+    ``take`` and the in-place steps beat fancy indexing here, and the index
+    temporaries are gone before the caller's kernel runs.
+    """
+    index = perms.take(rows, axis=1)
+    other = perms.take(cols, axis=1)
+    low = np.minimum(index, other)
+    np.maximum(index, other, out=index)
+    index += np.take(offset, low, out=other)
+    return t[index]
 
 
 def min_permutations(alpha: float) -> int:
@@ -155,6 +175,22 @@ def critical_values(perm_stats, levels) -> list[float]:
     return out
 
 
+def _pair_entry(samples, labels, pairs, spec, m, seed, levels, i) -> DependogramEntry:
+    """The dependogram entry of group pair ``pairs[i]``."""
+    a, b = pairs[i]
+    pair_seed = streams.derive_seed(seed, streams.GROUP_PAIR, a, b)
+    report = permutation_test(samples[a], samples[b], spec, m, pair_seed, keep_perm_stats=True)
+    crits = critical_values(report.perm_stats, levels)
+    return DependogramEntry(
+        label_a=labels[a],
+        label_b=labels[b],
+        observed=report.observed,
+        p_value=report.p_value,
+        critical_values=dict(zip(levels, crits)),
+        rejects={alpha: report.p_value <= alpha for alpha in levels},
+    )
+
+
 def dependogram(
     groups,
     spec: StatisticSpec,
@@ -163,12 +199,15 @@ def dependogram(
     levels=(0.05, 0.10),
     *,
     labels=None,
+    jobs: int | None = None,
 ) -> Dependogram:
     """Pairwise mutual-independence tests between several groups.
 
     Runs the permutation test on every unordered pair of groups with a
     per-pair derived seed, and records observed values, permutation critical
-    values and rejection flags at each level.
+    values and rejection flags at each level.  The pairs run over ``jobs``
+    forked worker processes (default: every usable CPU; ``jobs=1`` starts
+    none); the entries are the same for every ``jobs``.
     """
     samples = [ensure_sample(g, f"group {i}") for i, g in enumerate(groups)]
     if len(samples) < 2:
@@ -185,27 +224,8 @@ def dependogram(
     if len(labels) != len(samples):
         raise InvalidInputError("one label per group required")
 
-    entries = []
-    for a in range(len(samples)):
-        for b in range(a + 1, len(samples)):
-            pair_seed = streams.derive_seed(seed, streams.GROUP_PAIR, a, b)
-            report = permutation_test(
-                samples[a],
-                samples[b],
-                spec,
-                m,
-                pair_seed,
-                keep_perm_stats=True,
-            )
-            crits = critical_values(report.perm_stats, levels)
-            entries.append(
-                DependogramEntry(
-                    label_a=labels[a],
-                    label_b=labels[b],
-                    observed=report.observed,
-                    p_value=report.p_value,
-                    critical_values=dict(zip(levels, crits)),
-                    rejects={alpha: report.p_value <= alpha for alpha in levels},
-                )
-            )
+    pairs = [(a, b) for a in range(len(samples)) for b in range(a + 1, len(samples))]
+    entries = run_units(
+        _pair_entry, (samples, labels, pairs, spec, m, seed, levels), len(pairs), jobs
+    )
     return Dependogram(labels=labels, entries=entries)

@@ -55,9 +55,18 @@ _SCENARIOS = (
 # Default Hurst exponent of the long-memory scenario variants.
 _LONG_MEMORY_DEFAULT = 0.7
 
-# Most grid points the long-memory burn-in window may have: about 256 MB of
-# working memory at the ~122 bytes per point the sampler and filters use.
+# Most grid points the long-memory burn-in window may have.  One C5
+# replication at this cap (len 100, the smallest allowed lambda) peaks at
+# 820 MB RSS, 790 MB above the import: about 400 bytes per point, mostly the
+# FFT temporaries of _fbm_path (ru_maxrss in a fresh interpreter).
 _MAX_BURN_IN = 2**21
+
+# Most values a scenario may draw into one (n, len) matrix, n * (500 + len)
+# for D1-D3 to count their burn-in.  The X and Y matrices take 16 bytes per
+# (n, len) cell, 256 MiB at the cap; generation peaks at up to about 40 bytes
+# per value for D1-D3 (0.7 GB at the cap) and about 18 for the other
+# scenarios (0.3 GB), measured with ru_maxrss above the import.
+_MAX_VALUES = 2**24
 
 # Steps the ARMA recursion runs, and discards, before a discrete series starts.
 _ARMA_BURN_IN = 500
@@ -409,8 +418,16 @@ def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidInputError(f"replication count must be >= 1, got {cfg.n}")
     if cfg.length < 1:
         raise InvalidInputError(f"series length must be >= 1, got {cfg.length}")
+    discrete = cfg.scenario in ("D1", "D2", "D3")
+    values = cfg.n * (cfg.length + (_ARMA_BURN_IN if discrete else 0))
+    if values > _MAX_VALUES:
+        burn_in = f" with the {_ARMA_BURN_IN}-step burn-in" if discrete else ""
+        raise InvalidInputError(
+            f"n {cfg.n} and len {cfg.length} need {values} values per matrix{burn_in}, "
+            f"more than the cap of {_MAX_VALUES}"
+        )
     hurst = _resolve_hurst(cfg)
-    if cfg.scenario in ("D1", "D2", "D3"):
+    if discrete:
         phi, theta = _arma_coefficients(cfg.phi, cfg.theta)
         return replace(cfg, hurst=hurst, phi=phi, theta=theta)
     if cfg.scenario in ("C4", "C5"):
@@ -479,6 +496,11 @@ def gen_scenario(cfg: ScenarioConfig):
     draws only from the stream (cfg.seed, k).  In D2/C2 the noise added to
     sqrt(|x|) is scaled by the pooled sample standard deviation of sqrt(|x|)
     across the whole replication batch.
+
+    A scenario may draw at most 2**24 values per matrix: n * len, plus the
+    n * 500 burn-in steps of D1-D3.  The two matrices then take 256 MiB, and
+    generation peaks at about 0.7 GB (D1-D3) or 0.3 GB (the others).  A
+    larger config raises ``InvalidInputError`` before anything is allocated.
     """
     cfg = _check_scenario(cfg)
     if cfg.scenario in ("D1", "D2", "D3"):

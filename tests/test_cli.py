@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,14 @@ def _test_out_to_missing_dir(tmp_path):
         pytest.param(_power(scenario={"id": "C4", "lambda": 0}),
                      "cfg.json: scenario: mean-reversion rate lambda", id="config-lambda-zero"),
         pytest.param(_power(rep=500), "rep", id="config-unknown-key"),
+        pytest.param(_simulate("--scenario", "C5", "--n", "1000000000", "--len", "1000000000"),
+                     "cap of 16777216", id="size-cap"),
+        # n = 2 fails fast in the test if a version without the cap draws it
+        pytest.param(_power(scenario={"n": 2, "len": 2**23 + 1}),
+                     "cfg.json: scenario: n 2 and len 8388609 need 16777218 values",
+                     id="config-size-cap"),
+        pytest.param(lambda tmp_path: _power()(tmp_path) + ["--jobs", "0"], "jobs",
+                     id="power-jobs-zero"),
         pytest.param(_power(scenario={"id": "D1", "phi": ["x"]}), "phi", id="config-phi-text"),
         pytest.param(_power(scenario={"id": "D1", "phi": [[0.1]]}), "phi", id="config-phi-nested"),
         pytest.param(_power(scenario={"id": "D1", "theta": 10**400}), "theta",
@@ -341,13 +350,15 @@ def test_invalid_input_exit2_one_line(tmp_path, capsys, argv, named):
 
 
 def test_cli_loads_no_scipy(tmp_path):
-    # numpy is the only runtime dependency: a fresh interpreter that imports
-    # the package and runs a long-memory simulation must not load scipy.
+    # numpy is the only runtime dependency, and the worker-pool modules are
+    # imported only when a pool starts: a fresh interpreter that imports the
+    # package and runs a long-memory simulation must load none of them.
     code = (
         "import sys, recurtest, recurtest.cli\n"
         "code = recurtest.cli.main(sys.argv[1:])\n"
-        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "sys.exit(f'scipy modules loaded: {loaded}' if loaded else code)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+        "                or m == 'concurrent.futures' or m.startswith('concurrent.futures.'))\n"
+        "sys.exit(f'modules loaded: {loaded}' if loaded else code)\n"
     )
     src = str(Path(rt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -358,6 +369,18 @@ def test_cli_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert read_dataset(str(tmp_path / "x.csv")).shape == (2, 10)
 
+
+def test_size_cap_allocates_nothing(tmp_path, capsys):
+    argv = _simulate("--scenario", "D1", "--n", "1000000000", "--len", "1000000000")(tmp_path)
+    tracemalloc.start()
+    try:
+        assert run(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "cap of 16777216" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 class TestCmdDependogram:
     def write_groups(self, tmp_path, n_groups=5, n=12, width=2, seed=44):

@@ -84,6 +84,27 @@ class TestPermutationTest:
         with pytest.raises(InvalidInputError):
             rt.permutation_test(x, y, SPEC22, m=5, seed=1)
 
+    @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    def test_pair_index_gather_equals_square_matrix_gather(self, functional, ties):
+        # Permuted pairs are gathered from pd0.t by their index; gathering
+        # from the square Y-distance matrix instead must give the same bits.
+        for n, seed in ((3, 1), (8, 2), (25, 3)):
+            x, y = gaussian_pair(40 + n, n=n, d=4)
+            if ties:
+                x, y = np.round(x), np.round(2 * y)
+            spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
+            rep = rt.permutation_test(x, y, spec, m=30, seed=seed, keep_perm_stats=True)
+            pd0 = rt.paired_distances(x, y, Metric.L1, Metric.LINF)
+            rows, cols = np.triu_indices(n, 1)
+            square = np.zeros((n, n))
+            square[rows, cols] = square[cols, rows] = pd0.t
+            perms = np.array(
+                [streams.substream(seed, streams.PERMUTATION, k).permutation(n) for k in range(1, 31)]
+            )
+            want = rt.prepare(pd0, functional)(square[perms[:, rows], perms[:, cols]])
+            assert np.array_equal(rep.perm_stats, want)
+
     @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
     def test_batched_matches_per_permutation_oracle_on_ties(self, functional):
         # integer-valued samples with duplicated rows: many tied and zero distances
