@@ -1,10 +1,13 @@
-"""Independent units of work over forked worker processes.
+"""Independent units of work over this process and forked workers.
 
 A unit is ``fn(*args, i)`` for an index ``i``; it must depend only on its
 arguments and index (every random draw comes from a stream of its own), so
-the results do not depend on how many workers compute them.  Each worker
-computes one contiguous chunk of indices, and the results are put back in
-index order.
+the results do not depend on how many processes compute them.  Unit 0 runs
+in this process first, and its time decides whether workers pay: the rest
+are then split into contiguous chunks, one per forked worker, and the
+results are put back in index order.  This process only waits meanwhile: a
+thread of it that computed would hold the interpreter lock that the pool's
+own threads need to hand out the chunks and collect the results.
 
 Workers are forked, not spawned: a forked worker starts from the parent's
 memory in milliseconds, while a spawned one re-imports the package (about
@@ -12,6 +15,9 @@ memory in milliseconds, while a spawned one re-imports the package (about
 other threads run, so a multi-threaded caller runs its units in-process.
 ``concurrent.futures`` and ``multiprocessing`` are imported only when a pool
 is started, which keeps them out of the CLI's cold start.
+
+Every worker holds one unit's working memory at a time, so the peak memory
+of a call grows with the number of workers; ``jobs`` bounds it.
 """
 
 from __future__ import annotations
@@ -20,12 +26,20 @@ import numbers
 import os
 import sys
 import threading
+import time
 
 from .exceptions import InvalidInputError
 
+# Serial seconds that the units after unit 0 must take, estimated from unit
+# 0's time, before a call with the default ``jobs=None`` starts workers.  On
+# a 2-core x86 VM a pool of 2 workers costs 8-11 ms with no work to do, and
+# work of 25-70 ms (small dependograms and power studies) ran no faster with
+# it than in-process, while work of 6 ms took 65 ms longer.
+_MIN_POOL_SECONDS = 0.1
+
 
 def worker_count(jobs, units: int) -> int:
-    """Number of workers for ``units`` units.
+    """Number of worker processes that may share ``units`` units.
 
     ``jobs=None`` asks for every usable CPU; otherwise ``jobs`` must be a
     positive integer.  The count is clamped to the CPUs this process may run
@@ -48,29 +62,35 @@ def worker_count(jobs, units: int) -> int:
 
 
 def run_units(fn, args: tuple, count: int, jobs) -> list:
-    """``[fn(*args, i) for i in range(count)]``, over ``worker_count(jobs,
-    count)`` forked workers.
+    """``[fn(*args, i) for i in range(count)]``, over up to ``jobs``
+    processes.
 
-    ``fn`` must be a module-level function and ``args`` picklable.  A worker
-    whose unit raises reports only that unit's index; the lowest failing
-    index is then run again in this process, so the caller gets the very
-    exception a serial run raises, and no exception object has to survive
-    pickling.
+    Unit 0 runs here.  Units 1 .. count-1 are shared by
+    ``worker_count(jobs, count - 1)`` forked workers, or run here too when
+    that count is 1 or, with ``jobs=None``, when unit 0's time puts them
+    under ``_MIN_POOL_SECONDS``.  ``fn`` must be a module-level function and
+    ``args`` picklable.  A worker whose unit raises reports only that unit's
+    index; the lowest failing index is then run again in this process, so
+    the caller gets the very exception a serial run raises, and no exception
+    object has to survive pickling.
     """
-    workers = worker_count(jobs, count)
+    workers = worker_count(jobs, count - 1)
+    start = time.perf_counter()
+    results = [fn(*args, 0)] if count > 0 else []
+    if jobs is None and (count - 1) * (time.perf_counter() - start) < _MIN_POOL_SECONDS:
+        workers = 1
     if workers == 1:
-        return [fn(*args, i) for i in range(count)]
+        return results + [fn(*args, i) for i in range(1, count)]
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [count * w // workers for w in range(workers + 1)]
+    bounds = [1 + (count - 1) * w // workers for w in range(workers + 1)]
     chunks = list(zip(bounds, bounds[1:]))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         futures = [pool.submit(_run_chunk, fn, args, lo, hi) for lo, hi in chunks]
         done = [future.result() for future in futures]
 
-    results = []
     for (part, failed), (_, hi) in zip(done, chunks):
         results += part
         if failed is not None:

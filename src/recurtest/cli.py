@@ -21,7 +21,10 @@ from .stats_core import Functional, StatisticSpec
 
 _METRIC_CHOICES = [m.value for m in Metric]
 _FUNCTIONAL_CHOICES = [f.value for f in Functional]
-_JOBS_HELP = "worker processes (default: every usable CPU); the output does not depend on it"
+_JOBS_HELP = (
+    "worker processes (default: every usable CPU when the work pays for them); "
+    "the output does not depend on it"
+)
 
 
 def _parse_levels(text: str) -> list[float]:

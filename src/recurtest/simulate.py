@@ -61,15 +61,18 @@ _LONG_MEMORY_DEFAULT = 0.7
 # FFT temporaries of _fbm_path (ru_maxrss in a fresh interpreter).
 _MAX_BURN_IN = 2**21
 
-# Most values a scenario may draw into one (n, len) matrix, n * (500 + len)
-# for D1-D3 to count their burn-in.  The X and Y matrices take 16 bytes per
-# (n, len) cell, 256 MiB at the cap; generation peaks at up to about 40 bytes
-# per value for D1-D3 (0.7 GB at the cap) and about 18 for the other
-# scenarios (0.3 GB), measured with ru_maxrss above the import.
+# Most values a scenario may draw into one (n, len) matrix.  The X and Y
+# matrices take 16 bytes per value, 256 MiB at the cap; generation peaks at
+# up to about 40 bytes per value for D1-D3 (0.7 GB at the cap) and about 18
+# for the other scenarios (0.3 GB), measured with ru_maxrss above the import.
 _MAX_VALUES = 2**24
 
 # Steps the ARMA recursion runs, and discards, before a discrete series starts.
 _ARMA_BURN_IN = 500
+
+# Replications whose ARMA recursions step together: their burn-in noise then
+# takes at most 500 * 4096 * 8 bytes (16 MiB), whatever n is.
+_ARMA_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -418,16 +421,14 @@ def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         raise InvalidInputError(f"replication count must be >= 1, got {cfg.n}")
     if cfg.length < 1:
         raise InvalidInputError(f"series length must be >= 1, got {cfg.length}")
-    discrete = cfg.scenario in ("D1", "D2", "D3")
-    values = cfg.n * (cfg.length + (_ARMA_BURN_IN if discrete else 0))
+    values = cfg.n * cfg.length
     if values > _MAX_VALUES:
-        burn_in = f" with the {_ARMA_BURN_IN}-step burn-in" if discrete else ""
         raise InvalidInputError(
-            f"n {cfg.n} and len {cfg.length} need {values} values per matrix{burn_in}, "
+            f"n {cfg.n} and len {cfg.length} need {values} values per matrix, "
             f"more than the cap of {_MAX_VALUES}"
         )
     hurst = _resolve_hurst(cfg)
-    if discrete:
+    if cfg.scenario in ("D1", "D2", "D3"):
         phi, theta = _arma_coefficients(cfg.phi, cfg.theta)
         return replace(cfg, hurst=hurst, phi=phi, theta=theta)
     if cfg.scenario in ("C4", "C5"):
@@ -451,19 +452,22 @@ def _response(scenario: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 def _discrete_batch(cfg: ScenarioConfig):
     """D1-D3: replication k draws its ARMA noise and then its response noise
-    from the stream (cfg.seed, k); the recursion then steps all replications
-    together, one numpy row per time step."""
+    from the stream (cfg.seed, k); the recursion then steps a block of
+    replications together, one numpy row per time step."""
     steps = _ARMA_BURN_IN + cfg.length
-    noise = np.empty((steps, cfg.n))
+    x = np.empty((cfg.n, cfg.length))
     eps = np.empty((cfg.n, cfg.length))
-    for k in range(cfg.n):
-        rng = streams.substream(cfg.seed, streams.SCENARIO, k)
-        noise[:, k] = rng.standard_normal(steps)
-        eps[k] = gen_white_noise(cfg.length, rng)
+    for first in range(0, cfg.n, _ARMA_BLOCK):
+        block = range(first, min(first + _ARMA_BLOCK, cfg.n))
+        noise = np.empty((steps, len(block)))
+        for column, k in enumerate(block):
+            rng = streams.substream(cfg.seed, streams.SCENARIO, k)
+            noise[:, column] = rng.standard_normal(steps)
+            eps[k] = gen_white_noise(cfg.length, rng)
+        x[block.start : block.stop] = _arma(cfg.phi, cfg.theta, noise, _ARMA_BURN_IN).T
     # The discrete scenarios use the series in units of its stationary
     # spread; only the quadratic alternative is sensitive to the scale (the
     # other transforms are exactly scale-equivariant).
-    x = np.ascontiguousarray(_arma(cfg.phi, cfg.theta, noise, _ARMA_BURN_IN).T)
     x /= _stationary_sd(cfg.phi, cfg.theta)
     return x, _response(cfg.scenario, x, eps)
 
@@ -497,10 +501,10 @@ def gen_scenario(cfg: ScenarioConfig):
     sqrt(|x|) is scaled by the pooled sample standard deviation of sqrt(|x|)
     across the whole replication batch.
 
-    A scenario may draw at most 2**24 values per matrix: n * len, plus the
-    n * 500 burn-in steps of D1-D3.  The two matrices then take 256 MiB, and
-    generation peaks at about 0.7 GB (D1-D3) or 0.3 GB (the others).  A
-    larger config raises ``InvalidInputError`` before anything is allocated.
+    A scenario may draw at most 2**24 values (n * len) per matrix.  The two
+    matrices then take 256 MiB, and generation peaks at about 0.7 GB (D1-D3)
+    or 0.3 GB (the others).  A larger config raises ``InvalidInputError``
+    before anything is allocated.
     """
     cfg = _check_scenario(cfg)
     if cfg.scenario in ("D1", "D2", "D3"):

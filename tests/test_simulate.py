@@ -6,7 +6,7 @@ import pytest
 from scipy.signal import lfilter
 
 import recurtest as rt
-from recurtest import InvalidInputError, ScenarioConfig, streams
+from recurtest import InvalidInputError, ScenarioConfig, simulate, streams
 from recurtest.simulate import _fbm_path, _lfilter
 
 
@@ -142,6 +142,13 @@ class TestArArma:
         for k in range(n):
             rng = streams.substream(cfg.seed, streams.SCENARIO, k)
             assert np.array_equal(xs[k], rt.gen_ar_arma(cfg.length, cfg.phi, cfg.theta, rng) / sd)
+
+    def test_discrete_batch_blocks_do_not_change_draws(self, monkeypatch):
+        cfg = ScenarioConfig(scenario="D1", n=7, length=30, phi=(0.2, 0.5), theta=0.2, seed=66)
+        whole = rt.gen_scenario(cfg)
+        monkeypatch.setattr(simulate, "_ARMA_BLOCK", 3)  # rows step as 3 + 3 + 1
+        blocked = rt.gen_scenario(cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
     def test_discrete_scenarios_use_unit_variance_series(self):
         cfg = ScenarioConfig(scenario="D1", n=400, length=100, phi=(0.2, 0.5), theta=0.2, seed=90)
@@ -359,6 +366,13 @@ class TestScenarios:
         assert np.isfinite(xs).all() and np.isfinite(ys).all()
         assert (xs[:, 0] == 0.0).all()
         assert peak < 64 * 2**20
+
+    def test_size_cap_counts_output_values_only(self):
+        # the D1-D3 burn-in steps are not counted: they run a block at a time
+        simulate._check_scenario(ScenarioConfig(scenario="D1", n=30000, length=60))
+        simulate._check_scenario(ScenarioConfig(scenario="D3", n=2**12, length=2**12))
+        with pytest.raises(InvalidInputError, match="need 16781312 values per matrix, more than"):
+            simulate._check_scenario(ScenarioConfig(scenario="D3", n=2**12, length=2**12 + 1))
 
     def test_long_memory_burn_in_capped(self):
         # 10 / (lam * delta) = 1e10 burn-in points: rejected before any allocation

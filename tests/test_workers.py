@@ -37,7 +37,13 @@ def pid_and_index(i):
     return os.getpid(), i
 
 
-def test_run_power_same_for_every_jobs():
+@pytest.fixture
+def pool_always(monkeypatch):
+    """The default jobs starts workers even for units as small as these."""
+    monkeypatch.setattr(_workers, "_MIN_POOL_SECONDS", 0.0)
+
+
+def test_run_power_same_for_every_jobs(pool_always):
     results = [rt.run_power(small_study(), jobs=jobs) for jobs in JOBS]
     first = results[0]
     for other in results[1:]:
@@ -48,7 +54,7 @@ def test_run_power_same_for_every_jobs():
         ]
 
 
-def test_dependogram_same_for_every_jobs():
+def test_dependogram_same_for_every_jobs(pool_always):
     rng = np.random.default_rng(12)
     base = rng.standard_normal((14, 2))
     groups = [base, base + 0.3 * rng.standard_normal((14, 2))]
@@ -71,10 +77,14 @@ class RepFailure(Exception):
         self.rep = rep
 
 
+# Rep 0 runs in the caller; 2 workers share reps 1-5 and 6-11.
+@pytest.mark.parametrize(
+    "reps", [(0, 7), (3, 7), (7, 9)], ids=["caller", "two-workers", "one-worker"]
+)
 @pytest.mark.parametrize("jobs", JOBS)
-def test_lowest_failing_replication_raises(monkeypatch, jobs):
+def test_lowest_failing_replication_raises(monkeypatch, pool_always, jobs, reps):
     study = small_study()
-    failing = {streams.derive_seed(study.seed, streams.POWER_REP, k, 0): k for k in (3, 7)}
+    failing = {streams.derive_seed(study.seed, streams.POWER_REP, k, 0): k for k in reps}
     real = harness.gen_scenario
 
     def gen_scenario(cfg):
@@ -85,8 +95,8 @@ def test_lowest_failing_replication_raises(monkeypatch, jobs):
     monkeypatch.setattr(harness, "gen_scenario", gen_scenario)
     with pytest.raises(RepFailure) as info:
         rt.run_power(study, jobs=jobs)
-    assert str(info.value).startswith("power replication 3 failed: ")
-    assert info.value.rep == 3
+    assert str(info.value).startswith(f"power replication {reps[0]} failed: ")
+    assert info.value.rep == reps[0]
     assert isinstance(info.value.__cause__, RepFailure)
 
 
@@ -100,7 +110,21 @@ def test_failing_replication_keeps_invalid_input_type():
 def test_units_come_back_in_order_from_workers():
     got = _workers.run_units(pid_and_index, (), 5, 2)
     assert [i for _, i in got] == list(range(5))
-    if _workers.worker_count(2, 5) == 2:
+    assert got[0][0] == os.getpid()  # unit 0 always runs in the caller
+    if _workers.worker_count(2, 4) == 2:
+        assert {pid for pid, _ in got} - {os.getpid()}
+
+
+def test_default_jobs_runs_quick_units_in_process():
+    # four more units as quick as the first take far below _MIN_POOL_SECONDS
+    got = _workers.run_units(pid_and_index, (), 5, None)
+    assert got == [(os.getpid(), i) for i in range(5)]
+
+
+def test_default_jobs_starts_workers_when_they_pay(pool_always):
+    got = _workers.run_units(pid_and_index, (), 5, None)
+    assert [i for _, i in got] == list(range(5))
+    if _workers.worker_count(None, 4) > 1:
         assert {pid for pid, _ in got} - {os.getpid()}
 
 
