@@ -3,27 +3,29 @@
 A unit is ``fn(*args, i)`` for an index ``i``; it must depend only on its
 arguments and index (every random draw comes from a stream of its own), so
 the results do not depend on how many processes compute them.  Unit 0 runs
-in this process first, and its time decides whether workers pay: the rest
-are then split into contiguous chunks, one per forked worker, and the
-results are put back in index order.  This process only waits meanwhile: a
-thread of it that computed would hold the interpreter lock that the pool's
-own threads need to hand out the chunks and collect the results.
+in this process first, and its time decides whether workers pay.  The rest
+are then split into contiguous chunks: this process computes the first, and
+one forked worker each of the others, which it sends back pickled through a
+pipe.  The results are put back in index order.
 
 Workers are forked, not spawned: a forked worker starts from the parent's
-memory in milliseconds, while a spawned one re-imports the package (about
-0.25 s, as long as a whole short power study).  Forking is unsafe while
-other threads run, so a multi-threaded caller runs its units in-process.
-``concurrent.futures`` and ``multiprocessing`` are imported only when a pool
-is started, which keeps them out of the CLI's cold start.
+memory in about a millisecond, while a spawned one re-imports the package
+(about 0.25 s, as long as a whole short power study).  Forking is unsafe
+while other threads run, so a multi-threaded caller runs its units
+in-process.  A bare ``os.fork`` starts no helper thread and imports nothing:
+a ``concurrent.futures`` pool's threads need the interpreter lock that this
+process holds while it computes its own chunk, and its imports add about
+1 MB to every caller's peak memory.
 
-Every worker holds one unit's working memory at a time, so the peak memory
-of a call grows with the number of workers; ``jobs`` bounds it.
+Every process holds one unit's working memory at a time, so the peak memory
+of a call grows with the number of processes; ``jobs`` bounds it.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
+import pickle
 import sys
 import threading
 import time
@@ -32,14 +34,16 @@ from .exceptions import InvalidInputError
 
 # Serial seconds that the units after unit 0 must take, estimated from unit
 # 0's time, before a call with the default ``jobs=None`` starts workers.  On
-# a 2-core x86 VM a pool of 2 workers costs 8-11 ms with no work to do, and
-# work of 25-70 ms (small dependograms and power studies) ran no faster with
-# it than in-process, while work of 6 ms took 65 ms longer.
+# a 2-core x86 VM a worker costs about 2.3 ms with no work to do; work of
+# 25-70 ms (small dependograms and power studies) ran faster in two
+# processes in some runs and slower in others, and four dependograms of
+# 5 ms each took 30-45 ms against 18-20 ms in-process.
 _MIN_POOL_SECONDS = 0.1
 
 
 def worker_count(jobs, units: int) -> int:
-    """Number of worker processes that may share ``units`` units.
+    """Number of processes, this one included, that may share ``units``
+    units.
 
     ``jobs=None`` asks for every usable CPU; otherwise ``jobs`` must be a
     positive integer.  The count is clamped to the CPUs this process may run
@@ -65,31 +69,32 @@ def run_units(fn, args: tuple, count: int, jobs) -> list:
     """``[fn(*args, i) for i in range(count)]``, over up to ``jobs``
     processes.
 
-    Unit 0 runs here.  Units 1 .. count-1 are shared by
-    ``worker_count(jobs, count - 1)`` forked workers, or run here too when
-    that count is 1 or, with ``jobs=None``, when unit 0's time puts them
-    under ``_MIN_POOL_SECONDS``.  ``fn`` must be a module-level function and
-    ``args`` picklable.  A worker whose unit raises reports only that unit's
-    index; the lowest failing index is then run again in this process, so
-    the caller gets the very exception a serial run raises, and no exception
-    object has to survive pickling.
+    Unit 0 runs here.  Units 1 .. count-1 are shared by this process and
+    ``worker_count(jobs, count - 1) - 1`` forked workers; with ``jobs=None``
+    they all run here when unit 0's time puts them under
+    ``_MIN_POOL_SECONDS``.  The results of ``fn`` must be picklable; ``fn``
+    and ``args`` need not be.  A worker whose unit raises reports only that
+    unit's index; the lowest failing index is then run again in this
+    process, so the caller gets the very exception a serial run raises, and
+    no exception object has to survive pickling.
     """
     workers = worker_count(jobs, count - 1)
     start = time.perf_counter()
     results = [fn(*args, 0)] if count > 0 else []
     if jobs is None and (count - 1) * (time.perf_counter() - start) < _MIN_POOL_SECONDS:
         workers = 1
-    if workers == 1:
-        return results + [fn(*args, i) for i in range(1, count)]
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     bounds = [1 + (count - 1) * w // workers for w in range(workers + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_chunk, fn, args, lo, hi) for lo, hi in chunks]
-        done = [future.result() for future in futures]
+    (lo, hi), *chunks = zip(bounds, bounds[1:])
+    children = []
+    try:
+        for chunk in chunks:
+            children.append(_fork_chunk(fn, args, *chunk))
+        # A failure here is the lowest one; the workers are then stopped.
+        results += [fn(*args, i) for i in range(lo, hi)]
+        done = [_collect(child, *chunk) for child, chunk in zip(children, chunks)]
+    finally:
+        _stop(children)
 
     for (part, failed), (_, hi) in zip(done, chunks):
         results += part
@@ -110,3 +115,48 @@ def _run_chunk(fn, args: tuple, lo: int, hi: int):
         except Exception:  # reported by index; the parent re-raises it
             return results, i
     return results, None
+
+
+def _fork_chunk(fn, args: tuple, lo: int, hi: int) -> list:
+    """Fork a worker that pickles ``_run_chunk(fn, args, lo, hi)`` into a
+    pipe; returns ``[pid, read end]``."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as out:
+                pickle.dump(_run_chunk(fn, args, lo, hi), out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            # Never return into the caller's stack, run its exit handlers or
+            # flush its buffers.
+            os._exit(status)
+    os.close(write_end)
+    return [pid, read_end]
+
+
+def _collect(child: list, lo: int, hi: int):
+    """The chunk result a worker sent, once it has exited and been reaped."""
+    pid, read_end = child
+    child[1] = None  # closed when the block ends
+    with open(read_end, "rb") as pipe:
+        payload = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    child[0] = None
+    if code != 0:
+        raise RuntimeError(f"worker for units {lo}..{hi - 1} exited with code {code}")
+    return pickle.loads(payload)
+
+
+def _stop(children) -> None:
+    """Kill and reap the workers that ``_collect`` did not reap."""
+    import signal  # only on a failure; it costs the cold start about 1 ms
+
+    for pid, read_end in children:
+        if read_end is not None:
+            os.close(read_end)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

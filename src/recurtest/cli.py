@@ -22,7 +22,7 @@ from .stats_core import Functional, StatisticSpec
 _METRIC_CHOICES = [m.value for m in Metric]
 _FUNCTIONAL_CHOICES = [f.value for f in Functional]
 _JOBS_HELP = (
-    "worker processes (default: every usable CPU when the work pays for them); "
+    "processes to use (default: every usable CPU when the work pays for them); "
     "the output does not depend on it"
 )
 

@@ -78,11 +78,11 @@ def _replication(study: PowerStudySpec, k: int):
 def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     """Run the study; deterministic given its seed.
 
-    Replication 0 runs in this process; the rest run over ``jobs`` forked
-    worker processes (default: every usable CPU, when replication 0's time
+    The replications run over up to ``jobs`` processes, this one and forked
+    workers (default: every usable CPU, when replication 0, run here first,
     says the rest take at least 0.1 s in one process; ``jobs=1`` starts
-    none).  Each worker holds one replication at a time, so peak memory
-    grows with the worker count, and ``jobs`` bounds it.  Every output but the wall-clock ``seconds`` of
+    none).  Each process holds one replication at a time, so peak memory
+    grows with the process count, and ``jobs`` bounds it.  Every output but the wall-clock ``seconds`` of
     each row, the test time summed over replications, is the same for every
     ``jobs``, and so is the error a failing replication raises: that of the
     lowest failing index.

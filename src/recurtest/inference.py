@@ -205,11 +205,11 @@ def dependogram(
 
     Runs the permutation test on every unordered pair of groups with a
     per-pair derived seed, and records observed values, permutation critical
-    values and rejection flags at each level.  The first pair runs in this
-    process; the rest run over ``jobs`` forked worker processes (default:
-    every usable CPU, when the first pair's time says the rest take at least
-    0.1 s in one process; ``jobs=1`` starts none).  Each worker holds one
-    pair's test at a time, so peak memory grows with the worker count, and
+    values and rejection flags at each level.  The pairs run over up to
+    ``jobs`` processes, this one and forked workers (default: every usable
+    CPU, when the first pair, run here first, says the rest take at least
+    0.1 s in one process; ``jobs=1`` starts none).  Each process holds one
+    pair's test at a time, so peak memory grows with the process count, and
     ``jobs`` bounds it.  The entries are the same for every ``jobs``.
     """
     samples = [ensure_sample(g, f"group {i}") for i, g in enumerate(groups)]

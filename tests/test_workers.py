@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,11 @@ def small_study(**overrides):
 
 def pid_and_index(i):
     return os.getpid(), i
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -77,10 +83,8 @@ class RepFailure(Exception):
         self.rep = rep
 
 
-# Rep 0 runs in the caller; 2 workers share reps 1-5 and 6-11.
-@pytest.mark.parametrize(
-    "reps", [(0, 7), (3, 7), (7, 9)], ids=["caller", "two-workers", "one-worker"]
-)
+# With 2 processes, reps 0-5 run in the caller and reps 6-11 in a worker.
+@pytest.mark.parametrize("reps", [(3, 7), (7, 9)], ids=["caller-first", "worker-only"])
 @pytest.mark.parametrize("jobs", JOBS)
 def test_lowest_failing_replication_raises(monkeypatch, pool_always, jobs, reps):
     study = small_study()
@@ -126,6 +130,43 @@ def test_default_jobs_starts_workers_when_they_pay(pool_always):
     assert [i for _, i in got] == list(range(5))
     if _workers.worker_count(None, 4) > 1:
         assert {pid for pid, _ in got} - {os.getpid()}
+
+
+def test_units_need_not_pickle():
+    # workers inherit fn and args by forking; only results travel by pipe
+    lock = threading.Lock()
+    got = _workers.run_units(lambda held, i: (held.locked(), os.getpid(), i), (lock,), 5, 2)
+    assert [i for *_, i in got] == list(range(5))
+
+
+def exit_in_worker(parent, i):
+    if os.getpid() != parent:
+        os._exit(3)
+    return i
+
+
+def test_dead_worker_raises_and_is_reaped():
+    if _workers.worker_count(2, 4) < 2:
+        pytest.skip("one usable CPU: no worker starts")
+    with pytest.raises(RuntimeError, match=r"worker for units 3\.\.4 exited with code 3"):
+        _workers.run_units(exit_in_worker, (os.getpid(),), 5, 2)
+    assert_no_child_left()
+
+
+def fail_in_caller(parent, i):
+    if os.getpid() != parent:
+        time.sleep(60)
+    elif i == 1:
+        raise RepFailure(i, "caller broke")
+    return i
+
+
+def test_caller_failure_stops_workers():
+    start = time.perf_counter()
+    with pytest.raises(RepFailure):
+        _workers.run_units(fail_in_caller, (os.getpid(),), 5, 2)
+    assert time.perf_counter() - start < 30  # the sleeping worker was killed
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="no worker processes off Linux")
