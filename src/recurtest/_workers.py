@@ -5,11 +5,11 @@ arguments and index (every random draw comes from a stream of its own), so
 the results do not depend on how many processes compute them.  Unit 0 runs
 in this process first, and its time decides whether workers pay.  The rest
 are then split into contiguous chunks: this process computes the first, and
-one forked worker each of the others, which it sends back pickled through a
-pipe.  The results are put back in index order.
+a forked worker computes each of the others and sends its results back
+pickled through a pipe.  The results are put back in index order.
 
 Workers are forked, not spawned: a forked worker starts from the parent's
-memory in about a millisecond, while a spawned one re-imports the package
+memory in a few milliseconds, while a spawned one re-imports the package
 (about 0.25 s, as long as a whole short power study).  Forking is unsafe
 while other threads run, so a multi-threaded caller runs its units
 in-process.  A bare ``os.fork`` starts no helper thread and imports nothing:
