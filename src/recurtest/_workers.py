@@ -40,6 +40,9 @@ from .exceptions import InvalidInputError
 # 5 ms each took 30-45 ms against 18-20 ms in-process.
 _MIN_POOL_SECONDS = 0.1
 
+# True in a forked worker, which runs nested units in-process.
+_in_worker = False
+
 
 def worker_count(jobs, units: int) -> int:
     """Number of processes, this one included, that may share ``units``
@@ -47,9 +50,9 @@ def worker_count(jobs, units: int) -> int:
 
     ``jobs=None`` asks for every usable CPU; otherwise ``jobs`` must be a
     positive integer.  The count is clamped to the CPUs this process may run
-    on and to ``units``.  It is 1 off Linux, in a daemonic process (such as
-    a ``multiprocessing.Pool`` worker, which may not start children) and
-    while other threads run.
+    on and to ``units``.  It is 1 off Linux, in a worker of this module, in
+    a daemonic process (such as a ``multiprocessing.Pool`` worker, which may
+    not start children) and while other threads run.
     """
     if jobs is not None:
         if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
@@ -57,7 +60,7 @@ def worker_count(jobs, units: int) -> int:
         jobs = int(jobs)
     # A process that never imported multiprocessing is no Pool worker.
     mp = sys.modules.get("multiprocessing")
-    if sys.platform != "linux" or threading.active_count() > 1 or (
+    if sys.platform != "linux" or _in_worker or threading.active_count() > 1 or (
         mp is not None and mp.current_process().daemon
     ):
         return 1
@@ -123,6 +126,8 @@ def _fork_chunk(fn, args: tuple, lo: int, hi: int) -> list:
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
+        global _in_worker
+        _in_worker = True
         status = 1
         try:
             os.close(read_end)

@@ -139,6 +139,18 @@ def test_units_need_not_pickle():
     assert [i for *_, i in got] == list(range(5))
 
 
+def nested_pids(i):
+    return os.getpid(), {pid for pid, _ in _workers.run_units(pid_and_index, (), 4, 2)}
+
+
+def test_workers_run_nested_units_in_process():
+    got = _workers.run_units(nested_pids, (), 4, 2)
+    in_workers = [(pid, inner) for pid, inner in got if pid != os.getpid()]
+    assert all(inner == {pid} for pid, inner in in_workers)
+    if _workers.worker_count(2, 3) == 2:
+        assert in_workers
+
+
 def exit_in_worker(parent, i):
     if os.getpid() != parent:
         os._exit(3)
