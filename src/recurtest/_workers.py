@@ -12,7 +12,9 @@ Workers are forked, not spawned: a forked worker starts from the parent's
 memory in a few milliseconds, while a spawned one re-imports the package
 (about 0.25 s, as long as a whole short power study).  Forking is unsafe
 while other threads run, so a multi-threaded caller runs its units
-in-process.  A bare ``os.fork`` starts no helper thread and imports nothing:
+in-process, and so does every call nested in a ``run_units`` call, in its
+caller's share and in its workers alike: the outer call already uses the
+processes.  A bare ``os.fork`` starts no helper thread and imports nothing:
 a ``concurrent.futures`` pool's threads need the interpreter lock that this
 process holds while it computes its own chunk, and its imports add about
 1 MB to every caller's peak memory.
@@ -40,8 +42,10 @@ from .exceptions import InvalidInputError
 # 5 ms each took 30-45 ms against 18-20 ms in-process.
 _MIN_POOL_SECONDS = 0.1
 
-# True in a forked worker, which runs nested units in-process.
-_in_worker = False
+# True while a ``run_units`` call runs, in its caller and in its workers
+# (which inherit it by forking); nested calls then run their units
+# in-process.
+_in_units = False
 
 
 def worker_count(jobs, units: int) -> int:
@@ -50,9 +54,10 @@ def worker_count(jobs, units: int) -> int:
 
     ``jobs=None`` asks for every usable CPU; otherwise ``jobs`` must be a
     positive integer.  The count is clamped to the CPUs this process may run
-    on and to ``units``.  It is 1 off Linux, in a worker of this module, in
-    a daemonic process (such as a ``multiprocessing.Pool`` worker, which may
-    not start children) and while other threads run.
+    on and to ``units``.  It is 1 off Linux, inside a ``run_units`` call (in
+    its caller's share or in a worker), in a daemonic process (such as a
+    ``multiprocessing.Pool`` worker, which may not start children) and while
+    other threads run.
     """
     if jobs is not None:
         if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
@@ -60,7 +65,7 @@ def worker_count(jobs, units: int) -> int:
         jobs = int(jobs)
     # A process that never imported multiprocessing is no Pool worker.
     mp = sys.modules.get("multiprocessing")
-    if sys.platform != "linux" or _in_worker or threading.active_count() > 1 or (
+    if sys.platform != "linux" or _in_units or threading.active_count() > 1 or (
         mp is not None and mp.current_process().daemon
     ):
         return 1
@@ -79,32 +84,36 @@ def run_units(fn, args: tuple, count: int, jobs) -> list:
     and ``args`` need not be.  A worker whose unit raises reports only that
     unit's index; the lowest failing index is then run again in this
     process, so the caller gets the very exception a serial run raises, and
-    no exception object has to survive pickling.
+    no exception object has to survive pickling.  Calls to ``run_units``
+    made by ``fn`` run their units in-process.
     """
+    global _in_units
     workers = worker_count(jobs, count - 1)
-    start = time.perf_counter()
-    results = [fn(*args, 0)] if count > 0 else []
-    if jobs is None and (count - 1) * (time.perf_counter() - start) < _MIN_POOL_SECONDS:
-        workers = 1
-
-    bounds = [1 + (count - 1) * w // workers for w in range(workers + 1)]
-    (lo, hi), *chunks = zip(bounds, bounds[1:])
+    outer, _in_units = _in_units, True
     children = []
     try:
+        start = time.perf_counter()
+        results = [fn(*args, 0)] if count > 0 else []
+        if jobs is None and (count - 1) * (time.perf_counter() - start) < _MIN_POOL_SECONDS:
+            workers = 1
+
+        bounds = [1 + (count - 1) * w // workers for w in range(workers + 1)]
+        (lo, hi), *chunks = zip(bounds, bounds[1:])
         for chunk in chunks:
             children.append(_fork_chunk(fn, args, *chunk))
         # A failure here is the lowest one; the workers are then stopped.
         results += [fn(*args, i) for i in range(lo, hi)]
         done = [_collect(child, *chunk) for child, chunk in zip(children, chunks)]
+
+        for (part, failed), (_, hi) in zip(done, chunks):
+            results += part
+            if failed is not None:
+                # Raises here as in a serial run; should the failure not
+                # repeat, the rest of the chunk is computed in-process.
+                results += [fn(*args, i) for i in range(failed, hi)]
     finally:
         _stop(children)
-
-    for (part, failed), (_, hi) in zip(done, chunks):
-        results += part
-        if failed is not None:
-            # Raises here as in a serial run; should the failure not repeat,
-            # the rest of the chunk is computed in-process.
-            results += [fn(*args, i) for i in range(failed, hi)]
+        _in_units = outer
     return results
 
 
@@ -126,8 +135,6 @@ def _fork_chunk(fn, args: tuple, lo: int, hi: int) -> list:
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
-        global _in_worker
-        _in_worker = True
         status = 1
         try:
             os.close(read_end)

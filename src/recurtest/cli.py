@@ -64,7 +64,7 @@ def _cmd_test(args) -> int:
         raise InvalidInputError(
             f"row counts differ: {args.x} has {x.shape[0]}, {args.y} has {y.shape[0]}"
         )
-    report = permutation_test(x, y, spec, args.perms, args.seed)
+    report = permutation_test(x, y, spec, args.perms, args.seed, jobs=args.jobs)
     _write_text(args.out, fileio.report_to_json(report, levels, __version__))
     return 0
 
@@ -126,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--seed", required=True, type=int)
     p_test.add_argument("--out", help="write the JSON report here (default: stdout)")
     p_test.add_argument("--levels", default="0.05,0.1", help="comma-separated decision levels")
+    p_test.add_argument("--jobs", type=int, help=_JOBS_HELP)
     p_test.set_defaults(func=_cmd_test)
 
     p_power = sub.add_parser("power", help="Monte-Carlo power study from a JSON config")

@@ -81,11 +81,12 @@ def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     The replications run over up to ``jobs`` processes, this one and forked
     workers (default: every usable CPU, when replication 0, run here first,
     says the rest take at least 0.1 s in one process; ``jobs=1`` starts
-    none).  Each process holds one replication at a time, so peak memory
-    grows with the process count, and ``jobs`` bounds it.  Every output but the wall-clock ``seconds`` of
-    each row, the test time summed over replications, is the same for every
-    ``jobs``, and so is the error a failing replication raises: that of the
-    lowest failing index.
+    none).  Their tests run in the process of their replication.  Each
+    process holds one replication at a time, so peak memory grows with the
+    process count, and ``jobs`` bounds it.  Every output but the wall-clock
+    ``seconds`` of each row, the test time summed over replications, is the
+    same for every ``jobs``, and so is the error a failing replication
+    raises: that of the lowest failing index.
     """
     if study.reps < 1:
         raise InvalidInputError(f"replication count must be >= 1, got {study.reps}")

@@ -4,12 +4,14 @@ Calibration permutes the second sample against the first.  Each side's
 pairwise distances are computed once, and the statistic is prepared once:
 permuting rows leaves the X side and the Y-side distance multiset unchanged,
 so only the pairing between the two coupled lists differs between
-permutations.  The permutations are then evaluated in blocks: each block
-gathers the permuted Y distances of its permutations into a ``(P, pairs)``
-array, and the prepared statistic sweeps all of them at once.  Replicate k
-draws its permutation from a stream that depends only on (seed, k), and each
-row's statistic is independent of its block, so the result is identical for
-any block size.
+permutations.  The pairings are then evaluated in blocks: row k of the
+blocks is permutation k, drawn from a stream that depends only on (seed, k),
+and row 0 is the identity, the observed pairing.  Each block gathers the
+permuted Y distances of its rows into a ``(P, pairs)`` array, and the
+prepared statistic sweeps all of them at once.  The blocks are the units of
+``_workers.run_units``, so they run over this process and forked workers.
+Each row's statistic is independent of its block, so the result is
+identical for any block size and any number of processes.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .exceptions import InvalidInputError
 from .metrics import ensure_sample, paired_distances
 from .stats_core import StatisticSpec, prepare
 
-# Cap on the elements of each (permutations, pairs) buffer of a block; the
-# block holds max(1, _BLOCK_ELEMENTS // pairs) permutations.
+# Cap on the elements of each (pairings, pairs) buffer of a block; the
+# block holds max(1, _BLOCK_ELEMENTS // pairs) pairings.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -71,12 +73,21 @@ def permutation_test(
     seed: int,
     *,
     keep_perm_stats: bool = False,
+    jobs: int | None = None,
 ) -> TestReport:
     """Test independence of two samples with ``m`` random permutations.
 
     The p-value uses the add-one estimator (1 + #{permuted >= observed}) /
     (m + 1), which is finite-sample valid under exchangeability and never
     zero; ties with the observed value count toward rejection.
+
+    The observed pairing and the permutations are evaluated in blocks of
+    rows, the observed one first.  The blocks run over up to ``jobs``
+    processes, this one and forked workers (default: every usable CPU, when
+    the first block, run here first, says the rest take at least 0.1 s in
+    one process; ``jobs=1`` starts none, and neither does a test run inside
+    ``run_power`` or ``dependogram``).  Each process holds one block at a
+    time.  The report is the same for every ``jobs``, but for ``elapsed``.
     """
     if m < 1:
         raise InvalidInputError(f"permutation count must be >= 1, got {m}")
@@ -88,23 +99,28 @@ def permutation_test(
         raise InvalidInputError(f"permutation test needs n >= 3 observations, got {n}")
 
     evaluate = prepare(pd0, spec.functional)
-    observed = float(evaluate(pd0.t[None, :])[0])
-
     rows, cols = np.triu_indices(n, 1)
     # Pair (i, j), i < j, sits at i*n - i(i+1)/2 + j - i - 1 of pd0.t (the
-    # row-major upper triangle): offset[i] + j.
+    # row-major upper triangle): offset[i] + j.  The identity permutation
+    # thus gathers pd0.t itself.
     i = np.arange(n)
     offset = i * n - i * (i + 1) // 2 - i - 1
     block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
-    perm_stats = np.empty(m)
-    for first in range(0, m, block):
-        ks = range(first + 1, min(first + block, m) + 1)
+
+    def block_stats(b: int) -> np.ndarray:
+        """The statistics of rows b*block .. of the m + 1: row k pairs by
+        permutation k, and row 0 by the identity ``i``."""
         perms = np.array(
-            [streams.substream(seed, streams.PERMUTATION, k).permutation(n) for k in ks]
+            [
+                i if k == 0 else streams.substream(seed, streams.PERMUTATION, k).permutation(n)
+                for k in range(b * block, min((b + 1) * block, m + 1))
+            ]
         )
-        perm_stats[first : first + len(ks)] = evaluate(
-            _permuted_pairs(pd0.t, perms, rows, cols, offset)
-        )
+        return evaluate(_permuted_pairs(pd0.t, perms, rows, cols, offset))
+
+    stats = np.concatenate(run_units(block_stats, (), (m + block) // block, jobs))
+    observed = float(stats[0])
+    perm_stats = stats[1:]
 
     p_value = (1.0 + float(np.count_nonzero(perm_stats >= observed))) / (m + 1)
     return TestReport(
@@ -208,9 +224,10 @@ def dependogram(
     values and rejection flags at each level.  The pairs run over up to
     ``jobs`` processes, this one and forked workers (default: every usable
     CPU, when the first pair, run here first, says the rest take at least
-    0.1 s in one process; ``jobs=1`` starts none).  Each process holds one
-    pair's test at a time, so peak memory grows with the process count, and
-    ``jobs`` bounds it.  The entries are the same for every ``jobs``.
+    0.1 s in one process; ``jobs=1`` starts none).  Each pair's test runs
+    in the process of its pair.  Each process holds one pair's test at a
+    time, so peak memory grows with the process count, and ``jobs`` bounds
+    it.  The entries are the same for every ``jobs``.
     """
     samples = [ensure_sample(g, f"group {i}") for i, g in enumerate(groups)]
     if len(samples) < 2:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import recurtest as rt
+from recurtest import _workers
 from recurtest.cli import main
 from recurtest.fileio import read_dataset, read_power_config, write_dataset
 
@@ -102,6 +104,23 @@ class TestCmdTest:
         for doc in outs:
             doc.pop("elapsed_ms")
         assert outs[0] == outs[1]
+
+    def test_report_same_for_every_jobs(self, gauss_csv, tmp_path, monkeypatch):
+        # 30 rows, so the 100 rows of the test make 3 blocks; the gate is
+        # forced open, so the default jobs shares them with a worker.
+        monkeypatch.setattr(_workers, "_MIN_POOL_SECONDS", 0.0)
+        xp, yp = gauss_csv
+        texts = []
+        for jobs in (["--jobs", "1"], []):
+            out = tmp_path / "r.json"
+            assert run(
+                ["test", "--x", str(xp), "--y", str(yp), "--functional", "l1",
+                 "--metric-x", "l1", "--metric-y", "l2", "--perms", "99",
+                 "--seed", "5", "--out", str(out), *jobs]
+            ) == 0
+            texts.append(re.sub(r'\n  "elapsed_ms": [^\n]*', "", out.read_text()))
+        assert "elapsed_ms" not in texts[0]
+        assert texts[0] == texts[1]
 
     def test_zero_perms_exit2(self, gauss_csv):
         xp, yp = gauss_csv
@@ -289,12 +308,12 @@ def _power(scenario=(), **top):
     return argv
 
 
-def _test_out_to_missing_dir(tmp_path):
+def _test_argv(tmp_path):
     for name in ("x.csv", "y.csv"):
         write_dataset(str(tmp_path / name), np.random.default_rng(46).standard_normal((10, 2)))
     return ["test", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
             "--functional", "l2", "--metric-x", "l2", "--metric-y", "l2", "--perms", "9",
-            "--seed", "1", "--out", str(tmp_path / "missing" / "r.json")]
+            "--seed", "1"]
 
 
 @pytest.mark.parametrize(
@@ -316,7 +335,13 @@ def _test_out_to_missing_dir(tmp_path):
         pytest.param(_simulate("--scenario", "C5", "--lambda", "1e-7"), "len 20", id="burn-in-cap"),
         pytest.param(lambda tmp_path: _simulate("--scenario", "null")(tmp_path / "missing"),
                      "cannot write", id="simulate-out-missing-dir"),
-        pytest.param(_test_out_to_missing_dir, "cannot write", id="test-out-missing-dir"),
+        pytest.param(
+            lambda tmp_path: _test_argv(tmp_path) + ["--out", str(tmp_path / "missing" / "r.json")],
+            "cannot write",
+            id="test-out-missing-dir",
+        ),
+        pytest.param(lambda tmp_path: _test_argv(tmp_path) + ["--jobs", "0"], "jobs",
+                     id="test-jobs-zero"),
         pytest.param(_power(scenario={"lamda": 5.0}), "lamda", id="config-unknown-scenario-key"),
         # scenario values are checked when the config is read, before any draw
         pytest.param(_power(scenario={"id": "C4", "hurst": 0.9}),

@@ -51,6 +51,22 @@ class TestPermutationTest:
             assert runs[0].observed == other.observed
             assert runs[0].p_value == other.p_value
 
+    @pytest.mark.parametrize(
+        "metric, ties",
+        [(Metric.L1, False), (Metric.LINF, True)],
+        ids=["continuous-l1", "integer-linf"],
+    )
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    def test_observed_is_the_statistic_exactly(self, functional, metric, ties):
+        # the observed pairing is row 0 of the first block, not a sweep of its own
+        x, y = gaussian_pair(14, n=24, d=5)
+        y = x**2 + y
+        if ties:
+            x, y = np.round(2 * x), np.round(y)
+        spec = StatisticSpec(functional, metric, metric)
+        rep = rt.permutation_test(x, y, spec, m=99, seed=2)
+        assert rep.observed == rt.statistic(x, y, spec)
+
     def test_permuted_stats_match_direct_recomputation(self):
         # the pairing-gather shortcut must equal rebuilding each permuted
         # sample from scratch

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import recurtest as rt
-from recurtest import _workers, harness, streams
+from recurtest import _workers, harness, inference, streams
 from recurtest import Functional, InvalidInputError, Metric, ScenarioConfig, StatisticSpec
 
 SPECS = (
@@ -71,6 +71,95 @@ def test_dependogram_same_for_every_jobs(pool_always):
     for other in deps[1:]:
         assert other.labels == deps[0].labels
         assert other.entries == deps[0].entries
+
+
+def sample_pair(ties, n=10):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((n, 3))
+    y = x**2 + rng.standard_normal((n, 3))
+    return (np.round(x), np.round(y)) if ties else (x, y)
+
+
+@pytest.fixture
+def blocks_of_4(monkeypatch):
+    """Permutation tests on 10 rows evaluate 4 of their m + 1 rows per
+    block, so a small m makes several units."""
+    monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", 4 * 45)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
+@pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+def test_permutation_test_same_for_every_jobs(pool_always, blocks_of_4, functional, ties):
+    x, y = sample_pair(ties)
+    spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
+    # one row of the observed pairing plus m: one part-filled block, one
+    # full block, then 3 full blocks, and 3 blocks and a part-filled one
+    for m in (1, 3, 11, 13):
+        reports = [
+            rt.permutation_test(x, y, spec, m, seed=6, keep_perm_stats=True, jobs=jobs)
+            for jobs in JOBS
+        ]
+        for other in reports:
+            assert other.perm_stats.shape == (m,)
+            assert np.array_equal(other.perm_stats, reports[0].perm_stats)
+            assert other.observed == reports[0].observed == rt.statistic(x, y, spec)
+            assert other.p_value == reports[0].p_value
+
+
+class PermutationFailure(Exception):
+    pass
+
+
+# With 2 processes and m = 13, rows 0-7 (blocks 0 and 1) run in the caller
+# and rows 8-13 in a worker.
+@pytest.mark.parametrize("ks", [(5, 9), (9, 13)], ids=["caller-first", "worker-only"])
+@pytest.mark.parametrize("jobs", JOBS)
+def test_lowest_failing_block_raises(monkeypatch, pool_always, blocks_of_4, jobs, ks):
+    real = streams.substream
+
+    def substream(seed, *path):
+        if path[0] == streams.PERMUTATION and path[1] in ks:
+            raise PermutationFailure(f"permutation {path[1]} broke")
+        return real(seed, *path)
+
+    monkeypatch.setattr(streams, "substream", substream)
+    x, y = sample_pair(ties=False)
+    with pytest.raises(PermutationFailure, match=f"^permutation {ks[0]} broke$"):
+        rt.permutation_test(x, y, SPECS[0], 13, seed=2, jobs=jobs)
+
+
+def test_nested_tests_never_fork(pool_always, blocks_of_4, monkeypatch, tmp_path):
+    # Every fork, in this process or a worker, logs the pid that made it.
+    log = tmp_path / "forks"
+    log.touch()
+    real = os.fork
+
+    def fork():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real()
+
+    monkeypatch.setattr(_workers.os, "fork", fork)
+    # The tests of these 12 replications and 6 group pairs have 10 rows and
+    # 5 blocks each, so they would fork on their own.
+    rt.run_power(small_study())
+    x, y = sample_pair(ties=False)
+    rt.dependogram([x, y, x + y, x - y], SPECS[0], m=19, seed=3)
+    outer = _workers.worker_count(None, 11) - 1 + _workers.worker_count(None, 5) - 1
+    assert log.read_text().split() == [str(os.getpid())] * outer
+    rt.permutation_test(x, y, SPECS[0], 19, seed=3)
+    assert len(log.read_text().split()) == outer + _workers.worker_count(None, 4) - 1
+
+
+def test_jobs_one_starts_no_process(pool_always, blocks_of_4, monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(_workers.os, "fork", fork)
+    x, y = sample_pair(ties=False)
+    rt.permutation_test(x, y, SPECS[1], 19, seed=3, jobs=1)
+    rt.run_power(small_study(), jobs=1)
+    rt.dependogram([x, y, x + y], SPECS[0], m=19, seed=3, jobs=1)
 
 
 class RepFailure(Exception):
@@ -220,3 +309,5 @@ def test_invalid_jobs_rejected(jobs):
     groups = [rng.standard_normal((8, 2)) for _ in range(3)]
     with pytest.raises(InvalidInputError, match="jobs"):
         rt.dependogram(groups, SPECS[0], m=19, seed=1, jobs=jobs)
+    with pytest.raises(InvalidInputError, match="jobs"):
+        rt.permutation_test(*groups[:2], SPECS[0], 19, seed=1, jobs=jobs)
