@@ -1,7 +1,7 @@
 """Independent units of work over this process and forked workers.
 
-A unit is ``fn(*args, i)`` for an index ``i``; it must depend only on its
-arguments and index (every random draw comes from a stream of its own), so
+A unit is ``fn(i)`` for an index ``i``; it must depend only on ``i`` and
+what ``fn`` holds (every random draw comes from a stream of its own), so
 the results do not depend on how many processes compute them.  Unit 0 runs
 in this process first, and its time decides whether workers pay.  The rest
 are then split into contiguous chunks: this process computes the first, and
@@ -9,15 +9,18 @@ a forked worker computes each of the others and sends its results back
 pickled through a pipe.  The results are put back in index order.
 
 Workers are forked, not spawned: a forked worker starts from the parent's
-memory in a few milliseconds, while a spawned one re-imports the package
-(about 0.25 s, as long as a whole short power study).  Forking is unsafe
-while other threads run, so a multi-threaded caller runs its units
-in-process, and so does every call nested in a ``run_units`` call, in its
-caller's share and in its workers alike: the outer call already uses the
-processes.  A bare ``os.fork`` starts no helper thread and imports nothing:
-a ``concurrent.futures`` pool's threads need the interpreter lock that this
-process holds while it computes its own chunk, and its imports add about
-1 MB to every caller's peak memory.
+memory in a few milliseconds and inherits ``fn`` without pickling it, while
+a spawned one re-imports the package (about 0.25 s, as long as a whole
+short power study).  Forking is unsafe while other threads run, so a
+multi-threaded caller runs its units in-process.  A bare ``os.fork`` starts
+no helper thread and imports nothing: a ``concurrent.futures`` pool's
+threads need the interpreter lock that this process holds while it computes
+its own chunk, and its imports add about 1 MB to every caller's peak
+memory.
+
+Units that run tests of their own pass them a process budget as an
+argument: the caller's ``jobs`` when there is one unit, and ``jobs=1`` when
+there are several, which already use the processes.
 
 Every process holds one unit's working memory at a time, so the peak memory
 of a call grows with the number of processes; ``jobs`` bounds it.
@@ -42,11 +45,6 @@ from .exceptions import InvalidInputError
 # 5 ms each took 30-45 ms against 18-20 ms in-process.
 _MIN_POOL_SECONDS = 0.1
 
-# True while a ``run_units`` call runs, in its caller and in its workers
-# (which inherit it by forking); nested calls then run their units
-# in-process.
-_in_units = False
-
 
 def worker_count(jobs, units: int) -> int:
     """Number of processes, this one included, that may share ``units``
@@ -54,10 +52,9 @@ def worker_count(jobs, units: int) -> int:
 
     ``jobs=None`` asks for every usable CPU; otherwise ``jobs`` must be a
     positive integer.  The count is clamped to the CPUs this process may run
-    on and to ``units``.  It is 1 off Linux, inside a ``run_units`` call (in
-    its caller's share or in a worker), in a daemonic process (such as a
-    ``multiprocessing.Pool`` worker, which may not start children) and while
-    other threads run.
+    on and to ``units``.  It is 1 off Linux, in a daemonic process (such as
+    a ``multiprocessing.Pool`` worker, which may not start children) and
+    while other threads run.
     """
     if jobs is not None:
         if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
@@ -65,7 +62,7 @@ def worker_count(jobs, units: int) -> int:
         jobs = int(jobs)
     # A process that never imported multiprocessing is no Pool worker.
     mp = sys.modules.get("multiprocessing")
-    if sys.platform != "linux" or _in_units or threading.active_count() > 1 or (
+    if sys.platform != "linux" or threading.active_count() > 1 or (
         mp is not None and mp.current_process().daemon
     ):
         return 1
@@ -73,36 +70,33 @@ def worker_count(jobs, units: int) -> int:
     return max(1, min(cpus if jobs is None else jobs, cpus, units))
 
 
-def run_units(fn, args: tuple, count: int, jobs) -> list:
-    """``[fn(*args, i) for i in range(count)]``, over up to ``jobs``
-    processes.
+def run_units(fn, count: int, jobs) -> list:
+    """``[fn(i) for i in range(count)]``, over up to ``jobs`` processes.
 
     Unit 0 runs here.  Units 1 .. count-1 are shared by this process and
     ``worker_count(jobs, count - 1) - 1`` forked workers; with ``jobs=None``
     they all run here when unit 0's time puts them under
     ``_MIN_POOL_SECONDS``.  The results of ``fn`` must be picklable; ``fn``
-    and ``args`` need not be.  A worker whose unit raises reports only that
-    unit's index; the lowest failing index is then run again in this
-    process, so the caller gets the very exception a serial run raises, and
-    no exception object has to survive pickling.  Calls to ``run_units``
-    made by ``fn`` run their units in-process.
+    itself, a closure or a ``functools.partial`` alike, need not be.  A
+    worker whose unit raises reports only that unit's index; the lowest
+    failing index is then run again in this process, so the caller gets the
+    very exception a serial run raises, and no exception object has to
+    survive pickling.
     """
-    global _in_units
     workers = worker_count(jobs, count - 1)
-    outer, _in_units = _in_units, True
     children = []
     try:
         start = time.perf_counter()
-        results = [fn(*args, 0)] if count > 0 else []
+        results = [fn(0)] if count > 0 else []
         if jobs is None and (count - 1) * (time.perf_counter() - start) < _MIN_POOL_SECONDS:
             workers = 1
 
         bounds = [1 + (count - 1) * w // workers for w in range(workers + 1)]
         (lo, hi), *chunks = zip(bounds, bounds[1:])
         for chunk in chunks:
-            children.append(_fork_chunk(fn, args, *chunk))
+            children.append(_fork_chunk(fn, *chunk))
         # A failure here is the lowest one; the workers are then stopped.
-        results += [fn(*args, i) for i in range(lo, hi)]
+        results += [fn(i) for i in range(lo, hi)]
         done = [_collect(child, *chunk) for child, chunk in zip(children, chunks)]
 
         for (part, failed), (_, hi) in zip(done, chunks):
@@ -110,27 +104,26 @@ def run_units(fn, args: tuple, count: int, jobs) -> list:
             if failed is not None:
                 # Raises here as in a serial run; should the failure not
                 # repeat, the rest of the chunk is computed in-process.
-                results += [fn(*args, i) for i in range(failed, hi)]
+                results += [fn(i) for i in range(failed, hi)]
     finally:
         _stop(children)
-        _in_units = outer
     return results
 
 
-def _run_chunk(fn, args: tuple, lo: int, hi: int):
+def _run_chunk(fn, lo: int, hi: int):
     """Units ``lo .. hi-1`` in order: ``(results, None)``, or the results
     before the first failing unit and that unit's index."""
     results = []
     for i in range(lo, hi):
         try:
-            results.append(fn(*args, i))
+            results.append(fn(i))
         except Exception:  # reported by index; the parent re-raises it
             return results, i
     return results, None
 
 
-def _fork_chunk(fn, args: tuple, lo: int, hi: int) -> list:
-    """Fork a worker that pickles ``_run_chunk(fn, args, lo, hi)`` into a
+def _fork_chunk(fn, lo: int, hi: int) -> list:
+    """Fork a worker that pickles ``_run_chunk(fn, lo, hi)`` into a
     pipe; returns ``[pid, read end]``."""
     read_end, write_end = os.pipe()
     pid = os.fork()
@@ -139,7 +132,7 @@ def _fork_chunk(fn, args: tuple, lo: int, hi: int) -> list:
         try:
             os.close(read_end)
             with open(write_end, "wb") as out:
-                pickle.dump(_run_chunk(fn, args, lo, hi), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_run_chunk(fn, lo, hi), out, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             # Never return into the caller's stack, run its exit handlers or

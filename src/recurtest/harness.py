@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -55,8 +56,9 @@ class PowerResult:
         return [float(np.mean(self.p_values[:, j] <= alpha)) for j in range(len(self.rows))]
 
 
-def _replication(study: PowerStudySpec, k: int):
-    """Replication ``k``: its p-value and test time under each statistic."""
+def _replication(study: PowerStudySpec, jobs, k: int):
+    """Replication ``k``: its p-value and test time under each statistic,
+    each test run over up to ``jobs`` processes."""
     try:
         data_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 0)
         xs, ys = gen_scenario(replace(study.scenario, seed=data_seed))
@@ -64,7 +66,7 @@ def _replication(study: PowerStudySpec, k: int):
         for j, spec in enumerate(study.specs):
             test_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 1 + j)
             t0 = time.perf_counter()
-            p_values.append(permutation_test(xs, ys, spec, study.m, test_seed).p_value)
+            p_values.append(permutation_test(xs, ys, spec, study.m, test_seed, jobs=jobs).p_value)
             seconds.append(time.perf_counter() - t0)
         return p_values, seconds
     except Exception as err:
@@ -78,12 +80,11 @@ def _replication(study: PowerStudySpec, k: int):
 def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     """Run the study; deterministic given its seed.
 
-    The replications run over up to ``jobs`` processes, this one and forked
-    workers (default: every usable CPU, when replication 0, run here first,
-    says the rest take at least 0.1 s in one process; ``jobs=1`` starts
-    none).  Their tests run in the process of their replication.  Each
-    process holds one replication at a time, so peak memory grows with the
-    process count, and ``jobs`` bounds it.  Every output but the wall-clock
+    ``jobs`` bounds the processes, this one and forked workers, that the
+    call uses (default: every usable CPU, when replication 0, run here
+    first, says the rest take at least 0.1 s in one process; ``jobs=1``
+    starts none).  Each process holds one replication at a time, so peak
+    memory grows with the process count.  Every output but the wall-clock
     ``seconds`` of each row, the test time summed over replications, is the
     same for every ``jobs``, and so is the error a failing replication
     raises: that of the lowest failing index.
@@ -94,7 +95,8 @@ def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     if not study.specs:
         raise InvalidInputError("at least one statistic spec is required")
 
-    outcomes = run_units(_replication, (study,), study.reps, jobs)
+    test_jobs = jobs if study.reps == 1 else 1
+    outcomes = run_units(partial(_replication, study, test_jobs), study.reps, jobs)
     p_values = np.array([p for p, _ in outcomes])
     seconds = np.sum([s for _, s in outcomes], axis=0)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil
 
 import numpy as np
@@ -43,7 +44,7 @@ class TestReport:
     p_value: float
     m: int
     seed: int
-    perm_stats: np.ndarray | None = None
+    perm_stats: np.ndarray
     elapsed: float = 0.0
 
 
@@ -72,7 +73,6 @@ def permutation_test(
     m: int,
     seed: int,
     *,
-    keep_perm_stats: bool = False,
     jobs: int | None = None,
 ) -> TestReport:
     """Test independence of two samples with ``m`` random permutations.
@@ -82,12 +82,12 @@ def permutation_test(
     zero; ties with the observed value count toward rejection.
 
     The observed pairing and the permutations are evaluated in blocks of
-    rows, the observed one first.  The blocks run over up to ``jobs``
-    processes, this one and forked workers (default: every usable CPU, when
-    the first block, run here first, says the rest take at least 0.1 s in
-    one process; ``jobs=1`` starts none, and neither does a test run inside
-    ``run_power`` or ``dependogram``).  Each process holds one block at a
-    time.  The report is the same for every ``jobs``, but for ``elapsed``.
+    rows, the observed one first.  ``jobs`` bounds the processes, this one
+    and forked workers, that share the blocks (default: every usable CPU,
+    when the first block, run here first, says the rest take at least 0.1 s
+    in one process; ``jobs=1`` starts none).  Each process holds one block
+    at a time.  The report, ``perm_stats`` included, is the same for every
+    ``jobs``, but for ``elapsed``.
     """
     if m < 1:
         raise InvalidInputError(f"permutation count must be >= 1, got {m}")
@@ -118,7 +118,7 @@ def permutation_test(
         )
         return evaluate(_permuted_pairs(pd0.t, perms, rows, cols, offset))
 
-    stats = np.concatenate(run_units(block_stats, (), (m + block) // block, jobs))
+    stats = np.concatenate(run_units(block_stats, (m + block) // block, jobs))
     observed = float(stats[0])
     perm_stats = stats[1:]
 
@@ -130,7 +130,7 @@ def permutation_test(
         p_value=p_value,
         m=m,
         seed=seed,
-        perm_stats=perm_stats if keep_perm_stats else None,
+        perm_stats=perm_stats,
         elapsed=time.perf_counter() - start,
     )
 
@@ -177,25 +177,19 @@ def critical_values(perm_stats, levels) -> list[float]:
     m = stats.size
     out = []
     for alpha in levels:
-        if not 0.0 < alpha < 1.0:
-            raise InvalidInputError(f"level must be in (0, 1), got {alpha}")
+        check_level(alpha, m)
         # Small epsilon keeps exact lattice points (e.g. 0.95 * 100) from
         # rounding up through floating noise.
-        q = ceil((1.0 - alpha) * (m + 1) - 1e-12)
-        if q > m:
-            raise InvalidInputError(
-                f"level {alpha} needs at least m = {min_permutations(alpha)} "
-                f"permutations, got {m}"
-            )
-        out.append(float(stats[q - 1]))
+        out.append(float(stats[ceil((1.0 - alpha) * (m + 1) - 1e-12) - 1]))
     return out
 
 
-def _pair_entry(samples, labels, pairs, spec, m, seed, levels, i) -> DependogramEntry:
-    """The dependogram entry of group pair ``pairs[i]``."""
+def _pair_entry(samples, labels, pairs, spec, m, seed, levels, jobs, i) -> DependogramEntry:
+    """The dependogram entry of group pair ``pairs[i]``, its test run over up
+    to ``jobs`` processes."""
     a, b = pairs[i]
     pair_seed = streams.derive_seed(seed, streams.GROUP_PAIR, a, b)
-    report = permutation_test(samples[a], samples[b], spec, m, pair_seed, keep_perm_stats=True)
+    report = permutation_test(samples[a], samples[b], spec, m, pair_seed, jobs=jobs)
     crits = critical_values(report.perm_stats, levels)
     return DependogramEntry(
         label_a=labels[a],
@@ -221,13 +215,12 @@ def dependogram(
 
     Runs the permutation test on every unordered pair of groups with a
     per-pair derived seed, and records observed values, permutation critical
-    values and rejection flags at each level.  The pairs run over up to
-    ``jobs`` processes, this one and forked workers (default: every usable
-    CPU, when the first pair, run here first, says the rest take at least
-    0.1 s in one process; ``jobs=1`` starts none).  Each pair's test runs
-    in the process of its pair.  Each process holds one pair's test at a
-    time, so peak memory grows with the process count, and ``jobs`` bounds
-    it.  The entries are the same for every ``jobs``.
+    values and rejection flags at each level.  ``jobs`` bounds the
+    processes, this one and forked workers, that the call uses (default:
+    every usable CPU, when the first pair, run here first, says the rest
+    take at least 0.1 s in one process; ``jobs=1`` starts none).  Each
+    process holds one pair's test at a time, so peak memory grows with the
+    process count.  The entries are the same for every ``jobs``.
     """
     samples = [ensure_sample(g, f"group {i}") for i, g in enumerate(groups)]
     if len(samples) < 2:
@@ -245,7 +238,7 @@ def dependogram(
         raise InvalidInputError("one label per group required")
 
     pairs = [(a, b) for a in range(len(samples)) for b in range(a + 1, len(samples))]
-    entries = run_units(
-        _pair_entry, (samples, labels, pairs, spec, m, seed, levels), len(pairs), jobs
-    )
+    test_jobs = jobs if len(pairs) == 1 else 1
+    entry = partial(_pair_entry, samples, labels, pairs, spec, m, seed, levels, test_jobs)
+    entries = run_units(entry, len(pairs), jobs)
     return Dependogram(labels=labels, entries=entries)

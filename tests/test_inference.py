@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,8 @@ class TestPermutationTest:
 
     def test_determinism(self):
         x, y = gaussian_pair(3)
-        a = rt.permutation_test(x, y, SPEC22, m=29, seed=7, keep_perm_stats=True)
-        b = rt.permutation_test(x, y, SPEC22, m=29, seed=7, keep_perm_stats=True)
+        a = rt.permutation_test(x, y, SPEC22, m=29, seed=7)
+        b = rt.permutation_test(x, y, SPEC22, m=29, seed=7)
         assert a.p_value == b.p_value and a.observed == b.observed
         assert np.array_equal(a.perm_stats, b.perm_stats)
 
@@ -45,7 +47,7 @@ class TestPermutationTest:
         runs = []
         for block in (1, 7, m):
             monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", block * pairs)
-            runs.append(rt.permutation_test(x, y, spec, m=m, seed=9, keep_perm_stats=True))
+            runs.append(rt.permutation_test(x, y, spec, m=m, seed=9))
         for other in runs[1:]:
             assert np.array_equal(runs[0].perm_stats, other.perm_stats)
             assert runs[0].observed == other.observed
@@ -71,7 +73,7 @@ class TestPermutationTest:
         # the pairing-gather shortcut must equal rebuilding each permuted
         # sample from scratch
         x, y = gaussian_pair(5, n=12)
-        rep = rt.permutation_test(x, y, SPEC22, m=10, seed=13, keep_perm_stats=True)
+        rep = rt.permutation_test(x, y, SPEC22, m=10, seed=13)
         for k in range(1, 11):
             perm = streams.substream(13, streams.PERMUTATION, k).permutation(12)
             direct = rt.statistic(x, y[perm], SPEC22)
@@ -79,15 +81,11 @@ class TestPermutationTest:
 
     def test_observed_and_report_fields(self):
         x, y = gaussian_pair(6)
-        rep = rt.permutation_test(x, y, SPEC22, m=9, seed=3, keep_perm_stats=True)
+        rep = rt.permutation_test(x, y, SPEC22, m=9, seed=3)
         assert rep.observed == pytest.approx(rt.statistic(x, y, SPEC22))
         assert rep.n == 16 and rep.m == 9 and rep.seed == 3
         assert rep.perm_stats.shape == (9,)
         assert rep.elapsed > 0
-
-    def test_perm_stats_dropped_by_default(self):
-        x, y = gaussian_pair(7)
-        assert rt.permutation_test(x, y, SPEC22, m=5, seed=1).perm_stats is None
 
     def test_invalid_m(self):
         x, y = gaussian_pair(8)
@@ -110,7 +108,7 @@ class TestPermutationTest:
             if ties:
                 x, y = np.round(x), np.round(2 * y)
             spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
-            rep = rt.permutation_test(x, y, spec, m=30, seed=seed, keep_perm_stats=True)
+            rep = rt.permutation_test(x, y, spec, m=30, seed=seed)
             pd0 = rt.paired_distances(x, y, Metric.L1, Metric.LINF)
             rows, cols = np.triu_indices(n, 1)
             square = np.zeros((n, n))
@@ -131,7 +129,7 @@ class TestPermutationTest:
         x[1] = x[0]
         y[4] = y[3]
         spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
-        rep = rt.permutation_test(x, y, spec, m=25, seed=17, keep_perm_stats=True)
+        rep = rt.permutation_test(x, y, spec, m=25, seed=17)
         pd0 = rt.paired_distances(x, y, Metric.L1, Metric.LINF)
         assert np.count_nonzero(pd0.z == 0) and np.count_nonzero(pd0.t == 0)
         wx, wy = rt.estimate_weight(pd0.z), rt.estimate_weight(pd0.t)
@@ -158,7 +156,7 @@ class TestPermutationTest:
     def test_minimum_sample_size(self, functional):
         x, y = gaussian_pair(10, n=3)
         spec = StatisticSpec(functional, Metric.L2, Metric.L2)
-        rep = rt.permutation_test(x, y, spec, m=19, seed=2, keep_perm_stats=True)
+        rep = rt.permutation_test(x, y, spec, m=19, seed=2)
         assert rep.n == 3 and rep.perm_stats.shape == (19,)
         assert rep.observed == rt.statistic(x, y, spec)
         assert np.min(np.abs(np.arange(1, 21) / 20 - rep.p_value)) < 1e-15
@@ -188,6 +186,22 @@ class TestCriticalValues:
     def test_infeasible_level_names_minimum(self):
         with pytest.raises(InvalidInputError, match="m = 19"):
             rt.critical_values([1.0, 2.0, 3.0], [0.05])
+        # At the lattice boundary alpha = 1/(m + 1), and one ulp either side,
+        # check_level and critical_values accept or reject together, with m
+        # permutations and with one fewer.
+        for m in (1, 3, 19, 99, 999):
+            edge = 1.0 / (m + 1)
+            for alpha in map(float, (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0))):
+                for size in (m - 1, m):
+                    stats = np.arange(float(size))
+                    try:
+                        inference.check_level(alpha, size)
+                    except InvalidInputError as err:
+                        message = f"^{re.escape(str(err))}$"
+                        with pytest.raises(InvalidInputError, match=message):
+                            rt.critical_values(stats, [alpha])
+                    else:
+                        assert rt.critical_values(stats, [alpha]) == [size - 1.0]
 
     def test_nonincreasing_in_level(self):
         rng = np.random.default_rng(1)

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -50,14 +51,16 @@ def pool_always(monkeypatch):
 
 
 def test_run_power_same_for_every_jobs(pool_always):
-    results = [rt.run_power(small_study(), jobs=jobs) for jobs in JOBS]
-    first = results[0]
-    for other in results[1:]:
-        assert np.array_equal(first.p_values, other.p_values)
-        assert first.study == other.study
-        assert [replace(r, seconds=0.0) for r in first.rows] == [
-            replace(r, seconds=0.0) for r in other.rows
-        ]
+    # 12 replications make 12 units; one makes one, whose tests get the jobs
+    for reps in (12, 1):
+        results = [rt.run_power(small_study(reps=reps), jobs=jobs) for jobs in JOBS]
+        first = results[0]
+        for other in results[1:]:
+            assert np.array_equal(first.p_values, other.p_values)
+            assert first.study == other.study
+            assert [replace(r, seconds=0.0) for r in first.rows] == [
+                replace(r, seconds=0.0) for r in other.rows
+            ]
 
 
 def test_dependogram_same_for_every_jobs(pool_always):
@@ -66,11 +69,13 @@ def test_dependogram_same_for_every_jobs(pool_always):
     groups = [base, base + 0.3 * rng.standard_normal((14, 2))]
     groups += [np.round(rng.standard_normal((14, 2))) for _ in range(3)]
     spec = StatisticSpec(Functional.L1, Metric.L2, Metric.L2)
-    deps = [rt.dependogram(groups, spec, m=39, seed=4, jobs=jobs) for jobs in JOBS]
-    assert len(deps[0].entries) == 10
-    for other in deps[1:]:
-        assert other.labels == deps[0].labels
-        assert other.entries == deps[0].entries
+    # five groups make 10 units; two make one, whose test gets the jobs
+    for inputs, pairs in ((groups, 10), (groups[:2], 1)):
+        deps = [rt.dependogram(inputs, spec, m=39, seed=4, jobs=jobs) for jobs in JOBS]
+        assert len(deps[0].entries) == pairs
+        for other in deps[1:]:
+            assert other.labels == deps[0].labels
+            assert other.entries == deps[0].entries
 
 
 def sample_pair(ties, n=10):
@@ -95,10 +100,7 @@ def test_permutation_test_same_for_every_jobs(pool_always, blocks_of_4, function
     # one row of the observed pairing plus m: one part-filled block, one
     # full block, then 3 full blocks, and 3 blocks and a part-filled one
     for m in (1, 3, 11, 13):
-        reports = [
-            rt.permutation_test(x, y, spec, m, seed=6, keep_perm_stats=True, jobs=jobs)
-            for jobs in JOBS
-        ]
+        reports = [rt.permutation_test(x, y, spec, m, seed=6, jobs=jobs) for jobs in JOBS]
         for other in reports:
             assert other.perm_stats.shape == (m,)
             assert np.array_equal(other.perm_stats, reports[0].perm_stats)
@@ -140,15 +142,24 @@ def test_nested_tests_never_fork(pool_always, blocks_of_4, monkeypatch, tmp_path
         return real()
 
     monkeypatch.setattr(_workers.os, "fork", fork)
-    # The tests of these 12 replications and 6 group pairs have 10 rows and
-    # 5 blocks each, so they would fork on their own.
-    rt.run_power(small_study())
+    # A test of 10 rows and m = 19 has 5 blocks, so on its own it forks for
+    # the 4 after block 0.
     x, y = sample_pair(ties=False)
+    rt.permutation_test(x, y, SPECS[0], 19, seed=3)
+    per_test = [str(os.getpid())] * (_workers.worker_count(None, 4) - 1)
+    assert log.read_text().split() == per_test
+    # A call of one unit gives its tests its jobs, so each forks as on its
+    # own: one replication tests both SPECS, two groups make one pair.
+    rt.run_power(small_study(reps=1))
+    rt.dependogram([x, y], SPECS[0], m=19, seed=3)
+    assert log.read_text().split() == 4 * per_test
+    # The tests of these 12 replications and 6 group pairs are as large, but
+    # only the calls fork, for their own units.
+    log.write_text("")
+    rt.run_power(small_study())
     rt.dependogram([x, y, x + y, x - y], SPECS[0], m=19, seed=3)
     outer = _workers.worker_count(None, 11) - 1 + _workers.worker_count(None, 5) - 1
     assert log.read_text().split() == [str(os.getpid())] * outer
-    rt.permutation_test(x, y, SPECS[0], 19, seed=3)
-    assert len(log.read_text().split()) == outer + _workers.worker_count(None, 4) - 1
 
 
 def test_jobs_one_starts_no_process(pool_always, blocks_of_4, monkeypatch):
@@ -159,7 +170,9 @@ def test_jobs_one_starts_no_process(pool_always, blocks_of_4, monkeypatch):
     x, y = sample_pair(ties=False)
     rt.permutation_test(x, y, SPECS[1], 19, seed=3, jobs=1)
     rt.run_power(small_study(), jobs=1)
+    rt.run_power(small_study(reps=1), jobs=1)
     rt.dependogram([x, y, x + y], SPECS[0], m=19, seed=3, jobs=1)
+    rt.dependogram([x, y], SPECS[0], m=19, seed=3, jobs=1)
 
 
 class RepFailure(Exception):
@@ -201,7 +214,7 @@ def test_failing_replication_keeps_invalid_input_type():
 
 
 def test_units_come_back_in_order_from_workers():
-    got = _workers.run_units(pid_and_index, (), 5, 2)
+    got = _workers.run_units(pid_and_index, 5, 2)
     assert [i for _, i in got] == list(range(5))
     assert got[0][0] == os.getpid()  # unit 0 always runs in the caller
     if _workers.worker_count(2, 4) == 2:
@@ -210,34 +223,22 @@ def test_units_come_back_in_order_from_workers():
 
 def test_default_jobs_runs_quick_units_in_process():
     # four more units as quick as the first take far below _MIN_POOL_SECONDS
-    got = _workers.run_units(pid_and_index, (), 5, None)
+    got = _workers.run_units(pid_and_index, 5, None)
     assert got == [(os.getpid(), i) for i in range(5)]
 
 
 def test_default_jobs_starts_workers_when_they_pay(pool_always):
-    got = _workers.run_units(pid_and_index, (), 5, None)
+    got = _workers.run_units(pid_and_index, 5, None)
     assert [i for _, i in got] == list(range(5))
     if _workers.worker_count(None, 4) > 1:
         assert {pid for pid, _ in got} - {os.getpid()}
 
 
 def test_units_need_not_pickle():
-    # workers inherit fn and args by forking; only results travel by pipe
+    # workers inherit fn by forking; only results travel by pipe
     lock = threading.Lock()
-    got = _workers.run_units(lambda held, i: (held.locked(), os.getpid(), i), (lock,), 5, 2)
+    got = _workers.run_units(lambda i: (lock.locked(), os.getpid(), i), 5, 2)
     assert [i for *_, i in got] == list(range(5))
-
-
-def nested_pids(i):
-    return os.getpid(), {pid for pid, _ in _workers.run_units(pid_and_index, (), 4, 2)}
-
-
-def test_workers_run_nested_units_in_process():
-    got = _workers.run_units(nested_pids, (), 4, 2)
-    in_workers = [(pid, inner) for pid, inner in got if pid != os.getpid()]
-    assert all(inner == {pid} for pid, inner in in_workers)
-    if _workers.worker_count(2, 3) == 2:
-        assert in_workers
 
 
 def exit_in_worker(parent, i):
@@ -250,7 +251,7 @@ def test_dead_worker_raises_and_is_reaped():
     if _workers.worker_count(2, 4) < 2:
         pytest.skip("one usable CPU: no worker starts")
     with pytest.raises(RuntimeError, match=r"worker for units 3\.\.4 exited with code 3"):
-        _workers.run_units(exit_in_worker, (os.getpid(),), 5, 2)
+        _workers.run_units(partial(exit_in_worker, os.getpid()), 5, 2)
     assert_no_child_left()
 
 
@@ -265,7 +266,7 @@ def fail_in_caller(parent, i):
 def test_caller_failure_stops_workers():
     start = time.perf_counter()
     with pytest.raises(RepFailure):
-        _workers.run_units(fail_in_caller, (os.getpid(),), 5, 2)
+        _workers.run_units(partial(fail_in_caller, os.getpid()), 5, 2)
     assert time.perf_counter() - start < 30  # the sleeping worker was killed
     assert_no_child_left()
 
@@ -296,7 +297,7 @@ def test_worker_count_is_one_while_other_threads_run():
 def test_daemonic_caller_runs_in_process():
     # A Pool worker may not start children: the units run in that worker.
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        got = pool.apply_async(_workers.run_units, (pid_and_index, (), 4, 2)).get(timeout=60)
+        got = pool.apply_async(_workers.run_units, (pid_and_index, 4, 2)).get(timeout=60)
     assert [i for _, i in got] == list(range(4))
     assert len({pid for pid, _ in got}) == 1 and got[0][0] != os.getpid()
 
