@@ -2,11 +2,12 @@
 
 A unit is ``fn(i)`` for an index ``i``; it must depend only on ``i`` and
 what ``fn`` holds (every random draw comes from a stream of its own), so
-the results do not depend on how many processes compute them.  Unit 0 runs
-in this process first, and its time decides whether workers pay.  The rest
-are then split into contiguous chunks: this process computes the first, and
-a forked worker computes each of the others and sends its results back
-pickled through a pipe.  The results are put back in index order.
+the results do not depend on how many processes compute them.  The units
+are split into contiguous chunks: this process computes the first, and a
+forked worker computes each of the others and sends its results back
+pickled through a pipe.  The results are put back in index order.  A fork
+costs a few milliseconds, which a call of tiny units pays in wall time;
+``jobs=1`` keeps such a call in-process.
 
 Workers are forked, not spawned: a forked worker starts from the parent's
 memory in a few milliseconds and inherits ``fn`` without pickling it, while
@@ -33,17 +34,8 @@ import os
 import pickle
 import sys
 import threading
-import time
 
 from .exceptions import InvalidInputError
-
-# Serial seconds that the units after unit 0 must take, estimated from unit
-# 0's time, before a call with the default ``jobs=None`` starts workers.  On
-# a 2-core x86 VM a worker costs about 2.3 ms with no work to do; work of
-# 25-70 ms (small dependograms and power studies) ran faster in two
-# processes in some runs and slower in others, and four dependograms of
-# 5 ms each took 30-45 ms against 18-20 ms in-process.
-_MIN_POOL_SECONDS = 0.1
 
 
 def worker_count(jobs, units: int) -> int:
@@ -73,30 +65,24 @@ def worker_count(jobs, units: int) -> int:
 def run_units(fn, count: int, jobs) -> list:
     """``[fn(i) for i in range(count)]``, over up to ``jobs`` processes.
 
-    Unit 0 runs here.  Units 1 .. count-1 are shared by this process and
-    ``worker_count(jobs, count - 1) - 1`` forked workers; with ``jobs=None``
-    they all run here when unit 0's time puts them under
-    ``_MIN_POOL_SECONDS``.  The results of ``fn`` must be picklable; ``fn``
+    Units 0 .. count-1 are split into ``worker_count(jobs, count)``
+    contiguous chunks: this process computes the first and a forked worker
+    each of the others.  The results of ``fn`` must be picklable; ``fn``
     itself, a closure or a ``functools.partial`` alike, need not be.  A
     worker whose unit raises reports only that unit's index; the lowest
     failing index is then run again in this process, so the caller gets the
     very exception a serial run raises, and no exception object has to
     survive pickling.
     """
-    workers = worker_count(jobs, count - 1)
+    workers = worker_count(jobs, count)
+    bounds = [count * w // workers for w in range(workers + 1)]
+    (lo, hi), *chunks = zip(bounds, bounds[1:])
     children = []
     try:
-        start = time.perf_counter()
-        results = [fn(0)] if count > 0 else []
-        if jobs is None and (count - 1) * (time.perf_counter() - start) < _MIN_POOL_SECONDS:
-            workers = 1
-
-        bounds = [1 + (count - 1) * w // workers for w in range(workers + 1)]
-        (lo, hi), *chunks = zip(bounds, bounds[1:])
         for chunk in chunks:
             children.append(_fork_chunk(fn, *chunk))
         # A failure here is the lowest one; the workers are then stopped.
-        results += [fn(i) for i in range(lo, hi)]
+        results = [fn(i) for i in range(lo, hi)]
         done = [_collect(child, *chunk) for child, chunk in zip(children, chunks)]
 
         for (part, failed), (_, hi) in zip(done, chunks):

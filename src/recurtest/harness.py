@@ -81,13 +81,12 @@ def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     """Run the study; deterministic given its seed.
 
     ``jobs`` bounds the processes, this one and forked workers, that the
-    call uses (default: every usable CPU, when replication 0, run here
-    first, says the rest take at least 0.1 s in one process; ``jobs=1``
-    starts none).  Each process holds one replication at a time, so peak
-    memory grows with the process count.  Every output but the wall-clock
-    ``seconds`` of each row, the test time summed over replications, is the
-    same for every ``jobs``, and so is the error a failing replication
-    raises: that of the lowest failing index.
+    call uses (default: every usable CPU; ``jobs=1`` starts none).  Each
+    process holds one replication at a time, so peak memory grows with the
+    process count.  Every output but the wall-clock ``seconds`` of each row,
+    the test time summed over replications, is the same for every ``jobs``,
+    and so is the error a failing replication raises: that of the lowest
+    failing index.
     """
     if study.reps < 1:
         raise InvalidInputError(f"replication count must be >= 1, got {study.reps}")

@@ -83,11 +83,10 @@ def permutation_test(
 
     The observed pairing and the permutations are evaluated in blocks of
     rows, the observed one first.  ``jobs`` bounds the processes, this one
-    and forked workers, that share the blocks (default: every usable CPU,
-    when the first block, run here first, says the rest take at least 0.1 s
-    in one process; ``jobs=1`` starts none).  Each process holds one block
-    at a time.  The report, ``perm_stats`` included, is the same for every
-    ``jobs``, but for ``elapsed``.
+    and forked workers, that share the blocks (default: every usable CPU;
+    ``jobs=1`` starts none, and nor does a test of one block).  Each process
+    holds one block at a time.  The report, ``perm_stats`` included, is the
+    same for every ``jobs``, but for ``elapsed``.
     """
     if m < 1:
         raise InvalidInputError(f"permutation count must be >= 1, got {m}")
@@ -179,8 +178,9 @@ def critical_values(perm_stats, levels) -> list[float]:
     for alpha in levels:
         check_level(alpha, m)
         # Small epsilon keeps exact lattice points (e.g. 0.95 * 100) from
-        # rounding up through floating noise.
-        out.append(float(stats[ceil((1.0 - alpha) * (m + 1) - 1e-12) - 1]))
+        # rounding up through floating noise; a level within it of 1 still
+        # takes the first order statistic.
+        out.append(float(stats[max(1, ceil((1.0 - alpha) * (m + 1) - 1e-12)) - 1]))
     return out
 
 
@@ -217,10 +217,9 @@ def dependogram(
     per-pair derived seed, and records observed values, permutation critical
     values and rejection flags at each level.  ``jobs`` bounds the
     processes, this one and forked workers, that the call uses (default:
-    every usable CPU, when the first pair, run here first, says the rest
-    take at least 0.1 s in one process; ``jobs=1`` starts none).  Each
-    process holds one pair's test at a time, so peak memory grows with the
-    process count.  The entries are the same for every ``jobs``.
+    every usable CPU; ``jobs=1`` starts none).  Each process holds one
+    pair's test at a time, so peak memory grows with the process count.
+    The entries are the same for every ``jobs``.
     """
     samples = [ensure_sample(g, f"group {i}") for i, g in enumerate(groups)]
     if len(samples) < 2:

@@ -216,7 +216,7 @@ def _arma(phi: tuple[float, ...], theta: float, noise, burnin: int) -> np.ndarra
     return _lfilter((1.0, theta), (1.0, *(-p for p in phi)), noise, skip=burnin)
 
 
-def _stationary_sd(phi: tuple[float, ...], theta: float, tol: float = 1e-15) -> float:
+def _stationary_sd(phi: tuple[float, ...], theta: float) -> float:
     psi = [1.0]
     total = 1.0
     for j in range(1, 100_000):
@@ -226,35 +226,29 @@ def _stationary_sd(phi: tuple[float, ...], theta: float, tol: float = 1e-15) -> 
                 value += p * psi[j - i]
         psi.append(value)
         total += value * value
-        if j > max(2, len(phi)) and value * value < tol * total:
+        if j > max(2, len(phi)) and value * value < 1e-15 * total:
             break
     return float(np.sqrt(total))
 
 
-def arma_stationary_sd(phi, theta: float, tol: float = 1e-15) -> float:
+def arma_stationary_sd(phi, theta: float) -> float:
     """Stationary standard deviation of the ARMA recursion under unit noise,
     from its moving-average expansion."""
-    return _stationary_sd(*_arma_coefficients(phi, theta), tol)
+    return _stationary_sd(*_arma_coefficients(phi, theta))
 
 
-def gen_ar_arma(
-    length: int,
-    phi,
-    theta: float,
-    rng: np.random.Generator,
-    burnin: int = _ARMA_BURN_IN,
-) -> np.ndarray:
+def gen_ar_arma(length: int, phi, theta: float, rng: np.random.Generator) -> np.ndarray:
     """ARMA series x_t = sum_i phi_i x_{t-i} + e_t + theta e_{t-1}.
 
-    Driven by standard Gaussian noise; the first ``burnin`` steps are
+    Driven by standard Gaussian noise; the first ``_ARMA_BURN_IN`` steps are
     discarded, which far exceeds the mixing time of every parameter set used
     in the study scenarios.
     """
     if length < 1:
         raise InvalidInputError(f"length must be >= 1, got {length}")
     phi, theta = _arma_coefficients(phi, theta)
-    eps = rng.standard_normal(burnin + length)
-    return _arma(phi, theta, eps.tolist(), burnin)
+    eps = rng.standard_normal(_ARMA_BURN_IN + length)
+    return _arma(phi, theta, eps.tolist(), _ARMA_BURN_IN)
 
 
 def _validate_hurst(hurst: float) -> float:

@@ -78,9 +78,6 @@ class StatisticSpec:
     metric_x: Metric
     metric_y: Metric
 
-    def label(self) -> str:
-        return f"{self.functional.value}:{self.metric_x.value}:{self.metric_y.value}"
-
 
 def recurrence_rate(pd: PairedDistances, axis: str, radius: float) -> float:
     """Fraction of pairs whose ``axis`` distance is strictly below ``radius``."""

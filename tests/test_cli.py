@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import recurtest as rt
-from recurtest import _workers
 from recurtest.cli import main
 from recurtest.fileio import read_dataset, read_power_config, write_dataset
 
@@ -105,10 +104,9 @@ class TestCmdTest:
             doc.pop("elapsed_ms")
         assert outs[0] == outs[1]
 
-    def test_report_same_for_every_jobs(self, gauss_csv, tmp_path, monkeypatch):
-        # 30 rows, so the 100 rows of the test make 3 blocks; the gate is
-        # forced open, so the default jobs shares them with a worker.
-        monkeypatch.setattr(_workers, "_MIN_POOL_SECONDS", 0.0)
+    def test_report_same_for_every_jobs(self, gauss_csv, tmp_path):
+        # 30 rows, so the 100 rows of the test make 3 blocks, which the
+        # default jobs shares with a worker.
         xp, yp = gauss_csv
         texts = []
         for jobs in (["--jobs", "1"], []):

@@ -206,8 +206,9 @@ class TestCriticalValues:
     def test_nonincreasing_in_level(self):
         rng = np.random.default_rng(1)
         stats = rng.uniform(size=199)
-        cvs = rt.critical_values(stats, [0.01, 0.05, 0.10, 0.25])
+        cvs = rt.critical_values(stats, [0.01, 0.05, 0.10, 0.25, 1 - 1e-15])
         assert all(a >= b for a, b in zip(cvs, cvs[1:]))
+        assert cvs[-1] == stats.min()
 
     def test_level_bounds(self):
         with pytest.raises(InvalidInputError):

@@ -44,13 +44,7 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def pool_always(monkeypatch):
-    """The default jobs starts workers even for units as small as these."""
-    monkeypatch.setattr(_workers, "_MIN_POOL_SECONDS", 0.0)
-
-
-def test_run_power_same_for_every_jobs(pool_always):
+def test_run_power_same_for_every_jobs():
     # 12 replications make 12 units; one makes one, whose tests get the jobs
     for reps in (12, 1):
         results = [rt.run_power(small_study(reps=reps), jobs=jobs) for jobs in JOBS]
@@ -63,7 +57,7 @@ def test_run_power_same_for_every_jobs(pool_always):
             ]
 
 
-def test_dependogram_same_for_every_jobs(pool_always):
+def test_dependogram_same_for_every_jobs():
     rng = np.random.default_rng(12)
     base = rng.standard_normal((14, 2))
     groups = [base, base + 0.3 * rng.standard_normal((14, 2))]
@@ -94,7 +88,7 @@ def blocks_of_4(monkeypatch):
 
 @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
 @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
-def test_permutation_test_same_for_every_jobs(pool_always, blocks_of_4, functional, ties):
+def test_permutation_test_same_for_every_jobs(blocks_of_4, functional, ties):
     x, y = sample_pair(ties)
     spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
     # one row of the observed pairing plus m: one part-filled block, one
@@ -116,7 +110,7 @@ class PermutationFailure(Exception):
 # and rows 8-13 in a worker.
 @pytest.mark.parametrize("ks", [(5, 9), (9, 13)], ids=["caller-first", "worker-only"])
 @pytest.mark.parametrize("jobs", JOBS)
-def test_lowest_failing_block_raises(monkeypatch, pool_always, blocks_of_4, jobs, ks):
+def test_lowest_failing_block_raises(monkeypatch, blocks_of_4, jobs, ks):
     real = streams.substream
 
     def substream(seed, *path):
@@ -130,7 +124,7 @@ def test_lowest_failing_block_raises(monkeypatch, pool_always, blocks_of_4, jobs
         rt.permutation_test(x, y, SPECS[0], 13, seed=2, jobs=jobs)
 
 
-def test_nested_tests_never_fork(pool_always, blocks_of_4, monkeypatch, tmp_path):
+def test_nested_tests_never_fork(blocks_of_4, monkeypatch, tmp_path):
     # Every fork, in this process or a worker, logs the pid that made it.
     log = tmp_path / "forks"
     log.touch()
@@ -142,11 +136,14 @@ def test_nested_tests_never_fork(pool_always, blocks_of_4, monkeypatch, tmp_path
         return real()
 
     monkeypatch.setattr(_workers.os, "fork", fork)
-    # A test of 10 rows and m = 19 has 5 blocks, so on its own it forks for
-    # the 4 after block 0.
+    # A test of 10 rows and m = 3 is one block, which runs here; with
+    # m = 19 it has 5 blocks, so on its own it forks for every share of
+    # them but the first.
     x, y = sample_pair(ties=False)
+    rt.permutation_test(x, y, SPECS[0], 3, seed=3)
+    assert log.read_text() == ""
     rt.permutation_test(x, y, SPECS[0], 19, seed=3)
-    per_test = [str(os.getpid())] * (_workers.worker_count(None, 4) - 1)
+    per_test = [str(os.getpid())] * (_workers.worker_count(None, 5) - 1)
     assert log.read_text().split() == per_test
     # A call of one unit gives its tests its jobs, so each forks as on its
     # own: one replication tests both SPECS, two groups make one pair.
@@ -158,11 +155,11 @@ def test_nested_tests_never_fork(pool_always, blocks_of_4, monkeypatch, tmp_path
     log.write_text("")
     rt.run_power(small_study())
     rt.dependogram([x, y, x + y, x - y], SPECS[0], m=19, seed=3)
-    outer = _workers.worker_count(None, 11) - 1 + _workers.worker_count(None, 5) - 1
+    outer = _workers.worker_count(None, 12) - 1 + _workers.worker_count(None, 6) - 1
     assert log.read_text().split() == [str(os.getpid())] * outer
 
 
-def test_jobs_one_starts_no_process(pool_always, blocks_of_4, monkeypatch):
+def test_jobs_one_starts_no_process(blocks_of_4, monkeypatch):
     def fork():
         raise AssertionError("forked")
 
@@ -188,7 +185,7 @@ class RepFailure(Exception):
 # With 2 processes, reps 0-5 run in the caller and reps 6-11 in a worker.
 @pytest.mark.parametrize("reps", [(3, 7), (7, 9)], ids=["caller-first", "worker-only"])
 @pytest.mark.parametrize("jobs", JOBS)
-def test_lowest_failing_replication_raises(monkeypatch, pool_always, jobs, reps):
+def test_lowest_failing_replication_raises(monkeypatch, jobs, reps):
     study = small_study()
     failing = {streams.derive_seed(study.seed, streams.POWER_REP, k, 0): k for k in reps}
     real = harness.gen_scenario
@@ -214,24 +211,12 @@ def test_failing_replication_keeps_invalid_input_type():
 
 
 def test_units_come_back_in_order_from_workers():
-    got = _workers.run_units(pid_and_index, 5, 2)
-    assert [i for _, i in got] == list(range(5))
-    assert got[0][0] == os.getpid()  # unit 0 always runs in the caller
-    if _workers.worker_count(2, 4) == 2:
-        assert {pid for pid, _ in got} - {os.getpid()}
-
-
-def test_default_jobs_runs_quick_units_in_process():
-    # four more units as quick as the first take far below _MIN_POOL_SECONDS
-    got = _workers.run_units(pid_and_index, 5, None)
-    assert got == [(os.getpid(), i) for i in range(5)]
-
-
-def test_default_jobs_starts_workers_when_they_pay(pool_always):
-    got = _workers.run_units(pid_and_index, 5, None)
-    assert [i for _, i in got] == list(range(5))
-    if _workers.worker_count(None, 4) > 1:
-        assert {pid for pid, _ in got} - {os.getpid()}
+    for jobs in (2, None):
+        got = _workers.run_units(pid_and_index, 5, jobs)
+        assert [i for _, i in got] == list(range(5))
+        assert got[0][0] == os.getpid()  # unit 0 always runs in the caller
+        if _workers.worker_count(jobs, 5) > 1:
+            assert {pid for pid, _ in got} - {os.getpid()}
 
 
 def test_units_need_not_pickle():
@@ -248,9 +233,9 @@ def exit_in_worker(parent, i):
 
 
 def test_dead_worker_raises_and_is_reaped():
-    if _workers.worker_count(2, 4) < 2:
+    if _workers.worker_count(2, 5) < 2:
         pytest.skip("one usable CPU: no worker starts")
-    with pytest.raises(RuntimeError, match=r"worker for units 3\.\.4 exited with code 3"):
+    with pytest.raises(RuntimeError, match=r"worker for units 2\.\.4 exited with code 3"):
         _workers.run_units(partial(exit_in_worker, os.getpid()), 5, 2)
     assert_no_child_left()
 
