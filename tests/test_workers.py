@@ -211,12 +211,20 @@ def test_failing_replication_keeps_invalid_input_type():
 
 
 def test_units_come_back_in_order_from_workers():
-    for jobs in (2, None):
-        got = _workers.run_units(pid_and_index, 5, jobs)
-        assert [i for _, i in got] == list(range(5))
-        assert got[0][0] == os.getpid()  # unit 0 always runs in the caller
-        if _workers.worker_count(jobs, 5) > 1:
-            assert {pid for pid, _ in got} - {os.getpid()}
+    got = _workers.run_units(pid_and_index, 5, 2)
+    assert [i for _, i in got] == list(range(5))
+    assert got[0][0] == os.getpid()  # unit 0 always runs in the caller
+    if _workers.worker_count(2, 5) > 1:
+        assert {pid for pid, _ in got} - {os.getpid()}
+
+
+def test_default_jobs_starts_workers_when_they_pay():
+    # however quick the units, the default jobs forks once there are two
+    got = _workers.run_units(pid_and_index, 5, None)
+    assert [i for _, i in got] == list(range(5))
+    assert got[0][0] == os.getpid()
+    if _workers.worker_count(None, 5) > 1:
+        assert {pid for pid, _ in got} - {os.getpid()}
 
 
 def test_units_need_not_pickle():
