@@ -26,6 +26,12 @@ def stable_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def block_size(m: int) -> int:
+    """Default sub-block length of ``prefix_dominance`` for sequences of
+    length ``m``: its work is about ``m * block_size(m)`` per sequence."""
+    return max(32, int(1.5 * np.sqrt(m)))
+
+
 def prefix_dominance(ranks: np.ndarray, weights: np.ndarray, block: int | None = None):
     """Per-position dominance statistics over the preceding prefix.
 
@@ -46,7 +52,7 @@ def prefix_dominance(ranks: np.ndarray, weights: np.ndarray, block: int | None =
     if m <= 1:
         return count_less.reshape(shape), wsum_greater.reshape(shape)
     if block is None:
-        block = max(32, int(1.5 * np.sqrt(m)))
+        block = block_size(m)
     row = np.arange(rows)[:, None]
 
     # Cumulative structures over the rank axis for everything seen so far:

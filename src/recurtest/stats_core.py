@@ -22,6 +22,11 @@ of one permutation -- and sweeps the fixed z-order once with state of shape
 ``(P, .)``.  The single-pairing kernels are blocks of one.  Each row's value
 is independent of the block it is evaluated in.
 
+The integral functionals sum over the grid of cells between consecutive
+distinct distances (``_Cells``).  The quadratic one does so only when the
+grid is small, as on tied data, and otherwise evaluates the expanded
+square in closed form.
+
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
 values carry equal weight-CDF values and equal counts).
@@ -40,7 +45,7 @@ import numpy as np
 
 from .exceptions import InternalConsistencyError, InvalidInputError
 from .metrics import Metric, PairedDistances, paired_distances
-from .rankstats import prefix_dominance, stable_ranks
+from .rankstats import block_size, prefix_dominance, stable_ranks
 from .weights import GaussianWeight, estimate_weight, weight_cdf
 
 # Computed values of the quadratic statistic below this are round-off noise
@@ -158,10 +163,83 @@ def _sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):
 
 
 # ---------------------------------------------------------------------------
+# The cell grid of the integral functionals
+
+
+class _Cells:
+    """The grid of cells over which both integral functionals sum.
+
+    The discrepancy is piecewise constant between consecutive sorted
+    distances.  On the cell (h, j) -- X radii with h of the m X distances
+    below them, Y radii with j below -- it equals (c(h, j) - h*j/m) / m,
+    where c(h, j) counts, among the first h records in z-order, those whose
+    t-value ranks at or below j; the cell's weight mass is dG1(h) dG2(j),
+    h, j = 1..m-1.  Outside the data range on either axis the discrepancy
+    is zero.  Only cells with dG1(h) != 0 and dG2(j) != 0 contribute, so
+    the sweep stops only at those h and keeps only those j columns.  Both
+    lie at the ends of tie runs, where the counts depend on values rather
+    than on tie-breaking: c(h, j) is the number of the first h records with
+    t <= t_(j).  Memory stays O(P m).
+    """
+
+    def __init__(self, pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight):
+        self.m = pd.pair_count
+        self.z_order = np.argsort(pd.z, kind="stable")
+        t_sorted = np.sort(pd.t, kind="stable")
+        self.g1 = weight_cdf(wx, pd.z[self.z_order])  # in z-sorted order
+        self.g2 = weight_cdf(wy, t_sorted)
+        self.dg1 = np.diff(self.g1)  # h = 1..m-1
+        dg2 = np.diff(self.g2)  # j = 1..m-1
+        self.stops = np.flatnonzero(self.dg1 != 0.0)  # end position h - 1 of each stop
+        cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
+        self.col_values = t_sorted[cols]
+        self.col_j = cols + 1.0
+        self.col_dg2 = dg2[cols]
+
+    @property
+    def size(self) -> int:
+        """The number of contributing cells."""
+        return self.stops.size * self.col_j.size
+
+    def sum(self, t_block: np.ndarray, squared: bool) -> np.ndarray:
+        """``sum_{h,j} dG1(h) dG2(j) |c(h, j) - h*j/m|``, or its square, per
+        row of ``t_block``."""
+        codes = np.searchsorted(self.col_values, t_block[:, self.z_order], side="left")
+        acc = np.zeros((len(t_block), self.col_j.size))  # sum over h of dG1(h) |...|
+        for h, dev in _sweep(codes, self.stops, self.col_j, self.m):
+            if squared:
+                dev *= dev
+            dev *= self.dg1[h - 1]
+            acc += dev
+        return (acc * self.col_dg2).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
 # Quadratic (L2) functional
 
 
 def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Evaluator:
+    """The quadratic functional, n/m^2 * sum_{h,j} dG1(h) dG2(j) (c(h, j) - h*j/m)^2.
+
+    On a grid of few distinct distances (tied data) the cell sum is cheap
+    and every term is nonnegative; otherwise the closed form does O(m^1.5)
+    work per row however many cells there are.  The cell sum is chosen when
+    it has at most ``m * block_size(m)`` cells, the closed form's work.
+    """
+    cells = _Cells(pd, wx, wy)
+    if cells.size <= cells.m * block_size(cells.m):
+        return _l2_cell_sum(cells, pd.n)
+    return _l2_closed_form(cells, pd.n)
+
+
+def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
+    """The quadratic functional summed over the cells.  Every term is
+    nonnegative, so the sum keeps full relative accuracy."""
+    m = cells.m
+    return lambda t_block: n / (m * m) * cells.sum(t_block, squared=True)
+
+
+def _l2_closed_form(cells: _Cells, n: int) -> Evaluator:
     """Closed form of the quadratic functional.
 
     Expanding the square gives three terms: the joint term couples the pair
@@ -171,22 +249,19 @@ def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     Y-side bracket.  The product term and both brackets (each a function of
     the record's own distance) are invariant under re-pairing; only the
     joint term and the pairing of the brackets are evaluated per row, in
-    O(m^1.5) elementwise work.
+    O(m^1.5) elementwise work.  The terms cancel to about six digits on
+    tied data, which the cell sum avoids.
     """
-    m = pd.pair_count
-    n = pd.n
-
-    z_order = np.argsort(pd.z, kind="stable")
-    g1_sorted = weight_cdf(wx, pd.z[z_order])
-    g2_sorted = weight_cdf(wy, np.sort(pd.t, kind="stable"))
-    surv_z = 1.0 - g1_sorted  # in z-sorted order
-    surv_t_sorted = 1.0 - g2_sorted
+    m = cells.m
+    z_order = cells.z_order
+    surv_z = 1.0 - cells.g1  # in z-sorted order
+    surv_t_sorted = 1.0 - cells.g2
 
     # Product term: for sorted values, sum_{i,j} G(max(v_i, v_j)) equals
     # sum_i (2i - 1) G(v_(i)).
     odd = 2.0 * np.arange(1, m + 1) - 1.0
-    product_term = (1.0 - float(np.dot(odd, g1_sorted)) / (m * m)) * (
-        1.0 - float(np.dot(odd, g2_sorted)) / (m * m)
+    product_term = (1.0 - float(np.dot(odd, cells.g1)) / (m * m)) * (
+        1.0 - float(np.dot(odd, cells.g2)) / (m * m)
     )
 
     # Cross term: sum_i [sum_j surv_z(max(z_i,z_j))] [sum_k surv_t(max(t_i,t_k))] / m^3,
@@ -225,42 +300,11 @@ def l2_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) ->
 
 
 def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Evaluator:
-    """Closed form of the absolute functional.
-
-    The discrepancy is piecewise constant between consecutive sorted
-    distances; integrating cell by cell gives
-
-        sqrt(n)/m * sum_{h,j=1}^{m-1} dG1(h) dG2(j) |c(h, j) - h*j/m|
-
-    where c(h, j) counts, among the first h records in z-order, those whose
-    t-value ranks at or below j.  Only cells with dG1(h) != 0 and
-    dG2(j) != 0 contribute, so the sweep stops only at those h and keeps
-    only those j columns.  Both lie at the ends of tie runs, where the
-    counts depend on values rather than on tie-breaking: c(h, j) is the
-    number of the first h records with t <= t_(j).  Memory stays O(P m).
-    """
-    m = pd.pair_count
-    n = pd.n
-
-    z_order = np.argsort(pd.z, kind="stable")
-    t_sorted = np.sort(pd.t, kind="stable")
-    dg1 = np.diff(weight_cdf(wx, pd.z[z_order]))  # h = 1..m-1
-    dg2 = np.diff(weight_cdf(wy, t_sorted))  # j = 1..m-1
-    steps = np.flatnonzero(dg1 != 0.0)  # end position h - 1 of each stop
-    cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
-    col_values = t_sorted[cols]
-    col_j = cols + 1.0
-    col_dg2 = dg2[cols]
-
-    def evaluate(t_block: np.ndarray) -> np.ndarray:
-        codes = np.searchsorted(col_values, t_block[:, z_order], side="left")
-        acc = np.zeros((len(t_block), col_j.size))  # sum over h of dG1(h) |...|
-        for h, dev in _sweep(codes, steps, col_j, m):
-            dev *= dg1[h - 1]
-            acc += dev
-        return np.sqrt(n) / m * (acc * col_dg2).sum(axis=1)
-
-    return evaluate
+    """The absolute functional, sqrt(n)/m * sum_{h,j} dG1(h) dG2(j) |c(h, j) - h*j/m|,
+    summed over the cells (see ``_Cells``)."""
+    cells = _Cells(pd, wx, wy)
+    scale = np.sqrt(pd.n) / cells.m
+    return lambda t_block: scale * cells.sum(t_block, squared=False)
 
 
 def l1_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:

@@ -9,6 +9,8 @@ literally, from the same weights.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.stats import norm
 
@@ -158,6 +160,38 @@ def l2_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeig
 
     value = n * (joint_term + product_term - 2.0 * cross_term)
     return float(_clamp_nonnegative(value, "l2_statistic_naive"))
+
+
+def l2_statistic_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Fraction:
+    """Exact rational value of the quadratic cell sum (oracle).
+
+    The discrepancy is constant on the rectangle between the k-th and the
+    (k+1)-th distinct X distance u and the l-th and (l+1)-th distinct Y
+    distance v, where it is (m*C - A*B) / m^2 with the integer counts
+    A = #{z <= u_k}, B = #{t <= v_l} and C = #{z <= u_k, t <= v_l}; it is
+    zero outside the data range.  Each rectangle's mass is the exact
+    difference of the float weight-CDF values at its ends, and the sum is
+    carried out in rationals, so only the weight-CDF values are rounded.
+    The double loop runs over distinct values: for tied data only.
+    """
+    m = pd.pair_count
+    u = np.unique(pd.z)
+    v = np.unique(pd.t)
+    gu = [Fraction(float(g)) for g in weight_cdf(wx, u)]
+    gv = [Fraction(float(g)) for g in weight_cdf(wy, v)]
+    z_le = pd.z[None, :] <= u[:-1, None]
+    t_le = pd.t[None, :] <= v[:-1, None]
+    a = [int(c) for c in z_le.sum(axis=1)]
+    b = [int(c) for c in t_le.sum(axis=1)]
+    joint = (z_le.astype(np.int64) @ t_le.T.astype(np.int64)).tolist()
+    total = Fraction(0)
+    for k in range(u.size - 1):
+        row = Fraction(0)
+        for l in range(v.size - 1):
+            dev = m * joint[k][l] - a[k] * b[l]
+            row += (gv[l + 1] - gv[l]) * (dev * dev)
+        total += (gu[k + 1] - gu[k]) * row
+    return Fraction(pd.n, m**4) * total
 
 
 def l1_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:

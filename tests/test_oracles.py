@@ -1,5 +1,7 @@
 """Kernel values against direct evaluations of the statistic definitions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from oracles import (
     exact_integral_l1,
     exact_integral_l2,
     exhaustive_sup,
+    l2_statistic_exact,
+    l2_statistic_naive,
     quadrature_l1,
     quadrature_l2,
 )
@@ -33,6 +37,34 @@ def test_l2_matches_exact_integral(i):
     assert rt.l2_statistic(pd, wx, wy) == pytest.approx(
         exact_integral_l2(pd, wx, wy), rel=1e-11
     )
+
+
+@pytest.mark.parametrize("i", range(12))
+def test_exact_cell_sum_matches_literal_sum(i):
+    # the rational oracle itself, on tied data small enough for the literal sum
+    pd, wx, wy = instance(i)
+    pd = rt.PairedDistances(pd.n, np.round(pd.z), np.round(2 * pd.t))
+    assert float(l2_statistic_exact(pd, wx, wy)) == pytest.approx(
+        l2_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
+    )
+
+
+def test_l2_matches_exact_cell_sum_on_integer_data():
+    # Integer samples under Linf, as in the tie-heavy benchmark: few distinct
+    # distances, and a statistic about 1e-5 of the closed form's terms.
+    rng = np.random.default_rng(100)
+    n = 100
+    x = rng.standard_normal((n, 100))
+    y = np.round(x**2 + 3.0 * rng.standard_normal((n, 100)))
+    x = np.round(x)
+    pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
+    wx, wy = rt.estimate_weight(pd.z), rt.estimate_weight(pd.t)
+    for k in range(4):
+        perm = np.arange(n) if k == 0 else rng.permutation(n)
+        pdk = rt.paired_distances(x, y[perm], Metric.LINF, Metric.LINF)
+        want = l2_statistic_exact(pdk, wx, wy)
+        got = Fraction(rt.l2_statistic(pdk, wx, wy))
+        assert abs(got - want) <= Fraction(1, 10**12) * want
 
 
 @pytest.mark.parametrize("i", range(12))

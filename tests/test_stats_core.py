@@ -11,9 +11,16 @@ from recurtest import (
     PairedDistances,
     StatisticSpec,
 )
+from recurtest import stats_core, streams
+from recurtest.rankstats import block_size
 from recurtest.stats_core import _clamp_nonnegative
 
-from oracles import l1_statistic_naive, l2_statistic_naive, sup_statistic_naive
+from oracles import (
+    l1_statistic_naive,
+    l2_statistic_exact,
+    l2_statistic_naive,
+    sup_statistic_naive,
+)
 
 SPEC22 = StatisticSpec(Functional.L2, Metric.L2, Metric.L2)
 
@@ -252,3 +259,102 @@ class TestStatisticEndToEnd:
     def test_mismatched_sizes(self):
         with pytest.raises(rt.InvalidInputError):
             rt.statistic(np.zeros((3, 1)), np.zeros((4, 1)), SPEC22)
+
+
+def rounded_pairs(n, scale):
+    """Samples rounded at ``scale`` (1 gives integers) under Linf: few
+    distinct distances at small scales, nearly all distinct at large ones."""
+    rng = np.random.default_rng((n, scale))
+    x = rng.standard_normal((n, 5))
+    y = x**2 + rng.standard_normal((n, 5))
+    return rt.paired_distances(np.round(scale * x), np.round(scale * y), Metric.LINF, Metric.LINF)
+
+
+ROUNDED_CASES = [(n, scale) for n in (4, 8, 12, 30, 50, 100) for scale in (1, 16, 1000)]
+
+
+def term_scale(pd, cells):
+    """n times the product term of the L2 closed form: the size of each of
+    its three terms, whose cancellation bounds the closed form's accuracy."""
+    m = pd.pair_count
+    odd = 2.0 * np.arange(1, m + 1) - 1.0
+    return pd.n * (1.0 - odd @ cells.g1 / m**2) * (1.0 - odd @ cells.g2 / m**2)
+
+
+class TestL2Evaluators:
+    """The cell sum and the closed form of the quadratic functional, each
+    called directly rather than through the selection in ``_prepare_l2``."""
+
+    @pytest.mark.parametrize("n, scale", ROUNDED_CASES)
+    def test_evaluators_agree(self, n, scale):
+        pd = rounded_pairs(n, scale)
+        wx, wy = weights_for(pd)
+        cells = stats_core._Cells(pd, wx, wy)
+        rng = np.random.default_rng(n)
+        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(2)])
+        summed = stats_core._l2_cell_sum(cells, pd.n)(block)
+        closed = stats_core._l2_closed_form(cells, pd.n)(block)
+        # The closed form cancels its terms down to the statistic, so its
+        # error is relative to their size, not to the result.
+        tol = 1e-12 * term_scale(pd, cells)
+        assert np.all(np.abs(summed - closed) <= tol)
+        # The literal sum's own round-off grows with the pair count (2.5e-12
+        # of the term scale at 435 pairs), so it checks the small sizes.
+        if pd.pair_count <= 100:
+            for row, t in enumerate(block):
+                naive = l2_statistic_naive(PairedDistances(pd.n, pd.z, t), wx, wy)
+                assert abs(summed[row] - naive) <= tol
+                assert abs(closed[row] - naive) <= tol
+
+    def test_both_sides_of_the_selection_are_covered(self):
+        sides = set()
+        for n, scale in ROUNDED_CASES:
+            pd = rounded_pairs(n, scale)
+            cells = stats_core._Cells(pd, *weights_for(pd))
+            sides.add(cells.size <= pd.pair_count * block_size(pd.pair_count))
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize(
+        "ties, n",
+        [(True, 50), (True, 100), (False, 30), (False, 50)],
+        ids=["ties-50", "ties-100", "continuous-30", "continuous-50"],
+    )
+    def test_selection(self, monkeypatch, ties, n):
+        # Integer samples under Linf take the cell sum; continuous ones under
+        # L1 take the closed form, whose rank dominance sums are counted.
+        calls = []
+        real = stats_core.prefix_dominance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stats_core, "prefix_dominance", counted)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 100))
+        y = x**2 + 3.0 * rng.standard_normal((n, 100))
+        metric = Metric.LINF if ties else Metric.L1
+        if ties:
+            x, y = np.round(x), np.round(y)
+        spec = StatisticSpec(Functional.L2, metric, metric)
+        report = rt.permutation_test(x, y, spec, m=20, seed=5, jobs=1)
+        assert bool(calls) != ties
+        assert report.observed == rt.statistic(x, y, spec)
+        # Each permuted statistic, evaluated on its own, gives the same bits
+        # and so the same p-value.
+        pd = rt.paired_distances(x, y, metric, metric)
+        evaluate = stats_core.prepare(pd, Functional.L2)
+        permuted = [
+            rt.paired_distances(x, y[streams.substream(5, streams.PERMUTATION, k).permutation(n)],
+                                metric, metric)
+            for k in range(1, 21)
+        ]
+        own = np.array([evaluate(pdk.t[None, :])[0] for pdk in permuted])
+        assert np.array_equal(report.perm_stats, own)
+        assert report.p_value == (1 + np.count_nonzero(own >= report.observed)) / 21
+        if ties:
+            # and the exact values order the pairings the same way, ties included
+            wx, wy = weights_for(pd)
+            exact = l2_statistic_exact(pd, wx, wy)
+            above = sum(l2_statistic_exact(pdk, wx, wy) >= exact for pdk in permuted)
+            assert report.p_value == (1 + above) / 21
