@@ -40,11 +40,8 @@ from .simulate import (
 from .stats_core import (
     Functional,
     StatisticSpec,
-    empirical_process,
-    joint_recurrence_rate,
     l1_statistic,
     l2_statistic,
-    recurrence_rate,
     statistic,
     prepare,
     sup_statistic,
@@ -83,11 +80,8 @@ __all__ = [
     "gen_white_noise",
     "Functional",
     "StatisticSpec",
-    "empirical_process",
-    "joint_recurrence_rate",
     "l1_statistic",
     "l2_statistic",
-    "recurrence_rate",
     "statistic",
     "prepare",
     "sup_statistic",

@@ -22,10 +22,12 @@ of one permutation -- and sweeps the fixed z-order once with state of shape
 ``(P, .)``.  The single-pairing kernels are blocks of one.  Each row's value
 is independent of the block it is evaluated in.
 
-The integral functionals sum over the grid of cells between consecutive
-distinct distances (``_Cells``).  The quadratic one does so only when the
-grid is small, as on tied data, and otherwise evaluates the expanded
-square in closed form.
+The sweep (``_sweep``) keeps the integer numerators m*C - h*cum of the
+discrepancy, exact in int32 or int64.  The integral functionals sum them
+over the grid of cells between consecutive distinct distances
+(``_Cells``), the quadratic one only when the grid is small, as on tied
+data, and otherwise evaluates the expanded square in closed form.  The
+supremum takes their largest magnitude.
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -84,30 +86,6 @@ class StatisticSpec:
     metric_y: Metric
 
 
-def recurrence_rate(pd: PairedDistances, axis: str, radius: float) -> float:
-    """Fraction of pairs whose ``axis`` distance is strictly below ``radius``."""
-    if axis not in ("x", "y"):
-        raise InvalidInputError(f"axis must be 'x' or 'y', got {axis!r}")
-    d = pd.z if axis == "x" else pd.t
-    return float(np.count_nonzero(d < radius)) / pd.pair_count
-
-
-def joint_recurrence_rate(pd: PairedDistances, r: float, s: float) -> float:
-    """Fraction of pairs simultaneously close on both sides (strictly)."""
-    return float(np.count_nonzero((pd.z < r) & (pd.t < s))) / pd.pair_count
-
-
-def empirical_process(pd: PairedDistances, r: float, s: float) -> float:
-    """sqrt(n) * (joint rate - product of marginal rates) at ``(r, s)``."""
-    return float(
-        np.sqrt(pd.n)
-        * (
-            joint_recurrence_rate(pd, r, s)
-            - recurrence_rate(pd, "x", r) * recurrence_rate(pd, "y", s)
-        )
-    )
-
-
 def _clamp_nonnegative(values, where: str):
     values = np.asarray(values, dtype=float)
     if np.any(values <= -_NEGATIVE_TOL):
@@ -132,34 +110,56 @@ def _sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):
 
     ``codes[p, i]`` is the first column that record i of row p counts toward
     (a code equal to ``cum.size`` counts toward none).  At end position e the
-    generator yields h = e + 1 and the ``(P, cols)`` deviations
-    ``|C[p, k] - (h / m) * cum[k]|``, where ``C[p, k]`` counts the first h
-    records of row p with code <= k.  The yielded array is overwritten by
-    the next step.
+    generator yields the ``(P, cols)`` integer numerators
+    ``D[p, k] = m * C[p, k] - h * cum[k]``, h = e + 1, where ``C[p, k]``
+    counts the first h records of row p with code <= k: the deviation
+    ``C - (h / m) * cum`` times m, exactly.  No value or partial sum exceeds m^2 in size, so D is
+    int32 while m^2 < 2^31 and int64 above.  The yielded array is updated in
+    place by the next step.
     """
-    rows = np.arange(codes.shape[0])[:, None]
-    # The narrowest integer type makes the per-record comparison cheap.
-    columns = np.arange(cum.size, dtype=np.min_scalar_type(cum.size))
-    codes = codes.astype(columns.dtype)
-    counts = np.zeros((codes.shape[0], cum.size))  # exact integers
-    dev = np.empty_like(counts)
-    step = np.empty(counts.shape, dtype=bool)
+    dtype = np.int32 if m * m < 2**31 else np.int64
+    rows, cols = len(codes), cum.size
+    cum = cum.astype(dtype)
+    # suffix[cols - c] is m in the columns k >= c and 0 in the others: what
+    # one record of code c adds to the numerators.
+    ramp = np.zeros(2 * cols, dtype=dtype)
+    ramp[cols:] = m
+    suffix = np.lib.stride_tricks.sliding_window_view(ramp, cols)
+    shifts = np.ascontiguousarray((cols - codes).T)  # record by record
+    num = np.zeros((rows, cols), dtype=dtype)
+    bins = np.arange(rows)[:, None] * (cols + 1)
     start = 0
     for end in ends:
-        run = codes[:, start : end + 1]
-        start = end + 1
-        if run.shape[1] == 1:
-            np.greater_equal(columns, run, out=step)
-            np.add(counts, 1.0, out=counts, where=step)
+        if end == start:
+            num += suffix[shifts[start]]
+            num -= cum
         else:
             # Several records (tied z-values): add their histogram's
             # cumulative counts at once.
-            hist = np.zeros((codes.shape[0], cum.size + 1), dtype=np.int64)
-            np.add.at(hist, (rows, run), 1)
-            counts += np.cumsum(hist[:, :-1], axis=1)
-        np.subtract(counts, ((end + 1) / m) * cum, out=dev)
-        np.abs(dev, out=dev)
-        yield end + 1, dev
+            run = codes[:, start : end + 1]
+            hist = np.bincount((bins + run).ravel(), minlength=rows * (cols + 1))
+            counts = np.cumsum(hist.reshape(rows, -1)[:, :-1], axis=1, dtype=dtype)
+            counts *= m
+            counts -= run.shape[1] * cum
+            num += counts
+        start = end + 1
+        yield num
+
+
+# OpenBLAS shares a dot product of more than 10,000 elements among its
+# threads, which makes the bits of the sum depend on the thread count;
+# pieces of this length are summed by one thread.
+_DOT_SPAN = 8192
+
+
+def _row_dots(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ w`` for a ``(P, k)`` array: one dot product per row, in pieces
+    of ``_DOT_SPAN`` columns, so that each row's bits depend on that row
+    alone (a matrix-vector product does not promise that)."""
+    out = np.vecdot(a[:, :_DOT_SPAN], w[:_DOT_SPAN], out=out)
+    for lo in range(_DOT_SPAN, w.size, _DOT_SPAN):
+        out += np.vecdot(a[:, lo : lo + _DOT_SPAN], w[lo : lo + _DOT_SPAN])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +171,16 @@ class _Cells:
 
     The discrepancy is piecewise constant between consecutive sorted
     distances.  On the cell (h, j) -- X radii with h of the m X distances
-    below them, Y radii with j below -- it equals (c(h, j) - h*j/m) / m,
-    where c(h, j) counts, among the first h records in z-order, those whose
-    t-value ranks at or below j; the cell's weight mass is dG1(h) dG2(j),
-    h, j = 1..m-1.  Outside the data range on either axis the discrepancy
-    is zero.  Only cells with dG1(h) != 0 and dG2(j) != 0 contribute, so
-    the sweep stops only at those h and keeps only those j columns.  Both
-    lie at the ends of tie runs, where the counts depend on values rather
-    than on tie-breaking: c(h, j) is the number of the first h records with
-    t <= t_(j).  Memory stays O(P m).
+    below them, Y radii with j below -- it equals D(h, j) / m^2 with the
+    integer numerator D(h, j) = m c(h, j) - h j, where c(h, j) counts, among
+    the first h records in z-order, those whose t-value ranks at or below j;
+    the cell's weight mass is dG1(h) dG2(j), h, j = 1..m-1.  Outside the
+    data range on either axis the discrepancy is zero.  Only cells with
+    dG1(h) != 0 and dG2(j) != 0 contribute, so the sweep stops only at those
+    h and keeps only those j columns.  Both lie at the ends of tie runs,
+    where the counts depend on values rather than on tie-breaking: c(h, j)
+    is the number of the first h records with t <= t_(j).  Memory stays
+    O(P m).
     """
 
     def __init__(self, pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight):
@@ -188,12 +189,13 @@ class _Cells:
         t_sorted = np.sort(pd.t, kind="stable")
         self.g1 = weight_cdf(wx, pd.z[self.z_order])  # in z-sorted order
         self.g2 = weight_cdf(wy, t_sorted)
-        self.dg1 = np.diff(self.g1)  # h = 1..m-1
+        dg1 = np.diff(self.g1)  # h = 1..m-1
         dg2 = np.diff(self.g2)  # j = 1..m-1
-        self.stops = np.flatnonzero(self.dg1 != 0.0)  # end position h - 1 of each stop
+        self.stops = np.flatnonzero(dg1 != 0.0)  # end position h - 1 of each stop
+        self.stop_dg1 = dg1[self.stops]
         cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
         self.col_values = t_sorted[cols]
-        self.col_j = cols + 1.0
+        self.col_j = cols + 1
         self.col_dg2 = dg2[cols]
 
     @property
@@ -202,16 +204,19 @@ class _Cells:
         return self.stops.size * self.col_j.size
 
     def sum(self, t_block: np.ndarray, squared: bool) -> np.ndarray:
-        """``sum_{h,j} dG1(h) dG2(j) |c(h, j) - h*j/m|``, or its square, per
-        row of ``t_block``."""
+        """``sum_{h,j} dG1(h) dG2(j) |D(h, j)|``, or with D^2, per row of
+        ``t_block``.
+
+        Each stop reduces its numerators over the columns, and one sum
+        weighted by dG1 finishes.  |D| is exact, and D^2 is taken in
+        float64.
+        """
         codes = np.searchsorted(self.col_values, t_block[:, self.z_order], side="left")
-        acc = np.zeros((len(t_block), self.col_j.size))  # sum over h of dG1(h) |...|
-        for h, dev in _sweep(codes, self.stops, self.col_j, self.m):
-            if squared:
-                dev *= dev
-            dev *= self.dg1[h - 1]
-            acc += dev
-        return (acc * self.col_dg2).sum(axis=1)
+        at_stop = np.empty((len(t_block), self.stops.size))  # sum over j of dG2(j) |D|
+        for s, num in enumerate(_sweep(codes, self.stops, self.col_j, self.m)):
+            dev = np.square(num, dtype=float) if squared else np.abs(num)
+            _row_dots(dev, self.col_dg2, out=at_stop[:, s])
+        return _row_dots(at_stop, self.stop_dg1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +224,7 @@ class _Cells:
 
 
 def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Evaluator:
-    """The quadratic functional, n/m^2 * sum_{h,j} dG1(h) dG2(j) (c(h, j) - h*j/m)^2.
+    """The quadratic functional, n/m^4 * sum_{h,j} dG1(h) dG2(j) D(h, j)^2 (see ``_Cells``).
 
     On a grid of few distinct distances (tied data) the cell sum is cheap
     and every term is nonnegative; otherwise the closed form does O(m^1.5)
@@ -235,8 +240,8 @@ def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
 def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
     """The quadratic functional summed over the cells.  Every term is
     nonnegative, so the sum keeps full relative accuracy."""
-    m = cells.m
-    return lambda t_block: n / (m * m) * cells.sum(t_block, squared=True)
+    scale = n / cells.m**4
+    return lambda t_block: scale * cells.sum(t_block, squared=True)
 
 
 def _l2_closed_form(cells: _Cells, n: int) -> Evaluator:
@@ -300,10 +305,10 @@ def l2_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) ->
 
 
 def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Evaluator:
-    """The absolute functional, sqrt(n)/m * sum_{h,j} dG1(h) dG2(j) |c(h, j) - h*j/m|,
+    """The absolute functional, sqrt(n)/m^2 * sum_{h,j} dG1(h) dG2(j) |D(h, j)|,
     summed over the cells (see ``_Cells``)."""
     cells = _Cells(pd, wx, wy)
-    scale = np.sqrt(pd.n) / cells.m
+    scale = np.sqrt(pd.n) / cells.m**2
     return lambda t_block: scale * cells.sum(t_block, squared=False)
 
 
@@ -321,10 +326,20 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
 
     The discrepancy is a step function of the two radii, so its supremum is
     attained on the grid of distinct distance values; the sweep adds each
-    run of equal z-values at once and keeps cumulative counts over the
-    distinct t-values.  Counts compare actual values (not sort positions),
-    which makes the result invariant to tie-breaking and equal to the
-    supremum of the left-continuous rate process over all radii.
+    run of equal z-values at once and keeps the integer numerators
+    D = m*C - h*cum over the distinct t-values (see ``_sweep``).  Counts
+    compare actual values (not sort positions), which makes the result
+    invariant to tie-breaking and equal to the supremum of the
+    left-continuous rate process over all radii.
+
+    The sweep keeps each column's largest and smallest D over the stops,
+    which give each row's exact maximum K of |D|.  The value reported is the
+    largest float deviation |C - (h/m)*cum|, rounded as a float sweep rounds
+    it, and it is evaluated only in the columns where |D| reaches K (one per
+    row, as a rule).  Its rounding error is below 3*m*2^-53, and distinct
+    values of |D| differ by at least 1/m in deviation, so while
+    6*m^2 < 2^53 (m below about 3.9e7 pairs) no smaller |D| rounds above
+    the largest: the value is bit for bit the float sweep's maximum.
     """
     m = pd.pair_count
     n = pd.n
@@ -333,14 +348,28 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     z_sorted = pd.z[z_order]
     # Inclusive end position of each run of equal z-values in sorted order.
     run_ends = np.append(np.flatnonzero(np.diff(z_sorted) != 0), m - 1)
+    h = run_ends + 1
     t_distinct, t_counts = np.unique(pd.t, return_counts=True)
     t_cum = np.cumsum(t_counts)
 
     def evaluate(t_block: np.ndarray) -> np.ndarray:
         codes = np.searchsorted(t_distinct, t_block[:, z_order])
+        sweep = _sweep(codes, run_ends, t_cum, m)
+        top = next(sweep).copy()
+        bottom = top.copy()
+        for num in sweep:
+            np.maximum(top, num, out=top)
+            np.minimum(bottom, num, out=bottom)
+        k = np.maximum(top.max(axis=1), -bottom.min(axis=1))
+        rows, cols = np.nonzero((top == k[:, None]) | (bottom == -k[:, None]))
+        # The float deviations of those columns at every stop, a block's
+        # worth of columns at a time.
         best = np.zeros(len(t_block))
-        for _, dev in _sweep(codes, run_ends, t_cum, m):
-            np.maximum(best, dev.max(axis=1), out=best)
+        for lo in range(0, rows.size, len(t_block)):
+            r, c = rows[lo : lo + len(t_block)], cols[lo : lo + len(t_block), None]
+            counts = np.cumsum(codes[r] <= c, axis=1)[:, run_ends]
+            dev = np.abs(counts - (h / m) * t_cum[c])
+            np.maximum.at(best, r, dev.max(axis=1))
         return np.sqrt(n) * best / m
 
     return evaluate

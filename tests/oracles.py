@@ -4,7 +4,10 @@ These evaluate the statistic definitions directly -- numerical quadrature of
 the weighted integrals and exhaustive grid scans for the supremum -- without
 sharing any code path with the closed-form kernels they check.  The
 ``*_statistic_naive`` functions evaluate the closed forms' defining sums
-literally, from the same weights.
+literally, from the same weights, and the ``*_exact`` ones sum the cells in
+rationals.  The recurrence rates restate the paper's definitions, and
+``sup_float_sweep`` is the earlier float sweep of the supremum kernel, whose
+bits the integer sweep keeps.
 """
 
 from __future__ import annotations
@@ -14,9 +17,33 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import norm
 
-from recurtest import PairedDistances
+from recurtest import InvalidInputError, PairedDistances
 from recurtest.stats_core import _clamp_nonnegative
 from recurtest.weights import GaussianWeight, weight_cdf
+
+
+def recurrence_rate(pd: PairedDistances, axis: str, radius: float) -> float:
+    """Fraction of pairs whose ``axis`` distance is strictly below ``radius``."""
+    if axis not in ("x", "y"):
+        raise InvalidInputError(f"axis must be 'x' or 'y', got {axis!r}")
+    d = pd.z if axis == "x" else pd.t
+    return float(np.count_nonzero(d < radius)) / pd.pair_count
+
+
+def joint_recurrence_rate(pd: PairedDistances, r: float, s: float) -> float:
+    """Fraction of pairs simultaneously close on both sides (strictly)."""
+    return float(np.count_nonzero((pd.z < r) & (pd.t < s))) / pd.pair_count
+
+
+def empirical_process(pd: PairedDistances, r: float, s: float) -> float:
+    """sqrt(n) * (joint rate - product of marginal rates) at ``(r, s)``."""
+    return float(
+        np.sqrt(pd.n)
+        * (
+            joint_recurrence_rate(pd, r, s)
+            - recurrence_rate(pd, "x", r) * recurrence_rate(pd, "y", s)
+        )
+    )
 
 
 def _discrepancy_on_grid(pd: PairedDistances, r_grid: np.ndarray, s_grid: np.ndarray):
@@ -162,8 +189,8 @@ def l2_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeig
     return float(_clamp_nonnegative(value, "l2_statistic_naive"))
 
 
-def l2_statistic_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Fraction:
-    """Exact rational value of the quadratic cell sum (oracle).
+def cell_sum_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight, power: int) -> Fraction:
+    """Exact rational integral of |discrepancy|^power over the cells (oracle).
 
     The discrepancy is constant on the rectangle between the k-th and the
     (k+1)-th distinct X distance u and the l-th and (l+1)-th distinct Y
@@ -172,7 +199,7 @@ def l2_statistic_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeig
     zero outside the data range.  Each rectangle's mass is the exact
     difference of the float weight-CDF values at its ends, and the sum is
     carried out in rationals, so only the weight-CDF values are rounded.
-    The double loop runs over distinct values: for tied data only.
+    The double loop runs over distinct values: for tied data or small n.
     """
     m = pd.pair_count
     u = np.unique(pd.z)
@@ -188,10 +215,21 @@ def l2_statistic_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeig
     for k in range(u.size - 1):
         row = Fraction(0)
         for l in range(v.size - 1):
-            dev = m * joint[k][l] - a[k] * b[l]
-            row += (gv[l + 1] - gv[l]) * (dev * dev)
+            dev = abs(m * joint[k][l] - a[k] * b[l])
+            row += (gv[l + 1] - gv[l]) * dev**power
         total += (gu[k + 1] - gu[k]) * row
-    return Fraction(pd.n, m**4) * total
+    return total / m ** (2 * power)
+
+
+def l2_statistic_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Fraction:
+    """Exact rational value of the quadratic cell sum (see ``cell_sum_exact``)."""
+    return pd.n * cell_sum_exact(pd, wx, wy, 2)
+
+
+def l1_statistic_exact(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
+    """The absolute cell sum: sqrt(n) times its exact rational integral,
+    rounded once (see ``cell_sum_exact``)."""
+    return float(np.sqrt(pd.n)) * float(cell_sum_exact(pd, wx, wy, 1))
 
 
 def l1_statistic_naive(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
@@ -242,3 +280,54 @@ def sup_statistic_naive(pd: PairedDistances) -> float:
     marg = np.outer(z_le.sum(axis=1), t_le.sum(axis=1)) / m
     best = float(np.abs(joint - marg).max())
     return float(np.sqrt(n) * best / m)
+
+
+def _float_sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):
+    """The float sweep that the supremum kernel used before its integer one.
+
+    At end position e it yields h = e + 1 and the ``(P, cols)`` deviations
+    ``|C[p, k] - (h / m) * cum[k]|``, where ``C[p, k]`` counts the first h
+    records of row p with code <= k (a code equal to ``cum.size`` counts
+    toward none).  The yielded array is overwritten by the next step.
+    """
+    rows = np.arange(codes.shape[0])[:, None]
+    columns = np.arange(cum.size, dtype=np.min_scalar_type(cum.size))
+    codes = codes.astype(columns.dtype)
+    counts = np.zeros((codes.shape[0], cum.size))  # exact integers
+    dev = np.empty_like(counts)
+    step = np.empty(counts.shape, dtype=bool)
+    start = 0
+    for end in ends:
+        run = codes[:, start : end + 1]
+        start = end + 1
+        if run.shape[1] == 1:
+            np.greater_equal(columns, run, out=step)
+            np.add(counts, 1.0, out=counts, where=step)
+        else:
+            hist = np.zeros((codes.shape[0], cum.size + 1), dtype=np.int64)
+            np.add.at(hist, (rows, run), 1)
+            counts += np.cumsum(hist[:, :-1], axis=1)
+        np.subtract(counts, ((end + 1) / m) * cum, out=dev)
+        np.abs(dev, out=dev)
+        yield end + 1, dev
+
+
+def sup_float_sweep(pd: PairedDistances):
+    """The supremum evaluator of the float sweep (oracle): maps a ``(P, m)``
+    block of re-paired Y distances to the P statistics, with the bits the
+    integer sweep of ``stats_core._prepare_sup`` must reproduce."""
+    m = pd.pair_count
+    z_order = np.argsort(pd.z, kind="stable")
+    z_sorted = pd.z[z_order]
+    run_ends = np.append(np.flatnonzero(np.diff(z_sorted) != 0), m - 1)
+    t_distinct, t_counts = np.unique(pd.t, return_counts=True)
+    t_cum = np.cumsum(t_counts)
+
+    def evaluate(t_block: np.ndarray) -> np.ndarray:
+        codes = np.searchsorted(t_distinct, t_block[:, z_order])
+        best = np.zeros(len(t_block))
+        for _, dev in _float_sweep(codes, run_ends, t_cum, m):
+            np.maximum(best, dev.max(axis=1), out=best)
+        return np.sqrt(pd.n) * best / m
+
+    return evaluate

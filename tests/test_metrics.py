@@ -7,7 +7,7 @@ from scipy.spatial.distance import pdist
 import recurtest as rt
 from recurtest import InvalidInputError, Metric
 
-from oracles import distance_naive
+from oracles import distance_naive, joint_recurrence_rate, recurrence_rate
 
 
 class TestDistance:
@@ -124,8 +124,8 @@ class TestPairedDistances:
         pd = rt.paired_distances(x, y, Metric.L2, Metric.L2)
         dup = rt.PairedDistances(n=8, z=np.tile(pd.z, 2), t=np.tile(pd.t, 2))
         for r in (0.5, 1.0, 2.0):
-            assert rt.recurrence_rate(pd, "x", r) == rt.recurrence_rate(dup, "x", r)
-        assert rt.joint_recurrence_rate(pd, 1.0, 1.5) == rt.joint_recurrence_rate(dup, 1.0, 1.5)
+            assert recurrence_rate(pd, "x", r) == recurrence_rate(dup, "x", r)
+        assert joint_recurrence_rate(pd, 1.0, 1.5) == joint_recurrence_rate(dup, 1.0, 1.5)
 
     @pytest.mark.parametrize("kind", list(Metric))
     @pytest.mark.parametrize("n, d", [(2, 1), (30, 1), (50, 100), (101, 7)])

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recurtest as rt
 from recurtest import (
@@ -16,9 +23,14 @@ from recurtest.rankstats import block_size
 from recurtest.stats_core import _clamp_nonnegative
 
 from oracles import (
+    empirical_process,
+    joint_recurrence_rate,
+    l1_statistic_exact,
     l1_statistic_naive,
     l2_statistic_exact,
     l2_statistic_naive,
+    recurrence_rate,
+    sup_float_sweep,
     sup_statistic_naive,
 )
 
@@ -45,41 +57,41 @@ class TestRates:
         self.pd = rt.paired_distances([0, 1, 3], [0, 2, 3], Metric.L1, Metric.L1)
 
     def test_rate_hand_count(self):
-        assert rt.recurrence_rate(self.pd, "x", 2.5) == pytest.approx(2 / 3)
+        assert recurrence_rate(self.pd, "x", 2.5) == pytest.approx(2 / 3)
 
     def test_rate_zero_radius(self):
-        assert rt.recurrence_rate(self.pd, "x", 0.0) == 0.0
+        assert recurrence_rate(self.pd, "x", 0.0) == 0.0
 
     def test_rate_beyond_max(self):
-        assert rt.recurrence_rate(self.pd, "x", 100.0) == 1.0
+        assert recurrence_rate(self.pd, "x", 100.0) == 1.0
 
     def test_joint_hand_count(self):
-        assert rt.joint_recurrence_rate(self.pd, 2.5, 2.5) == pytest.approx(2 / 3)
+        assert joint_recurrence_rate(self.pd, 2.5, 2.5) == pytest.approx(2 / 3)
 
     def test_joint_zero(self):
-        assert rt.joint_recurrence_rate(self.pd, 0.0, 10.0) == 0.0
+        assert joint_recurrence_rate(self.pd, 0.0, 10.0) == 0.0
 
     def test_joint_all(self):
-        assert rt.joint_recurrence_rate(self.pd, 10.0, 10.0) == 1.0
+        assert joint_recurrence_rate(self.pd, 10.0, 10.0) == 1.0
 
     def test_empirical_process_hand_value(self):
-        got = rt.empirical_process(self.pd, 2.5, 2.5)
+        got = empirical_process(self.pd, 2.5, 2.5)
         assert got == pytest.approx(2 * np.sqrt(3) / 9, rel=1e-14)
 
     def test_empirical_process_origin(self):
-        assert rt.empirical_process(self.pd, 0.0, 0.0) == 0.0
+        assert empirical_process(self.pd, 0.0, 0.0) == 0.0
 
     def test_single_pair_process_identically_zero(self):
         pd = PairedDistances(n=2, z=np.array([1.3]), t=np.array([0.4]))
         for r in (0.0, 1.0, 2.0, 5.0):
             for s in (0.0, 0.4, 1.0):
-                assert rt.empirical_process(pd, r, s) == 0.0
+                assert empirical_process(pd, r, s) == 0.0
 
     def test_rate_stabilizes_with_n(self):
         # qualitative large-sample check: replication spread shrinks as n grows
         def spread(n):
             vals = [
-                rt.recurrence_rate(random_pairs((77, n, k), n), "x", 2.0)
+                recurrence_rate(random_pairs((77, n, k), n), "x", 2.0)
                 for k in range(60)
             ]
             return np.var(vals)
@@ -358,3 +370,173 @@ class TestL2Evaluators:
             exact = l2_statistic_exact(pd, wx, wy)
             above = sum(l2_statistic_exact(pdk, wx, wy) >= exact for pdk in permuted)
             assert report.p_value == (1 + above) / 21
+
+
+def grid_numerators(pd):
+    """The largest and smallest m*C - A*B over the grid of distinct values."""
+    z_le = pd.z[None, :] <= np.unique(pd.z)[:, None]
+    t_le = pd.t[None, :] <= np.unique(pd.t)[:, None]
+    joint = z_le.astype(np.int64) @ t_le.T.astype(np.int64)
+    num = pd.pair_count * joint - np.outer(z_le.sum(axis=1), t_le.sum(axis=1))
+    return int(num.max()), int(num.min())
+
+
+def in_blocks(evaluate, block, size):
+    """``evaluate`` over ``block`` a block of ``size`` rows at a time."""
+    return np.concatenate([evaluate(block[i : i + size]) for i in range(0, len(block), size)])
+
+
+class TestSupIntegerSweep:
+    """The supremum sweeps integer numerators and must give the bits of the
+    float sweep it replaced (``oracles.sup_float_sweep``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 60),
+        scale=st.sampled_from([None, 1, 16, 1000]),
+    )
+    def test_bit_identical_to_float_sweep(self, seed, n, scale):
+        # Continuous data under L1, or data rounded at ``scale`` under Linf.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        y = x**2 + rng.standard_normal((n, 3))
+        metric = Metric.L1
+        if scale is not None:
+            x, y, metric = np.round(scale * x), np.round(scale * y), Metric.LINF
+        pd = rt.paired_distances(x, y, metric, metric)
+        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(9)])
+        want = sup_float_sweep(pd)(block)
+        evaluate = stats_core.prepare(pd, Functional.SUP)
+        for size in (1, 7, len(block)):
+            assert np.array_equal(in_blocks(evaluate, block, size), want)
+
+    @pytest.mark.parametrize("scale", [None, 1, 16])
+    def test_report_bit_identical_to_float_sweep(self, scale):
+        rng = np.random.default_rng(11)
+        n = 40
+        x = rng.standard_normal((n, 4))
+        y = x**2 + rng.standard_normal((n, 4))
+        metric = Metric.L1
+        if scale is not None:
+            x, y, metric = np.round(scale * x), np.round(scale * y), Metric.LINF
+        spec = StatisticSpec(Functional.SUP, metric, metric)
+        report = rt.permutation_test(x, y, spec, m=30, seed=3, jobs=1)
+        perms = [np.arange(n)] + [
+            streams.substream(3, streams.PERMUTATION, k).permutation(n) for k in range(1, 31)
+        ]
+        pd = rt.paired_distances(x, y, metric, metric)
+        block = np.array([rt.paired_distances(x, y[p], metric, metric).t for p in perms])
+        want = sup_float_sweep(pd)(block)
+        assert report.observed == want[0]
+        assert np.array_equal(report.perm_stats, want[1:])
+
+    def test_positive_and_negative_extremes_tied(self):
+        # Pairings whose largest numerator is minus their smallest: the
+        # maximum of |D| is reached with both signs.
+        found = 0
+        for n in (4, 5, 6, 8):
+            rng = np.random.default_rng(n)
+            x, y = rng.integers(0, 3, (n, 2)), rng.integers(0, 3, (n, 2))
+            pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
+            tied = []
+            for t in (rng.permutation(pd.t) for _ in range(50)):
+                hi, lo = grid_numerators(PairedDistances(pd.n, pd.z, t))
+                if hi == -lo > 0:
+                    tied.append(t)
+            if not tied:
+                continue
+            found += len(tied)
+            tied = np.array(tied)
+            want = sup_float_sweep(pd)(tied)
+            evaluate = stats_core.prepare(pd, Functional.SUP)
+            for size in (1, 7, len(tied)):
+                assert np.array_equal(in_blocks(evaluate, tied, size), want)
+        assert found >= 10
+
+    def test_constant_side(self):
+        # Every numerator is zero; the float deviations are round-off only.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 2))
+        pd = rt.paired_distances(x, np.ones((30, 2)), Metric.L2, Metric.L2)
+        flipped = PairedDistances(pd.n, pd.t, pd.z)
+        for side in (pd, flipped):
+            block = np.array([side.t, rng.permutation(side.t)])
+            assert np.array_equal(stats_core.prepare(side, Functional.SUP)(block),
+                                  sup_float_sweep(side)(block))
+
+    def test_int64_numerators(self):
+        # 305 observations give 46,360 pairs, so m^2 > 2^31 and the sweep's
+        # partial sums m*C need int64; few distinct distances keep it cheap.
+        n = 305
+        rng = np.random.default_rng(305)
+        x = rng.integers(0, 4, (n, 2))
+        y = np.minimum(x + rng.integers(0, 2, (n, 2)), 4)
+        pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
+        assert pd.pair_count**2 > 2**31
+        num = next(stats_core._sweep(np.zeros((1, 1), int), [0], np.array([1]), pd.pair_count))
+        assert num.dtype == np.int64
+        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(2)])
+        want = sup_float_sweep(pd)(block)
+        assert want[0] > want[1]
+        evaluate = stats_core.prepare(pd, Functional.SUP)
+        for size in (1, len(block)):
+            assert np.array_equal(in_blocks(evaluate, block, size), want)
+
+
+class TestCellSumExact:
+    """The integral functionals against their rational cell sums, built from
+    the same float weight-CDF values."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("scale", [None, 1])
+    def test_within_1e12_of_rationals(self, n, scale):
+        rng = np.random.default_rng((n, scale or 0))
+        x = rng.standard_normal((n, 3))
+        y = x**2 + rng.standard_normal((n, 3))
+        metric = Metric.L1
+        if scale is not None:
+            x, y, metric = np.round(2 * x), np.round(2 * y), Metric.LINF
+        pd = rt.paired_distances(x, y, metric, metric)
+        wx, wy = weights_for(pd)
+        cells = stats_core._Cells(pd, wx, wy)
+        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(3)])
+        l1 = stats_core._prepare_l1(pd, wx, wy)(block)
+        l2 = stats_core._l2_cell_sum(cells, pd.n)(block)
+        for row, t in enumerate(block):
+            pdr = PairedDistances(pd.n, pd.z, t)
+            assert l1[row] == pytest.approx(l1_statistic_exact(pdr, wx, wy), rel=1e-12, abs=0)
+            assert l2[row] == pytest.approx(float(l2_statistic_exact(pdr, wx, wy)), rel=1e-12, abs=0)
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # The kernels' row sums are dot products: a fresh interpreter limited to
+    # one BLAS thread must give the bits of this process.  The l1 row of
+    # n = 150 has 11,175 columns, more than a BLAS shares among threads.
+    code = (
+        "import numpy as np, recurtest as rt\n"
+        "rng = np.random.default_rng(9)\n"
+        "out = []\n"
+        "for n, f in [(20, 'sup'), (20, 'l1'), (20, 'l2'), (150, 'l1')]:\n"
+        "    x = rng.standard_normal((n, 4)); y = x**2 + rng.standard_normal((n, 4))\n"
+        "    spec = rt.StatisticSpec(rt.Functional(f), rt.Metric.L1, rt.Metric.L1)\n"
+        "    out.append(rt.statistic(x, y, spec))\n"
+        "x = np.round(rng.standard_normal((40, 4))); y = np.round(x**2 + rng.standard_normal((40, 4)))\n"
+        "spec = rt.StatisticSpec(rt.Functional.L2, rt.Metric.LINF, rt.Metric.LINF)\n"
+        "report = rt.permutation_test(x, y, spec, m=20, seed=1, jobs=1)\n"
+        "out += [report.observed, *report.perm_stats]\n"
+        "print(np.array(out).tobytes().hex())\n"
+    )
+    src = str(Path(rt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    bits = {}
+    for threads in ("1", None):
+        run_env = dict(env)
+        run_env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            run_env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        bits[threads] = proc.stdout
+    assert bits["1"] == bits[None]
