@@ -14,7 +14,7 @@ import sys
 from . import __version__, fileio
 from .exceptions import InvalidInputError
 from .harness import run_power
-from .inference import dependogram, permutation_test
+from .inference import check_level, dependogram, permutation_test
 from .metrics import Metric
 from .simulate import SCENARIO_PARAMETERS, gen_scenario, scenario_config
 from .stats_core import Functional, StatisticSpec
@@ -27,7 +27,7 @@ _JOBS_HELP = (
 )
 
 
-def _parse_levels(text: str) -> list[float]:
+def _parse_levels(text: str, perms: int) -> list[float]:
     try:
         levels = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
@@ -35,8 +35,7 @@ def _parse_levels(text: str) -> list[float]:
     if not levels:
         raise InvalidInputError("at least one level is required")
     for a in levels:
-        if not 0.0 < a < 1.0:
-            raise InvalidInputError(f"level must be in (0, 1), got {a}")
+        check_level(a, perms)
     return levels
 
 
@@ -57,7 +56,7 @@ def _cmd_test(args) -> int:
         metric_x=Metric.parse(args.metric_x),
         metric_y=Metric.parse(args.metric_y),
     )
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, args.perms)
     x = fileio.read_dataset(args.x)
     y = fileio.read_dataset(args.y)
     if x.shape[0] != y.shape[0]:
@@ -82,7 +81,7 @@ def _cmd_dependogram(args) -> int:
         metric_x=Metric.parse(args.metric),
         metric_y=Metric.parse(args.metric),
     )
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, args.perms)
     data = fileio.read_dataset(args.data)
     groups = fileio.parse_groups(args.groups, data.shape[1])
     samples = [data[:, g.start : g.stop] for g in groups]

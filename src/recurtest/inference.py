@@ -6,9 +6,9 @@ permuting rows leaves the X side and the Y-side distance multiset unchanged,
 so only the pairing between the two coupled lists differs between
 permutations.  The pairings are then evaluated in blocks: row k of the
 blocks is permutation k, drawn from a stream that depends only on (seed, k),
-and row 0 is the identity, the observed pairing.  Each block gathers the
-permuted Y distances of its rows into a ``(P, pairs)`` array, and the
-prepared statistic sweeps all of them at once.  The blocks are the units of
+and row 0 is the identity, the observed pairing.  Each block builds the
+pair indices of its rows, a ``(P, pairs)`` array, and the prepared
+statistic sweeps all of them at once.  The blocks are the units of
 ``_workers.run_units``, so they run over this process and forked workers.
 Each row's statistic is independent of its block, so the result is
 identical for any block size and any number of processes.
@@ -101,7 +101,7 @@ def permutation_test(
     rows, cols = np.triu_indices(n, 1)
     # Pair (i, j), i < j, sits at i*n - i(i+1)/2 + j - i - 1 of pd0.t (the
     # row-major upper triangle): offset[i] + j.  The identity permutation
-    # thus gathers pd0.t itself.
+    # thus gives the identity row of pair indices.
     i = np.arange(n)
     offset = i * n - i * (i + 1) // 2 - i - 1
     block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
@@ -115,7 +115,7 @@ def permutation_test(
                 for k in range(b * block, min((b + 1) * block, m + 1))
             ]
         )
-        return evaluate(_permuted_pairs(pd0.t, perms, rows, cols, offset))
+        return evaluate(_permuted_pairs(perms, rows, cols, offset))
 
     stats = np.concatenate(run_units(block_stats, (m + block) // block, jobs))
     observed = float(stats[0])
@@ -134,11 +134,11 @@ def permutation_test(
     )
 
 
-def _permuted_pairs(t, perms, rows, cols, offset) -> np.ndarray:
-    """``t`` re-paired by each row of ``perms``: pair (i, j) takes the value
-    of pair (perm[i], perm[j]), found at ``offset[low] + high`` of ``t``.
+def _permuted_pairs(perms, rows, cols, offset) -> np.ndarray:
+    """The pair indices of each row of ``perms``: pair (i, j) takes pair
+    (perm[i], perm[j]), found at ``offset[low] + high`` of the pair list.
 
-    ``take`` and the in-place steps beat fancy indexing here, and the index
+    ``take`` and the in-place steps beat fancy indexing here, and the other
     temporaries are gone before the caller's kernel runs.
     """
     index = perms.take(rows, axis=1)
@@ -146,7 +146,7 @@ def _permuted_pairs(t, perms, rows, cols, offset) -> np.ndarray:
     low = np.minimum(index, other)
     np.maximum(index, other, out=index)
     index += np.take(offset, low, out=other)
-    return t[index]
+    return index
 
 
 def min_permutations(alpha: float) -> int:

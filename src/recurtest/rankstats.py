@@ -54,6 +54,7 @@ def prefix_dominance(ranks: np.ndarray, weights: np.ndarray, block: int | None =
     if block is None:
         block = block_size(m)
     row = np.arange(rows)[:, None]
+    tri = np.tri(min(block, m), min(block, m), -1, dtype=bool)  # [j, i] with i < j
 
     # Cumulative structures over the rank axis for everything seen so far:
     # seen_count_cum[:, r] = #{seen with rank <= r}, seen_wsum_cum likewise.
@@ -74,7 +75,7 @@ def prefix_dominance(ranks: np.ndarray, weights: np.ndarray, block: int | None =
         # Within-block pairs (i before j, both local).
         width = stop - start
         if width > 1:
-            earlier = np.tri(width, width, -1, dtype=bool)  # [j, i] with i < j
+            earlier = tri[:width, :width]
             less = rb[:, None, :] < rb[:, :, None]          # [., j, i] rank_i < rank_j
             count_less[:, start:stop] += (earlier & less).sum(axis=2)
             wsum_greater[:, start:stop] += ((earlier & ~less) * wb[:, None, :]).sum(axis=2)

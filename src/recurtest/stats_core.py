@@ -14,13 +14,14 @@ aggregated three ways:
 Each kernel has a closed form over the coupled distance list, evaluated in
 two steps.  ``prepare`` computes once everything that re-pairing the Y-side
 distances leaves unchanged: the z-order and its runs of equal values, the
-X-side weight increments and brackets, the sorted distinct Y values with
-their cumulative counts and the Y-side weight terms.  The evaluator it
-returns then takes a ``(P, m)`` block of Y-side distance lists -- each row a
-rearrangement of the prepared ones over the same pairs, such as the pairing
-of one permutation -- and sweeps the fixed z-order once with state of shape
-``(P, .)``.  The single-pairing kernels are blocks of one.  Each row's value
-is independent of the block it is evaluated in.
+X-side weight increments and brackets, the Y-side weight terms, and a small
+integer code of each pair's Y distance (its cell column or its rank among the
+distinct values).  The evaluator it returns then takes a ``(P, m)`` block of
+pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
+of one permutation -- gathers the codes of each row in z-order and sweeps the
+fixed z-order once with state of shape ``(P, .)``.  The single-pairing kernels
+evaluate the identity row.  Each row's value is independent of the block it
+is evaluated in and of the block's memory layout.
 
 The sweep (``_sweep``) keeps the integer numerators m*C - h*cum of the
 discrepancy, exact in int32 or int64.  The integral functionals sum them
@@ -54,7 +55,8 @@ from .weights import GaussianWeight, estimate_weight, weight_cdf
 # and clamp to zero; anything more negative indicates a kernel bug.
 _NEGATIVE_TOL = 1e-12
 
-# Maps a (P, m) block of Y-side distance lists to the P statistics.
+# Maps a (P, m) block of pair indices to the P statistics: row p pairs the X
+# distance of pair i with the Y distance of pair index[p, i].
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
@@ -96,8 +98,18 @@ def _clamp_nonnegative(values, where: str):
 
 
 def _one(evaluate: Evaluator, pd: PairedDistances) -> float:
-    """The statistic of the pairing stored in ``pd``: a block of one."""
-    return float(evaluate(pd.t[None, :])[0])
+    """The statistic of the pairing stored in ``pd``: the identity row."""
+    return float(evaluate(np.arange(pd.pair_count)[None, :])[0])
+
+
+def _distinct_codes(t: np.ndarray):
+    """Each value's rank among the distinct values of ``t`` (from 0), in the
+    narrowest unsigned dtype that holds their count, and their cumulative counts."""
+    order = np.argsort(t, kind="stable")
+    ends = np.append(np.flatnonzero(np.diff(t[order]) != 0), t.size - 1)
+    codes = np.empty(t.size, np.min_scalar_type(ends.size))
+    codes[order] = np.repeat(np.arange(ends.size), np.diff(ends, prepend=-1))
+    return codes, ends + 1
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -194,7 +206,8 @@ class _Cells:
         self.stops = np.flatnonzero(dg1 != 0.0)  # end position h - 1 of each stop
         self.stop_dg1 = dg1[self.stops]
         cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
-        self.col_values = t_sorted[cols]
+        # Each pair's first kept column (cols.size: none), as a small integer.
+        self.codes = np.searchsorted(t_sorted[cols], pd.t).astype(np.min_scalar_type(cols.size))
         self.col_j = cols + 1
         self.col_dg2 = dg2[cols]
 
@@ -203,16 +216,16 @@ class _Cells:
         """The number of contributing cells."""
         return self.stops.size * self.col_j.size
 
-    def sum(self, t_block: np.ndarray, squared: bool) -> np.ndarray:
+    def sum(self, index: np.ndarray, squared: bool) -> np.ndarray:
         """``sum_{h,j} dG1(h) dG2(j) |D(h, j)|``, or with D^2, per row of
-        ``t_block``.
+        the pair-index block ``index``.
 
         Each stop reduces its numerators over the columns, and one sum
         weighted by dG1 finishes.  |D| is exact, and D^2 is taken in
         float64.
         """
-        codes = np.searchsorted(self.col_values, t_block[:, self.z_order], side="left")
-        at_stop = np.empty((len(t_block), self.stops.size))  # sum over j of dG2(j) |D|
+        codes = self.codes[index.take(self.z_order, axis=1)]
+        at_stop = np.empty((len(index), self.stops.size))  # sum over j of dG2(j) |D|
         for s, num in enumerate(_sweep(codes, self.stops, self.col_j, self.m)):
             dev = np.square(num, dtype=float) if squared else np.abs(num)
             _row_dots(dev, self.col_dg2, out=at_stop[:, s])
@@ -234,17 +247,17 @@ def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     cells = _Cells(pd, wx, wy)
     if cells.size <= cells.m * block_size(cells.m):
         return _l2_cell_sum(cells, pd.n)
-    return _l2_closed_form(cells, pd.n)
+    return _l2_closed_form(cells, pd)
 
 
 def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
     """The quadratic functional summed over the cells.  Every term is
     nonnegative, so the sum keeps full relative accuracy."""
     scale = n / cells.m**4
-    return lambda t_block: scale * cells.sum(t_block, squared=True)
+    return lambda index: scale * cells.sum(index, squared=True)
 
 
-def _l2_closed_form(cells: _Cells, n: int) -> Evaluator:
+def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     """Closed form of the quadratic functional.
 
     Expanding the square gives three terms: the joint term couples the pair
@@ -257,8 +270,9 @@ def _l2_closed_form(cells: _Cells, n: int) -> Evaluator:
     O(m^1.5) elementwise work.  The terms cancel to about six digits on
     tied data, which the cell sum avoids.
     """
-    m = cells.m
+    m, n = cells.m, pd.n
     z_order = cells.z_order
+    t_code, _ = _distinct_codes(pd.t)
     surv_z = 1.0 - cells.g1  # in z-sorted order
     surv_t_sorted = 1.0 - cells.g2
 
@@ -275,10 +289,11 @@ def _l2_closed_form(cells: _Cells, n: int) -> Evaluator:
     z_bracket = pos * surv_z + _suffix_sums(surv_z)
     t_bracket_sorted = pos * surv_t_sorted + _suffix_sums(surv_t_sorted)
 
-    def evaluate(t_block: np.ndarray) -> np.ndarray:
+    def evaluate(index: np.ndarray) -> np.ndarray:
         # Every row holds the prepared Y values, so the record of stable rank
-        # r has the r-th smallest of them and its terms can be looked up.
-        t_rank = stable_ranks(t_block[:, z_order])
+        # r has the r-th smallest of them and its terms can be looked up; its
+        # small-integer code ranks it as its value does, ties by z-position.
+        t_rank = stable_ranks(t_code[index.take(z_order, axis=1)])
         surv_t = surv_t_sorted[t_rank - 1]
 
         # Joint term: mean over all ordered index pairs (i, j) of
@@ -309,7 +324,7 @@ def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     summed over the cells (see ``_Cells``)."""
     cells = _Cells(pd, wx, wy)
     scale = np.sqrt(pd.n) / cells.m**2
-    return lambda t_block: scale * cells.sum(t_block, squared=False)
+    return lambda index: scale * cells.sum(index, squared=False)
 
 
 def l1_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
@@ -349,11 +364,10 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     # Inclusive end position of each run of equal z-values in sorted order.
     run_ends = np.append(np.flatnonzero(np.diff(z_sorted) != 0), m - 1)
     h = run_ends + 1
-    t_distinct, t_counts = np.unique(pd.t, return_counts=True)
-    t_cum = np.cumsum(t_counts)
+    t_code, t_cum = _distinct_codes(pd.t)
 
-    def evaluate(t_block: np.ndarray) -> np.ndarray:
-        codes = np.searchsorted(t_distinct, t_block[:, z_order])
+    def evaluate(index: np.ndarray) -> np.ndarray:
+        codes = t_code[index.take(z_order, axis=1)]
         sweep = _sweep(codes, run_ends, t_cum, m)
         top = next(sweep).copy()
         bottom = top.copy()
@@ -364,9 +378,9 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
         rows, cols = np.nonzero((top == k[:, None]) | (bottom == -k[:, None]))
         # The float deviations of those columns at every stop, a block's
         # worth of columns at a time.
-        best = np.zeros(len(t_block))
-        for lo in range(0, rows.size, len(t_block)):
-            r, c = rows[lo : lo + len(t_block)], cols[lo : lo + len(t_block), None]
+        best = np.zeros(len(index))
+        for lo in range(0, rows.size, len(index)):
+            r, c = rows[lo : lo + len(index)], cols[lo : lo + len(index), None]
             counts = np.cumsum(codes[r] <= c, axis=1)[:, run_ends]
             dev = np.abs(counts - (h / m) * t_cum[c])
             np.maximum.at(best, r, dev.max(axis=1))
@@ -388,16 +402,16 @@ def prepare(pd: PairedDistances, functional: Functional) -> Evaluator:
     """Prepare ``functional`` on ``pd`` for evaluation over many pairings.
 
     Calibrates the weights from ``pd`` (the integral functionals) and returns
-    the evaluator of ``functional``.  It maps a ``(P, m)`` block whose rows
-    are rearrangements of ``pd.t`` over the pairs of ``pd.z`` to the ``P``
-    statistics.
+    the evaluator of ``functional``.  It maps a ``(P, m)`` block of pair
+    indices, rows rearranging ``range(m)``, to the ``P`` statistics: row p
+    pairs ``pd.z[i]`` with ``pd.t[index[p, i]]``; the identity row is ``pd``.
     """
     if functional == Functional.SUP:
         return _prepare_sup(pd)
     if pd.pair_count == 1:
         # A single pair carries no dependence information: both integral
         # statistics are identically zero and the weight is uncalibratable.
-        return lambda t_block: np.zeros(len(t_block))
+        return lambda index: np.zeros(len(index))
     wx = estimate_weight(pd.z)
     wy = estimate_weight(pd.t)
     if functional == Functional.L2:

@@ -7,7 +7,9 @@ sharing any code path with the closed-form kernels they check.  The
 literally, from the same weights, and the ``*_exact`` ones sum the cells in
 rationals.  The recurrence rates restate the paper's definitions, and
 ``sup_float_sweep`` is the earlier float sweep of the supremum kernel, whose
-bits the integer sweep keeps.
+bits the integer sweep keeps; ``value_block_evaluator`` is the earlier
+evaluation of blocks of re-paired Y distances, whose bits the evaluation of
+pair-index blocks keeps.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import norm
 
-from recurtest import InvalidInputError, PairedDistances
-from recurtest.stats_core import _clamp_nonnegative
-from recurtest.weights import GaussianWeight, weight_cdf
+from recurtest import Functional, InvalidInputError, PairedDistances
+from recurtest.rankstats import block_size, prefix_dominance, stable_ranks
+from recurtest.stats_core import _Cells, _clamp_nonnegative, _row_dots, _suffix_sums, _sweep
+from recurtest.weights import GaussianWeight, estimate_weight, weight_cdf
 
 
 def recurrence_rate(pd: PairedDistances, axis: str, radius: float) -> float:
@@ -331,3 +334,54 @@ def sup_float_sweep(pd: PairedDistances):
         return np.sqrt(pd.n) * best / m
 
     return evaluate
+
+
+def value_block_evaluator(pd: PairedDistances, functional):
+    """``stats_core.prepare`` as it was when its evaluators took a ``(P, m)``
+    block of re-paired Y distances instead of pair indices (oracle).  Each
+    block re-derives from the values what index evaluation prepares once:
+    the kept-column codes by a float ``searchsorted`` and the closed form's
+    ranks by a float stable argsort.  Index evaluation must give its bits."""
+    if functional == Functional.SUP:
+        return sup_float_sweep(pd)
+    if pd.pair_count == 1:
+        return lambda t_block: np.zeros(len(t_block))
+    cells = _Cells(pd, estimate_weight(pd.z), estimate_weight(pd.t))
+    m, n, z_order = cells.m, pd.n, cells.z_order
+    col_values = np.sort(pd.t, kind="stable")[cells.col_j - 1]
+
+    def cell_sum(t_block, squared):
+        codes = np.searchsorted(col_values, t_block[:, z_order], side="left")
+        at_stop = np.empty((len(t_block), cells.stops.size))
+        for s, num in enumerate(_sweep(codes, cells.stops, cells.col_j, m)):
+            dev = np.square(num, dtype=float) if squared else np.abs(num)
+            _row_dots(dev, cells.col_dg2, out=at_stop[:, s])
+        return _row_dots(at_stop, cells.stop_dg1)
+
+    if functional == Functional.L1:
+        scale = np.sqrt(n) / m**2
+        return lambda t_block: scale * cell_sum(t_block, False)
+    if cells.size <= m * block_size(m):
+        scale = n / m**4
+        return lambda t_block: scale * cell_sum(t_block, True)
+
+    surv_z, surv_t_sorted = 1.0 - cells.g1, 1.0 - cells.g2
+    odd = 2.0 * np.arange(1, m + 1) - 1.0
+    product_term = (1.0 - float(np.dot(odd, cells.g1)) / (m * m)) * (
+        1.0 - float(np.dot(odd, cells.g2)) / (m * m)
+    )
+    pos = np.arange(1, m + 1, dtype=float)
+    z_bracket = pos * surv_z + _suffix_sums(surv_z)
+    t_bracket_sorted = pos * surv_t_sorted + _suffix_sums(surv_t_sorted)
+
+    def closed_form(t_block):
+        t_rank = stable_ranks(t_block[:, z_order])
+        surv_t = surv_t_sorted[t_rank - 1]
+        count_less, wsum_greater = prefix_dominance(t_rank, surv_t)
+        diag = (surv_z * surv_t).sum(axis=1)
+        off = (surv_z * (surv_t * count_less + wsum_greater)).sum(axis=1)
+        joint_term = (diag + 2.0 * off) / (m * m)
+        cross_term = (z_bracket * t_bracket_sorted[t_rank - 1]).sum(axis=1) / (m * m * m)
+        return _clamp_nonnegative(n * (joint_term + product_term - 2.0 * cross_term), "l2")
+
+    return closed_form

@@ -132,7 +132,7 @@ class TestCmdTest:
         assert run(
             ["test", "--x", str(xp), "--y", str(tmp_path / "absent.csv"),
              "--functional", "l2", "--metric-x", "l2", "--metric-y", "l2",
-             "--perms", "9", "--seed", "1"]
+             "--perms", "19", "--seed", "1"]
         ) == 2
 
     def test_mismatched_rows_exit2(self, tmp_path, gauss_csv):
@@ -141,7 +141,7 @@ class TestCmdTest:
         write_dataset(str(short), np.zeros((5, 3)))
         assert run(
             ["test", "--x", str(xp), "--y", str(short), "--functional", "l2",
-             "--metric-x", "l2", "--metric-y", "l2", "--perms", "9", "--seed", "1"]
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "19", "--seed", "1"]
         ) == 2
 
     def test_degenerate_weight_exit2(self, tmp_path, gauss_csv, capsys):
@@ -150,16 +150,28 @@ class TestCmdTest:
         write_dataset(str(const), np.ones((30, 3)))
         assert run(
             ["test", "--x", str(xp), "--y", str(const), "--functional", "l2",
-             "--metric-x", "l2", "--metric-y", "l2", "--perms", "9", "--seed", "1"]
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "19", "--seed", "1"]
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infeasible_level_exit2(self, gauss_csv, capsys):
+        # 99 permutations cannot resolve level 0.001, which needs 999
+        xp, yp = gauss_csv
+        assert run(
+            ["test", "--x", str(xp), "--y", str(yp), "--functional", "l2",
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "99",
+             "--levels", "0.05,0.001", "--seed", "1"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: level 0.001 needs at least m = 999 permutations")
 
     def test_bad_flag_exit2(self, gauss_csv):
         xp, yp = gauss_csv
         assert run(
             ["test", "--x", str(xp), "--y", str(yp), "--functional", "cubic",
-             "--metric-x", "l2", "--metric-y", "l2", "--perms", "9", "--seed", "1"]
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "19", "--seed", "1"]
         ) == 2
 
 
@@ -310,7 +322,7 @@ def _test_argv(tmp_path):
     for name in ("x.csv", "y.csv"):
         write_dataset(str(tmp_path / name), np.random.default_rng(46).standard_normal((10, 2)))
     return ["test", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
-            "--functional", "l2", "--metric-x", "l2", "--metric-y", "l2", "--perms", "9",
+            "--functional", "l2", "--metric-x", "l2", "--metric-y", "l2", "--perms", "19",
             "--seed", "1"]
 
 

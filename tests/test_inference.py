@@ -7,7 +7,12 @@ import recurtest as rt
 from recurtest import Functional, InvalidInputError, Metric, StatisticSpec
 from recurtest import inference, streams
 
-from oracles import l1_statistic_naive, l2_statistic_naive, sup_statistic_naive
+from oracles import (
+    l1_statistic_naive,
+    l2_statistic_naive,
+    sup_statistic_naive,
+    value_block_evaluator,
+)
 
 SPEC22 = StatisticSpec(Functional.L2, Metric.L2, Metric.L2)
 
@@ -101,8 +106,9 @@ class TestPermutationTest:
     @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
     @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
     def test_pair_index_gather_equals_square_matrix_gather(self, functional, ties):
-        # Permuted pairs are gathered from pd0.t by their index; gathering
-        # from the square Y-distance matrix instead must give the same bits.
+        # Permuted pairs are evaluated by their index into pd0.t; gathering
+        # their distances from the square Y-distance matrix and evaluating
+        # those values instead must give the same bits.
         for n, seed in ((3, 1), (8, 2), (25, 3)):
             x, y = gaussian_pair(40 + n, n=n, d=4)
             if ties:
@@ -116,7 +122,7 @@ class TestPermutationTest:
             perms = np.array(
                 [streams.substream(seed, streams.PERMUTATION, k).permutation(n) for k in range(1, 31)]
             )
-            want = rt.prepare(pd0, functional)(square[perms[:, rows], perms[:, cols]])
+            want = value_block_evaluator(pd0, functional)(square[perms[:, rows], perms[:, cols]])
             assert np.array_equal(rep.perm_stats, want)
 
     @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)

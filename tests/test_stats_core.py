@@ -32,6 +32,7 @@ from oracles import (
     recurrence_rate,
     sup_float_sweep,
     sup_statistic_naive,
+    value_block_evaluator,
 )
 
 SPEC22 = StatisticSpec(Functional.L2, Metric.L2, Metric.L2)
@@ -46,6 +47,15 @@ def random_pairs(seed, n, d_x=3, d_y=2, metric_x=Metric.L2, metric_y=Metric.L1, 
         x = np.round(x, 1)
         y = np.round(y, 1)
     return rt.paired_distances(x, y, metric_x, metric_y)
+
+
+def pair_index(n, perm):
+    """The pair indices of the pairing that permutes Y by ``perm``: pair
+    (i, j) of the row-major upper triangle takes the pair (perm[i], perm[j])."""
+    rows, cols = np.triu_indices(n, 1)
+    at = np.zeros((n, n), dtype=int)
+    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    return at[perm[rows], perm[cols]]
 
 
 def weights_for(pd):
@@ -303,9 +313,10 @@ class TestL2Evaluators:
         wx, wy = weights_for(pd)
         cells = stats_core._Cells(pd, wx, wy)
         rng = np.random.default_rng(n)
-        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(2)])
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(2)])
         summed = stats_core._l2_cell_sum(cells, pd.n)(block)
-        closed = stats_core._l2_closed_form(cells, pd.n)(block)
+        closed = stats_core._l2_closed_form(cells, pd)(block)
         # The closed form cancels its terms down to the statistic, so its
         # error is relative to their size, not to the result.
         tol = 1e-12 * term_scale(pd, cells)
@@ -313,7 +324,7 @@ class TestL2Evaluators:
         # The literal sum's own round-off grows with the pair count (2.5e-12
         # of the term scale at 435 pairs), so it checks the small sizes.
         if pd.pair_count <= 100:
-            for row, t in enumerate(block):
+            for row, t in enumerate(pd.t[block]):
                 naive = l2_statistic_naive(PairedDistances(pd.n, pd.z, t), wx, wy)
                 assert abs(summed[row] - naive) <= tol
                 assert abs(closed[row] - naive) <= tol
@@ -356,12 +367,10 @@ class TestL2Evaluators:
         # and so the same p-value.
         pd = rt.paired_distances(x, y, metric, metric)
         evaluate = stats_core.prepare(pd, Functional.L2)
-        permuted = [
-            rt.paired_distances(x, y[streams.substream(5, streams.PERMUTATION, k).permutation(n)],
-                                metric, metric)
-            for k in range(1, 21)
-        ]
-        own = np.array([evaluate(pdk.t[None, :])[0] for pdk in permuted])
+        perms = [streams.substream(5, streams.PERMUTATION, k).permutation(n) for k in range(1, 21)]
+        permuted = [rt.paired_distances(x, y[p], metric, metric) for p in perms]
+        assert all(np.array_equal(pd.t[pair_index(n, p)], pdk.t) for p, pdk in zip(perms, permuted))
+        own = np.array([evaluate(pair_index(n, p)[None, :])[0] for p in perms])
         assert np.array_equal(report.perm_stats, own)
         assert report.p_value == (1 + np.count_nonzero(own >= report.observed)) / 21
         if ties:
@@ -405,8 +414,9 @@ class TestSupIntegerSweep:
         if scale is not None:
             x, y, metric = np.round(scale * x), np.round(scale * y), Metric.LINF
         pd = rt.paired_distances(x, y, metric, metric)
-        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(9)])
-        want = sup_float_sweep(pd)(block)
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(9)])
+        want = sup_float_sweep(pd)(pd.t[block])
         evaluate = stats_core.prepare(pd, Functional.SUP)
         for size in (1, 7, len(block)):
             assert np.array_equal(in_blocks(evaluate, block, size), want)
@@ -440,15 +450,15 @@ class TestSupIntegerSweep:
             x, y = rng.integers(0, 3, (n, 2)), rng.integers(0, 3, (n, 2))
             pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
             tied = []
-            for t in (rng.permutation(pd.t) for _ in range(50)):
-                hi, lo = grid_numerators(PairedDistances(pd.n, pd.z, t))
+            for idx in (rng.permutation(pd.pair_count) for _ in range(50)):
+                hi, lo = grid_numerators(PairedDistances(pd.n, pd.z, pd.t[idx]))
                 if hi == -lo > 0:
-                    tied.append(t)
+                    tied.append(idx)
             if not tied:
                 continue
             found += len(tied)
             tied = np.array(tied)
-            want = sup_float_sweep(pd)(tied)
+            want = sup_float_sweep(pd)(pd.t[tied])
             evaluate = stats_core.prepare(pd, Functional.SUP)
             for size in (1, 7, len(tied)):
                 assert np.array_equal(in_blocks(evaluate, tied, size), want)
@@ -461,9 +471,9 @@ class TestSupIntegerSweep:
         pd = rt.paired_distances(x, np.ones((30, 2)), Metric.L2, Metric.L2)
         flipped = PairedDistances(pd.n, pd.t, pd.z)
         for side in (pd, flipped):
-            block = np.array([side.t, rng.permutation(side.t)])
+            block = np.array([np.arange(side.pair_count), rng.permutation(side.pair_count)])
             assert np.array_equal(stats_core.prepare(side, Functional.SUP)(block),
-                                  sup_float_sweep(side)(block))
+                                  sup_float_sweep(side)(side.t[block]))
 
     def test_int64_numerators(self):
         # 305 observations give 46,360 pairs, so m^2 > 2^31 and the sweep's
@@ -476,12 +486,92 @@ class TestSupIntegerSweep:
         assert pd.pair_count**2 > 2**31
         num = next(stats_core._sweep(np.zeros((1, 1), int), [0], np.array([1]), pd.pair_count))
         assert num.dtype == np.int64
-        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(2)])
-        want = sup_float_sweep(pd)(block)
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(2)])
+        want = sup_float_sweep(pd)(pd.t[block])
         assert want[0] > want[1]
         evaluate = stats_core.prepare(pd, Functional.SUP)
         for size in (1, len(block)):
             assert np.array_equal(in_blocks(evaluate, block, size), want)
+
+
+class TestIndexBlocks:
+    """The evaluators take blocks of pair indices and must give the bits of
+    the evaluation of re-paired Y distances that they replaced
+    (``oracles.value_block_evaluator``)."""
+
+    @staticmethod
+    def assert_bit_identical(pd, functional, block):
+        want = value_block_evaluator(pd, functional)(pd.t[block])
+        evaluate = stats_core.prepare(pd, functional)
+        for size in (1, 7, len(block)):
+            assert np.array_equal(in_blocks(evaluate, block, size), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 45),
+        scale=st.sampled_from([None, 1, 16, 1000]),
+    )
+    def test_bit_identical_to_value_blocks(self, seed, n, scale):
+        # Continuous data under L1, or data rounded at ``scale`` under Linf.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        y = x**2 + rng.standard_normal((n, 3))
+        metric = Metric.L1
+        if scale is not None:
+            x, y, metric = np.round(scale * x), np.round(scale * y), Metric.LINF
+        pd = rt.paired_distances(x, y, metric, metric)
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(9)])
+        # A constant side has no weight; only the supremum is defined there.
+        weighted = np.ptp(pd.z) > 0 and np.ptp(pd.t) > 0
+        for functional in list(Functional) if weighted else [Functional.SUP]:
+            self.assert_bit_identical(pd, functional, block)
+
+    @pytest.mark.parametrize("n, scale", ROUNDED_CASES)
+    def test_bit_identical_on_rounded_data(self, n, scale):
+        # Both quadratic evaluators, the closed form also on tied distances
+        # (scale 1000 from n = 30); l1 and sup up to n = 50.
+        pd = rounded_pairs(n, scale)
+        rng = np.random.default_rng((n, scale, 1))
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(9)])
+        for functional in Functional:
+            if n < 100 or functional == Functional.L2:
+                self.assert_bit_identical(pd, functional, block)
+
+    @pytest.mark.parametrize("distinct", [255, 256, 257])
+    def test_code_dtype_boundaries(self, distinct):
+        # The codes take the narrowest unsigned dtype that holds the count
+        # of distinct values (or of kept columns): 255, 256 and 257 distinct
+        # Y distances straddle the uint8 / uint16 boundary.
+        rng = np.random.default_rng(distinct)
+        m = 300
+        t = np.concatenate([np.arange(distinct), rng.integers(0, distinct, m - distinct)])
+        pd = PairedDistances(25, rng.standard_normal(m) ** 2, rng.permutation(t) + 1.0)
+        assert np.unique(pd.t).size == distinct
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(3)])
+        for functional in Functional:
+            self.assert_bit_identical(pd, functional, block)
+
+    @pytest.mark.parametrize("scale", [None, 1, 1000], ids=["continuous", "int", "tied-closed"])
+    def test_layout_does_not_change_bits(self, scale):
+        # A C-ordered, a Fortran-ordered, a strided and a reversed view of
+        # the same index block give the same bits.
+        pd = rounded_pairs(30, scale) if scale else random_pairs(6, 30)
+        rng = np.random.default_rng(30)
+        m = pd.pair_count
+        block = np.array([rng.permutation(m) for _ in range(8)])
+        wide = np.zeros((16, 2 * m), dtype=block.dtype)
+        wide[::2, ::2] = block
+        layouts = [np.asfortranarray(block), wide[::2, ::2], np.flipud(block[::-1].copy())]
+        for functional in Functional:
+            evaluate = stats_core.prepare(pd, functional)
+            want = evaluate(block)
+            for layout in layouts:
+                assert np.array_equal(layout, block)
+                assert np.array_equal(evaluate(layout), want)
 
 
 class TestCellSumExact:
@@ -500,10 +590,11 @@ class TestCellSumExact:
         pd = rt.paired_distances(x, y, metric, metric)
         wx, wy = weights_for(pd)
         cells = stats_core._Cells(pd, wx, wy)
-        block = np.array([pd.t] + [rng.permutation(pd.t) for _ in range(3)])
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(3)])
         l1 = stats_core._prepare_l1(pd, wx, wy)(block)
         l2 = stats_core._l2_cell_sum(cells, pd.n)(block)
-        for row, t in enumerate(block):
+        for row, t in enumerate(pd.t[block]):
             pdr = PairedDistances(pd.n, pd.z, t)
             assert l1[row] == pytest.approx(l1_statistic_exact(pdr, wx, wy), rel=1e-12, abs=0)
             assert l2[row] == pytest.approx(float(l2_statistic_exact(pdr, wx, wy)), rel=1e-12, abs=0)
