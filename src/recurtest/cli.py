@@ -34,8 +34,12 @@ def _parse_levels(text: str, perms: int) -> list[float]:
         raise InvalidInputError(f"levels must be a comma-separated float list, got {text!r}") from None
     if not levels:
         raise InvalidInputError("at least one level is required")
-    for a in levels:
+    # The outputs name each level by its "g" format, so no two may share it.
+    names = [format(a, "g") for a in levels]
+    for i, a in enumerate(levels):
         check_level(a, perms)
+        if names[i] in names[:i]:
+            raise InvalidInputError(f"level {names[i]} is repeated")
     return levels
 
 

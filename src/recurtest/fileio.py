@@ -131,6 +131,10 @@ def parse_groups(text: str, n_columns: int) -> list[GroupSpec]:
             raise InvalidInputError(f"group {chunk!r} is not of the form name=start:stop")
         name, _, span = chunk.partition("=")
         name = name.strip()
+        if not name or "," in name or ":" in name or name in (g.name for g in groups):
+            raise InvalidInputError(
+                f"group {chunk!r}: a name must be nonempty, unique and free of ',' and ':'"
+            )
         if ":" not in span:
             raise InvalidInputError(f"group {chunk!r} is not of the form name=start:stop")
         lo_txt, _, hi_txt = span.partition(":")

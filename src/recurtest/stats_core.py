@@ -13,10 +13,9 @@ aggregated three ways:
 
 Each kernel has a closed form over the coupled distance list, evaluated in
 two steps.  ``prepare`` computes once everything that re-pairing the Y-side
-distances leaves unchanged: the z-order and its runs of equal values, the
-X-side weight increments and brackets, the Y-side weight terms, and a small
-integer code of each pair's Y distance (its cell column or its rank among the
-distinct values).  The evaluator it returns then takes a ``(P, m)`` block of
+distances leaves unchanged: the cell grid (``_Cells``: the z-order, the
+stops and columns, and a small integer code of each pair's Y distance) and
+the weight terms.  The evaluator it returns then takes a ``(P, m)`` block of
 pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
 of one permutation -- gathers the codes of each row in z-order and sweeps the
 fixed z-order once with state of shape ``(P, .)``.  The single-pairing kernels
@@ -25,10 +24,9 @@ is evaluated in and of the block's memory layout.
 
 The sweep (``_sweep``) keeps the integer numerators m*C - h*cum of the
 discrepancy, exact in int32 or int64.  The integral functionals sum them
-over the grid of cells between consecutive distinct distances
-(``_Cells``), the quadratic one only when the grid is small, as on tied
-data, and otherwise evaluates the expanded square in closed form.  The
-supremum takes their largest magnitude.
+over the weighted grid, the quadratic one only when the grid is small, as on
+tied data, and otherwise evaluates the expanded square in closed form.  The
+supremum takes their largest magnitude over the unweighted grid.
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -102,14 +100,11 @@ def _one(evaluate: Evaluator, pd: PairedDistances) -> float:
     return float(evaluate(np.arange(pd.pair_count)[None, :])[0])
 
 
-def _distinct_codes(t: np.ndarray):
-    """Each value's rank among the distinct values of ``t`` (from 0), in the
-    narrowest unsigned dtype that holds their count, and their cumulative counts."""
-    order = np.argsort(t, kind="stable")
-    ends = np.append(np.flatnonzero(np.diff(t[order]) != 0), t.size - 1)
-    codes = np.empty(t.size, np.min_scalar_type(ends.size))
-    codes[order] = np.repeat(np.arange(ends.size), np.diff(ends, prepend=-1))
-    return codes, ends + 1
+def _column_codes(columns: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each value's first column, the first of the sorted ``columns`` at or
+    above it (``columns.size``: none), in the narrowest unsigned dtype that
+    holds ``columns.size``."""
+    return np.searchsorted(columns, t).astype(np.min_scalar_type(columns.size))
 
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
@@ -175,39 +170,43 @@ def _row_dots(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np
 
 
 # ---------------------------------------------------------------------------
-# The cell grid of the integral functionals
+# The cell grid
 
 
 class _Cells:
-    """The grid of cells over which both integral functionals sum.
+    """The grid of cells over which every functional aggregates.
 
     The discrepancy is piecewise constant between consecutive sorted
     distances.  On the cell (h, j) -- X radii with h of the m X distances
     below them, Y radii with j below -- it equals D(h, j) / m^2 with the
     integer numerator D(h, j) = m c(h, j) - h j, where c(h, j) counts, among
-    the first h records in z-order, those whose t-value ranks at or below j;
-    the cell's weight mass is dG1(h) dG2(j), h, j = 1..m-1.  Outside the
-    data range on either axis the discrepancy is zero.  Only cells with
-    dG1(h) != 0 and dG2(j) != 0 contribute, so the sweep stops only at those
-    h and keeps only those j columns.  Both lie at the ends of tie runs,
-    where the counts depend on values rather than on tie-breaking: c(h, j)
-    is the number of the first h records with t <= t_(j).  Memory stays
+    the first h records in z-order, those whose t-value ranks at or below j,
+    h, j = 1..m-1.  Outside the data range on either axis, and at h = m or
+    j = m, D is zero.  The grid's edges are the weight CDFs G1, G2 of
+    the sorted distances, or without weights the distances themselves; a
+    cell (h, j) is kept only when dG1(h) != 0 and dG2(j) != 0, so the sweep
+    stops at the ends of the runs of equal X edges and keeps the columns at
+    the ends of those of Y edges.  There the counts depend on values rather
+    than on tie-breaking: c(h, j) is the number of the first h records with
+    t <= t_(j).  With weights the cell's mass is dG1(h) dG2(j).  Memory stays
     O(P m).
     """
 
-    def __init__(self, pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight):
+    def __init__(self, pd: PairedDistances, wx: GaussianWeight | None = None,
+                 wy: GaussianWeight | None = None):
         self.m = pd.pair_count
         self.z_order = np.argsort(pd.z, kind="stable")
-        t_sorted = np.sort(pd.t, kind="stable")
-        self.g1 = weight_cdf(wx, pd.z[self.z_order])  # in z-sorted order
-        self.g2 = weight_cdf(wy, t_sorted)
-        dg1 = np.diff(self.g1)  # h = 1..m-1
-        dg2 = np.diff(self.g2)  # j = 1..m-1
+        self.t_sorted = np.sort(pd.t, kind="stable")
+        edges_x, edges_y = pd.z[self.z_order], self.t_sorted
+        if wx is not None:
+            self.g1 = edges_x = weight_cdf(wx, edges_x)  # in z-sorted order
+            self.g2 = edges_y = weight_cdf(wy, edges_y)
+        dg1 = np.diff(edges_x)  # h = 1..m-1
+        dg2 = np.diff(edges_y)  # j = 1..m-1
         self.stops = np.flatnonzero(dg1 != 0.0)  # end position h - 1 of each stop
         self.stop_dg1 = dg1[self.stops]
         cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
-        # Each pair's first kept column (cols.size: none), as a small integer.
-        self.codes = np.searchsorted(t_sorted[cols], pd.t).astype(np.min_scalar_type(cols.size))
+        self.codes = _column_codes(self.t_sorted[cols], pd.t)
         self.col_j = cols + 1
         self.col_dg2 = dg2[cols]
 
@@ -215,6 +214,12 @@ class _Cells:
     def size(self) -> int:
         """The number of contributing cells."""
         return self.stops.size * self.col_j.size
+
+    def sweep(self, index: np.ndarray):
+        """The codes of each row of the pair-index block ``index`` in z-order,
+        and the sweep of their numerators over the grid (see ``_sweep``)."""
+        codes = self.codes[index.take(self.z_order, axis=1)]
+        return codes, _sweep(codes, self.stops, self.col_j, self.m)
 
     def sum(self, index: np.ndarray, squared: bool) -> np.ndarray:
         """``sum_{h,j} dG1(h) dG2(j) |D(h, j)|``, or with D^2, per row of
@@ -224,9 +229,9 @@ class _Cells:
         weighted by dG1 finishes.  |D| is exact, and D^2 is taken in
         float64.
         """
-        codes = self.codes[index.take(self.z_order, axis=1)]
+        _, sweep = self.sweep(index)
         at_stop = np.empty((len(index), self.stops.size))  # sum over j of dG2(j) |D|
-        for s, num in enumerate(_sweep(codes, self.stops, self.col_j, self.m)):
+        for s, num in enumerate(sweep):
             dev = np.square(num, dtype=float) if squared else np.abs(num)
             _row_dots(dev, self.col_dg2, out=at_stop[:, s])
         return _row_dots(at_stop, self.stop_dg1)
@@ -272,7 +277,8 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     """
     m, n = cells.m, pd.n
     z_order = cells.z_order
-    t_code, _ = _distinct_codes(pd.t)
+    t_sorted = cells.t_sorted  # each pair's code: its rank among the distinct values
+    t_code = _column_codes(t_sorted[np.append(np.diff(t_sorted) != 0, True)], pd.t)
     surv_z = 1.0 - cells.g1  # in z-sorted order
     surv_t_sorted = 1.0 - cells.g2
 
@@ -340,15 +346,14 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     """Supremum of the absolute discrepancy times sqrt(n) (weight-free).
 
     The discrepancy is a step function of the two radii, so its supremum is
-    attained on the grid of distinct distance values; the sweep adds each
-    run of equal z-values at once and keeps the integer numerators
-    D = m*C - h*cum over the distinct t-values (see ``_sweep``).  Counts
-    compare actual values (not sort positions), which makes the result
-    invariant to tie-breaking and equal to the supremum of the
-    left-continuous rate process over all radii.
+    attained on the unweighted cell grid (see ``_Cells``).  Counts compare
+    actual values (not sort positions), which makes the result invariant to
+    tie-breaking and equal to the supremum of the left-continuous rate
+    process over all radii.
 
     The sweep keeps each column's largest and smallest D over the stops,
-    which give each row's exact maximum K of |D|.  The value reported is the
+    which give each row's exact maximum K of |D|; a row with K = 0 (as on a
+    constant side) is exactly 0.  Otherwise the value reported is the
     largest float deviation |C - (h/m)*cum|, rounded as a float sweep rounds
     it, and it is evaluated only in the columns where |D| reaches K (one per
     row, as a rule).  Its rounding error is below 3*m*2^-53, and distinct
@@ -356,35 +361,29 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     6*m^2 < 2^53 (m below about 3.9e7 pairs) no smaller |D| rounds above
     the largest: the value is bit for bit the float sweep's maximum.
     """
-    m = pd.pair_count
-    n = pd.n
-
-    z_order = np.argsort(pd.z, kind="stable")
-    z_sorted = pd.z[z_order]
-    # Inclusive end position of each run of equal z-values in sorted order.
-    run_ends = np.append(np.flatnonzero(np.diff(z_sorted) != 0), m - 1)
-    h = run_ends + 1
-    t_code, t_cum = _distinct_codes(pd.t)
+    cells = _Cells(pd)
+    m, h = cells.m, cells.stops + 1
 
     def evaluate(index: np.ndarray) -> np.ndarray:
-        codes = t_code[index.take(z_order, axis=1)]
-        sweep = _sweep(codes, run_ends, t_cum, m)
+        best = np.zeros(len(index))
+        if cells.size == 0:
+            return best
+        codes, sweep = cells.sweep(index)
         top = next(sweep).copy()
         bottom = top.copy()
         for num in sweep:
             np.maximum(top, num, out=top)
             np.minimum(bottom, num, out=bottom)
-        k = np.maximum(top.max(axis=1), -bottom.min(axis=1))
-        rows, cols = np.nonzero((top == k[:, None]) | (bottom == -k[:, None]))
+        k = np.maximum(top.max(axis=1), -bottom.min(axis=1))[:, None]
+        rows, cols = np.nonzero(((top == k) | (bottom == -k)) & (k > 0))
         # The float deviations of those columns at every stop, a block's
         # worth of columns at a time.
-        best = np.zeros(len(index))
         for lo in range(0, rows.size, len(index)):
             r, c = rows[lo : lo + len(index)], cols[lo : lo + len(index), None]
-            counts = np.cumsum(codes[r] <= c, axis=1)[:, run_ends]
-            dev = np.abs(counts - (h / m) * t_cum[c])
+            counts = np.cumsum(codes[r] <= c, axis=1)[:, cells.stops]
+            dev = np.abs(counts - (h / m) * cells.col_j[c])
             np.maximum.at(best, r, dev.max(axis=1))
-        return np.sqrt(n) * best / m
+        return np.sqrt(pd.n) * best / m
 
     return evaluate
 

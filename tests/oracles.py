@@ -318,7 +318,8 @@ def _float_sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):
 def sup_float_sweep(pd: PairedDistances):
     """The supremum evaluator of the float sweep (oracle): maps a ``(P, m)``
     block of re-paired Y distances to the P statistics, with the bits the
-    integer sweep of ``stats_core._prepare_sup`` must reproduce."""
+    integer sweep of ``stats_core._prepare_sup`` must reproduce.  A row whose
+    numerators are all zero is 0, not the round-off of its deviations."""
     m = pd.pair_count
     z_order = np.argsort(pd.z, kind="stable")
     z_sorted = pd.z[z_order]
@@ -331,6 +332,8 @@ def sup_float_sweep(pd: PairedDistances):
         best = np.zeros(len(t_block))
         for _, dev in _float_sweep(codes, run_ends, t_cum, m):
             np.maximum(best, dev.max(axis=1), out=best)
+        # A nonzero numerator gives a deviation of at least 1/m.
+        best[best * m < 0.5] = 0.0
         return np.sqrt(pd.n) * best / m
 
     return evaluate

@@ -167,6 +167,29 @@ class TestCmdTest:
         assert err.count("\n") == 1
         assert err.startswith("error: level 0.001 needs at least m = 999 permutations")
 
+    @pytest.mark.parametrize("levels", ["0.1,0.1", "0.05,0.1,0.10"])
+    def test_repeated_level_exit2(self, gauss_csv, capsys, levels):
+        xp, yp = gauss_csv
+        assert run(
+            ["test", "--x", str(xp), "--y", str(yp), "--functional", "l2",
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "19",
+             "--levels", levels, "--seed", "1"]
+        ) == 2
+        assert capsys.readouterr().err == "error: level 0.1 is repeated\n"
+
+    def test_sup_constant_side_is_zero(self, tmp_path):
+        # Every numerator of a constant side is zero: no round-off is reported.
+        xp, yp, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "r.json"
+        write_dataset(str(xp), np.random.default_rng(47).standard_normal((10, 2)))
+        write_dataset(str(yp), np.ones((10, 2)))
+        assert run(
+            ["test", "--x", str(xp), "--y", str(yp), "--functional", "sup",
+             "--metric-x", "l2", "--metric-y", "l2", "--perms", "19", "--seed", "1",
+             "--out", str(out)]
+        ) == 0
+        doc = json.loads(out.read_text())
+        assert doc["observed"] == 0.0 and doc["p_value"] == 1.0
+
     def test_bad_flag_exit2(self, gauss_csv):
         xp, yp = gauss_csv
         assert run(
@@ -469,6 +492,32 @@ class TestCmdDependogram:
              "--functional", "l2", "--metric", "l2", "--perms", "39",
              "--seed", "1"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["x,y=0:2;z=2:4", "a:b=0:2;z=2:4", "a=0:2;a=2:4", "=0:2;b=2:4"],
+        ids=["comma", "colon", "repeated", "empty"],
+    )
+    def test_bad_group_name_exit2(self, tmp_path, capsys, spec):
+        # Each of these names would break the pair column of the CSV.
+        p, _ = self.write_groups(tmp_path)
+        out = tmp_path / "dep.csv"
+        assert run(
+            ["dependogram", "--data", str(p), "--groups", spec, "--functional", "l2",
+             "--metric", "l2", "--perms", "19", "--seed", "1", "--out", str(out)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: group ") and err.count("\n") == 1
+        assert "name must be nonempty, unique and free of ',' and ':'" in err
+        assert not out.exists()
+
+    def test_repeated_level_exit2(self, tmp_path, capsys):
+        p, groups = self.write_groups(tmp_path, n_groups=2)
+        assert run(
+            ["dependogram", "--data", str(p), "--groups", groups, "--functional", "l2",
+             "--metric", "l2", "--perms", "19", "--levels", "0.1,0.10", "--seed", "1"]
+        ) == 2
+        assert capsys.readouterr().err == "error: level 0.1 is repeated\n"
 
     def test_infeasible_level_exit2(self, tmp_path):
         p, groups = self.write_groups(tmp_path, n_groups=2)

@@ -175,6 +175,19 @@ class TestPermutationTest:
         with pytest.raises(rt.DegenerateWeightError):
             rt.permutation_test(x, y, spec, m=19, seed=1)
 
+    @pytest.mark.parametrize("constant", ["x", "y"])
+    def test_sup_constant_side_is_zero(self, constant):
+        # Every numerator is zero, so every statistic is exactly 0.
+        x, y = gaussian_pair(12, n=10)
+        if constant == "x":
+            x = np.ones_like(x)
+        else:
+            y = np.ones_like(y)
+        spec = StatisticSpec(Functional.SUP, Metric.L2, Metric.L2)
+        rep = rt.permutation_test(x, y, spec, m=19, seed=1)
+        assert rep.observed == 0.0 and rep.p_value == 1.0
+        assert np.array_equal(rep.perm_stats, np.zeros(19))
+
     def test_works_for_sup_functional(self):
         x, y = gaussian_pair(9, n=10)
         spec = StatisticSpec(Functional.SUP, Metric.L1, Metric.L1)

@@ -465,15 +465,41 @@ class TestSupIntegerSweep:
         assert found >= 10
 
     def test_constant_side(self):
-        # Every numerator is zero; the float deviations are round-off only.
+        # Every numerator is zero, so the supremum is exactly 0 either way round.
         rng = np.random.default_rng(4)
         x = rng.standard_normal((30, 2))
         pd = rt.paired_distances(x, np.ones((30, 2)), Metric.L2, Metric.L2)
         flipped = PairedDistances(pd.n, pd.t, pd.z)
         for side in (pd, flipped):
             block = np.array([np.arange(side.pair_count), rng.permutation(side.pair_count)])
-            assert np.array_equal(stats_core.prepare(side, Functional.SUP)(block),
-                                  sup_float_sweep(side)(side.t[block]))
+            assert np.array_equal(stats_core.prepare(side, Functional.SUP)(block), [0.0, 0.0])
+            assert np.array_equal(sup_float_sweep(side)(side.t[block]), [0.0, 0.0])
+
+    def test_independent_pairing_is_zero(self):
+        # Two distinct values on each side, cut so that the one cell has
+        # h = 45, cum = 22 and C = 15 of m = 66 pairs: D = 66*15 - 45*22 = 0,
+        # while the float deviation |15 - (45/66)*22| rounds to 1.8e-15.
+        z = np.repeat([1.0, 2.0], [45, 21])
+        t = np.repeat([1.0, 2.0, 1.0, 2.0], [15, 30, 7, 14])
+        pd = PairedDistances(12, z, t)
+        identity = np.arange(pd.pair_count)[None, :]
+        assert stats_core.prepare(pd, Functional.SUP)(identity)[0] == 0.0
+        assert sup_float_sweep(pd)(pd.t[identity])[0] == 0.0
+
+    @pytest.mark.parametrize("scale", [1, 16, 1000])
+    def test_unweighted_grid(self, scale):
+        # The supremum's grid: stops at the ends of the runs of equal X
+        # distances but the last (h = m), columns at the distinct Y distances
+        # but the largest, and each pair's code its Y distance's rank among them.
+        pd = rounded_pairs(20, scale)
+        cells = stats_core._Cells(pd)
+        z_sorted = np.sort(pd.z)
+        run_ends = np.append(np.flatnonzero(np.diff(z_sorted) != 0), pd.pair_count - 1)
+        assert np.array_equal(cells.stops, run_ends[:-1])
+        t_sorted, t_distinct = np.sort(pd.t), np.unique(pd.t)
+        assert np.array_equal(t_sorted[cells.col_j - 1], t_distinct[:-1])
+        assert np.array_equal(cells.col_j, np.searchsorted(t_sorted, t_distinct[:-1], "right"))
+        assert np.array_equal(cells.codes, np.searchsorted(t_distinct, pd.t))
 
     def test_int64_numerators(self):
         # 305 observations give 46,360 pairs, so m^2 > 2^31 and the sweep's
