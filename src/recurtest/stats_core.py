@@ -17,16 +17,18 @@ distances leaves unchanged: the cell grid (``_Cells``: the z-order, the
 stops and columns, and a small integer code of each pair's Y distance) and
 the weight terms.  The evaluator it returns then takes a ``(P, m)`` block of
 pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
-of one permutation -- gathers the codes of each row in z-order and sweeps the
-fixed z-order once with state of shape ``(P, .)``.  The single-pairing kernels
-evaluate the identity row.  Each row's value is independent of the block it
-is evaluated in and of the block's memory layout.
+of one permutation -- and evaluates every row at once with state of shape
+``(P, .)``.  The single-pairing kernels evaluate the identity row.  Each
+row's value is independent of the block it is evaluated in and of the
+block's memory layout.
 
-The sweep (``_sweep``) keeps the integer numerators m*C - h*cum of the
-discrepancy, exact in int32 or int64.  The integral functionals sum them
-over the weighted grid, the quadratic one only when the grid is small, as on
-tied data, and otherwise evaluates the expanded square in closed form.  The
-supremum takes their largest magnitude over the unweighted grid.
+The sweep (``_sweep``) gathers the codes of each row in z-order, walks the
+fixed z-order once and keeps the integer numerators m*C - h*cum of the
+discrepancy, exact in int32 or int64.  The absolute functional sums them
+over the weighted grid, and the supremum takes their largest magnitude over
+the unweighted grid.  The quadratic functional sums their squares on a
+small grid, as on tied data, and otherwise evaluates the expanded square in
+closed form: a double sum of products of two minima (``_min_kernel_sums``).
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -40,13 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import Callable
 
 import numpy as np
 
 from .exceptions import InternalConsistencyError, InvalidInputError
 from .metrics import Metric, PairedDistances, paired_distances
-from .rankstats import block_size, prefix_dominance, stable_ranks
 from .weights import GaussianWeight, estimate_weight, weight_cdf
 
 # Computed values of the quadratic statistic below this are round-off noise
@@ -100,16 +102,10 @@ def _one(evaluate: Evaluator, pd: PairedDistances) -> float:
     return float(evaluate(np.arange(pd.pair_count)[None, :])[0])
 
 
-def _column_codes(columns: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Each value's first column, the first of the sorted ``columns`` at or
-    above it (``columns.size``: none), in the narrowest unsigned dtype that
-    holds ``columns.size``."""
-    return np.searchsorted(columns, t).astype(np.min_scalar_type(columns.size))
-
-
-def _suffix_sums(values: np.ndarray) -> np.ndarray:
-    """``out[i] = sum(values[i+1:])``."""
-    return np.concatenate([np.cumsum(values[::-1])[::-1][1:], [0.0]])
+def _min_row_sums(values: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_j min(values[i], values[j])`` of nonincreasing ``values``."""
+    suffix = np.concatenate([np.cumsum(values[::-1])[::-1][1:], [0.0]])
+    return np.arange(1, values.size + 1) * values + suffix
 
 
 def _sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):
@@ -160,12 +156,13 @@ _DOT_SPAN = 8192
 
 
 def _row_dots(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ w`` for a ``(P, k)`` array: one dot product per row, in pieces
-    of ``_DOT_SPAN`` columns, so that each row's bits depend on that row
-    alone (a matrix-vector product does not promise that)."""
-    out = np.vecdot(a[:, :_DOT_SPAN], w[:_DOT_SPAN], out=out)
-    for lo in range(_DOT_SPAN, w.size, _DOT_SPAN):
-        out += np.vecdot(a[:, lo : lo + _DOT_SPAN], w[lo : lo + _DOT_SPAN])
+    """``a @ w`` for a ``(P, k)`` array and a ``(k,)`` or ``(P, k)`` one:
+    one dot product per row, in pieces of ``_DOT_SPAN`` columns, so that
+    each row's bits depend on that row alone (a matrix-vector product does
+    not promise that)."""
+    out = np.vecdot(a[:, :_DOT_SPAN], w[..., :_DOT_SPAN], out=out)
+    for lo in range(_DOT_SPAN, a.shape[1], _DOT_SPAN):
+        out += np.vecdot(a[:, lo : lo + _DOT_SPAN], w[..., lo : lo + _DOT_SPAN])
     return out
 
 
@@ -206,7 +203,9 @@ class _Cells:
         self.stops = np.flatnonzero(dg1 != 0.0)  # end position h - 1 of each stop
         self.stop_dg1 = dg1[self.stops]
         cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
-        self.codes = _column_codes(self.t_sorted[cols], pd.t)
+        # Each pair's first kept column at or above its Y distance (cols.size:
+        # none), in the narrowest unsigned dtype that holds cols.size.
+        self.codes = np.searchsorted(self.t_sorted[cols], pd.t).astype(np.min_scalar_type(cols.size))
         self.col_j = cols + 1
         self.col_dg2 = dg2[cols]
 
@@ -241,16 +240,22 @@ class _Cells:
 # Quadratic (L2) functional
 
 
+def _closed_form_work(m: int) -> int:
+    """The cells up to which the quadratic functional sums the cell grid
+    rather than use the closed form: m * max(32, 1.5 sqrt(m))."""
+    return m * max(32, int(1.5 * np.sqrt(m)))
+
+
 def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> Evaluator:
     """The quadratic functional, n/m^4 * sum_{h,j} dG1(h) dG2(j) D(h, j)^2 (see ``_Cells``).
 
     On a grid of few distinct distances (tied data) the cell sum is cheap
     and every term is nonnegative; otherwise the closed form does O(m^1.5)
     work per row however many cells there are.  The cell sum is chosen when
-    it has at most ``m * block_size(m)`` cells, the closed form's work.
+    it has at most ``_closed_form_work(m)`` cells.
     """
     cells = _Cells(pd, wx, wy)
-    if cells.size <= cells.m * block_size(cells.m):
+    if cells.size <= _closed_form_work(cells.m):
         return _l2_cell_sum(cells, pd.n)
     return _l2_closed_form(cells, pd)
 
@@ -265,55 +270,138 @@ def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
 def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     """Closed form of the quadratic functional.
 
-    Expanding the square gives three terms: the joint term couples the pair
-    maxima on both sides (rank dominance sums over the coupled list), the
-    product term factorizes into two sorted survival sums with odd-integer
-    weights, and the cross term factorizes per record into an X-side and a
-    Y-side bracket.  The product term and both brackets (each a function of
-    the record's own distance) are invariant under re-pairing; only the
-    joint term and the pairing of the brackets are evaluated per row, in
-    O(m^1.5) elementwise work.  The terms cancel to about six digits on
-    tied data, which the cell sum avoids.
+    With Z = 1 - G1 and s = 1 - G2 of each record's distances, the survival
+    weights of a pair's larger distances are min(Z_i, Z_j) and min(s_i, s_j).
+    Expanding the square gives three means over pairs of records: the joint
+    term of their product (``_min_kernel_sums``), and the product and cross
+    terms, which factorize into per-record brackets prepared once.  A row
+    orders its records by Y distance by a scatter of z-positions and a
+    gather in the prepared Y order; only runs of equal Y distances are
+    sorted, into z-order, so that the bits depend on the values alone.  The
+    terms cancel to about six digits on tied data, which the cell sum avoids.
     """
-    m, n = cells.m, pd.n
-    z_order = cells.z_order
-    t_sorted = cells.t_sorted  # each pair's code: its rank among the distinct values
-    t_code = _column_codes(t_sorted[np.append(np.diff(t_sorted) != 0, True)], pd.t)
+    m, n, z_order = cells.m, pd.n, cells.z_order
     surv_z = 1.0 - cells.g1  # in z-sorted order
     surv_t_sorted = 1.0 - cells.g2
+    t_order = np.argsort(pd.t, kind="stable")
+    positions = np.arange(m, dtype=np.int32)
+    # The ranks in runs of equal Y distances, and m times each one's run
+    # start: sorting these keys puts the z-positions of each run in order.
+    same = cells.t_sorted[1:] == cells.t_sorted[:-1]
+    tied = np.flatnonzero(np.append(same, False) | np.append(False, same))
+    tie_keys = np.maximum.accumulate(np.where(np.append(False, same)[tied], 0, tied)) * m
 
-    # Product term: for sorted values, sum_{i,j} G(max(v_i, v_j)) equals
-    # sum_i (2i - 1) G(v_(i)).
-    odd = 2.0 * np.arange(1, m + 1) - 1.0
-    product_term = (1.0 - float(np.dot(odd, cells.g1)) / (m * m)) * (
-        1.0 - float(np.dot(odd, cells.g2)) / (m * m)
-    )
-
-    # Cross term: sum_i [sum_j surv_z(max(z_i,z_j))] [sum_k surv_t(max(t_i,t_k))] / m^3,
-    # with each bracket computable per record from its sorted position.
-    pos = np.arange(1, m + 1, dtype=float)
-    z_bracket = pos * surv_z + _suffix_sums(surv_z)
-    t_bracket_sorted = pos * surv_t_sorted + _suffix_sums(surv_t_sorted)
+    # Each record's bracket, its sum of minima over all records on one side:
+    # the product term is (sum of Z brackets)(sum of s brackets) / m^4, and
+    # the cross term sum_i [Z bracket of i][s bracket of i] / m^3.
+    z_bracket = _min_row_sums(surv_z)
+    t_bracket_sorted = _min_row_sums(surv_t_sorted)
+    product_term = z_bracket.sum() * t_bracket_sorted.sum() / m**4
 
     def evaluate(index: np.ndarray) -> np.ndarray:
-        # Every row holds the prepared Y values, so the record of stable rank
-        # r has the r-th smallest of them and its terms can be looked up; its
-        # small-integer code ranks it as its value does, ties by z-position.
-        t_rank = stable_ranks(t_code[index.take(z_order, axis=1)])
-        surv_t = surv_t_sorted[t_rank - 1]
-
-        # Joint term: mean over all ordered index pairs (i, j) of
-        # surv_z(max(z_i, z_j)) * surv_t(max(t_i, t_j)).
-        count_less, wsum_greater = prefix_dominance(t_rank, surv_t)
-        diag = (surv_z * surv_t).sum(axis=1)
-        off = (surv_z * (surv_t * count_less + wsum_greater)).sum(axis=1)
-        joint_term = (diag + 2.0 * off) / (m * m)
-
-        cross_term = (z_bracket * t_bracket_sorted[t_rank - 1]).sum(axis=1) / (m * m * m)
+        # order[p, r]: the z-position of row p's Y pair index of rank r.
+        order = np.empty(index.shape, dtype=np.int32)
+        np.put_along_axis(order, index.take(z_order, axis=1), positions, axis=1)
+        order = order.take(t_order, axis=1)
+        if tied.size:
+            keys = order[:, tied] + tie_keys
+            keys.sort(axis=1)
+            order[:, tied] = keys - tie_keys
+        cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
+        joint_term = _min_kernel_sums(order, surv_z, surv_t_sorted) / (m * m)
         values = n * (joint_term + product_term - 2.0 * cross_term)
         return _clamp_nonnegative(values, "l2_statistic")
 
     return evaluate
+
+
+# Cap on the elements of each dense temporary of ``_tile_min_sums``; a tile
+# larger than this is taken alone.
+_TILE_ELEMENTS = 1 << 15
+
+
+def _tile_min_sums(values: np.ndarray, weights: np.ndarray, groups=None) -> np.ndarray:
+    """Per row of ``values``, cut into tiles of B = ``weights.shape[1]``:
+    the sum over tiles k of sum_{i<j} weights[k, j] min(values[i], values[j]),
+    without the pairs of equal ``groups`` if given.  Each tile's minima are
+    reduced over i before the weights apply."""
+    count, size = weights.shape
+    tiles = values.reshape(-1, size)
+    step = max(1, _TILE_ELEMENTS // (size * size))
+    upper = np.tri(size, size, -1).T  # [i, j] = 1 where i < j
+    buffer = np.empty((2, min(step, len(tiles)), size, size))
+    out = np.empty(len(tiles))
+    for lo in range(0, len(tiles), step):
+        v = tiles[lo : lo + step]
+        pairs, keep = buffer[:, : len(v)]
+        np.minimum(v[:, :, None], v[:, None, :], out=pairs)
+        if groups is None:
+            pairs *= upper
+        else:
+            g = groups.reshape(-1, size)[lo : lo + step]
+            np.not_equal(g[:, :, None], g[:, None, :], out=keep)
+            keep *= upper
+            pairs *= keep
+        w = weights[np.arange(lo, lo + len(v)) % count]
+        np.sum(np.vecdot(pairs, w[:, None, :]), axis=1, out=out[lo : lo + len(v)])
+    return out.reshape(len(values), count).sum(axis=1)
+
+
+def _min_kernel_sums(order: np.ndarray, surv_z: np.ndarray, surv_t: np.ndarray) -> np.ndarray:
+    """sum_{i,j} min(Z_i, Z_j) min(s_i, s_j) over the records of each row:
+    Z = ``surv_z`` in z-order and s = ``surv_t`` in Y order, both
+    nonincreasing, and ``order[p, r]`` is the z-position of the record of
+    Y rank r.  Blocks of B = isqrt(m) consecutive z-positions and buckets of
+    B consecutive Y ranks split the pairs three ways.  Pairs within a block,
+    and pairs within a bucket but across blocks, are summed over dense
+    B x B tiles of minima (``_tile_min_sums``).  The other pairs take the Z
+    of their later block and the s of their higher bucket, so tables of the
+    count, Z, Z*s and s per (block, bucket), two exclusive 2-D prefix sums
+    and two dot products sum them: O(m^1.5) work and O(m) memory per row.
+    Padding records have Z = s = 0.
+    """
+    rows, m = order.shape
+    size = isqrt(m)
+    count = -(-m // size)
+    padded = count * size
+    z = np.pad(surv_z, (0, padded + 1 - m))
+    t = np.pad(surv_t, (0, padded - m))
+    s = np.zeros((rows, padded))  # in z-order
+    np.put_along_axis(s, order, surv_t, axis=1)
+    dense = _tile_min_sums(s, z[:padded].reshape(count, size))
+    del s
+    z_rank = np.pad(order, ((0, 0), (0, padded - m)), constant_values=m)
+    z_by_rank = z[z_rank]
+    block = np.floor_divide(z_rank, size, out=z_rank)
+    dense += _tile_min_sums(z_by_rank, t.reshape(count, size),
+                            block.astype(np.min_scalar_type(count)))
+
+    # Tables of (count + 1)^2 cells per row.  The exclusive prefix over lower
+    # blocks and lower buckets of cell (k, c) is cell (k, c) of the inclusive
+    # prefix sums of a table whose records sit one cell further on both
+    # axes; buckets counted down turn lower buckets into higher ones.
+    width = count + 1
+    cell = block * np.int64(width) + (np.arange(rows) * width * width)[:, None]
+    del block, z_rank
+    up = np.arange(padded, dtype=np.int32) // size
+    shift = width + 1
+
+    def table(keys, weights=None, prefix=False):
+        out = np.bincount(keys.ravel(), weights, rows * width * width).reshape(rows, width, width)
+        if prefix:
+            np.cumsum(out, axis=1, out=out)
+            np.cumsum(out, axis=2, out=out)
+        return out.reshape(rows, -1)
+
+    # A record's pairs with records of lower blocks weigh its Z*s each if
+    # they have lower buckets, and its Z times their s if higher ones.
+    lower = table(cell + (up + shift), prefix=True)
+    straddle = _row_dots(lower, table(cell + up, (z_by_rank * t).ravel()))
+    del lower
+    down = count - 1 - up
+    higher = table(cell + (down + shift), np.broadcast_to(t, (rows, padded)).ravel(), True)
+    straddle += _row_dots(higher, table(cell + down, z_by_rank.ravel()))
+    return _row_dots(z_by_rank, t) + 2.0 * (dense + straddle)
 
 
 def l2_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:

@@ -9,7 +9,10 @@ rationals.  The recurrence rates restate the paper's definitions, and
 ``sup_float_sweep`` is the earlier float sweep of the supremum kernel, whose
 bits the integer sweep keeps; ``value_block_evaluator`` is the earlier
 evaluation of blocks of re-paired Y distances, whose bits the evaluation of
-pair-index blocks keeps.
+pair-index blocks keeps.  ``dominance_closed_form`` is the earlier closed
+form of the quadratic functional, built on the rank dominance sums of
+``prefix_dominance``, and ``min_kernel_literal`` the literal double sum
+that replaced it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,15 @@ import numpy as np
 from scipy.stats import norm
 
 from recurtest import Functional, InvalidInputError, PairedDistances
-from recurtest.rankstats import block_size, prefix_dominance, stable_ranks
-from recurtest.stats_core import _Cells, _clamp_nonnegative, _row_dots, _suffix_sums, _sweep
+from recurtest.stats_core import (
+    _Cells,
+    _clamp_nonnegative,
+    _closed_form_work,
+    _min_kernel_sums,
+    _min_row_sums,
+    _row_dots,
+    _sweep,
+)
 from recurtest.weights import GaussianWeight, estimate_weight, weight_cdf
 
 
@@ -339,12 +349,130 @@ def sup_float_sweep(pd: PairedDistances):
     return evaluate
 
 
+def stable_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..m of ``values`` along the last axis, ties broken by position
+    (stable)."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
+    return ranks
+
+
+def prefix_dominance(ranks: np.ndarray, weights: np.ndarray, block: int | None = None):
+    """Per-position dominance statistics over the preceding prefix.
+
+    For each position j of each sequence (the last axis) returns
+      ``count_less[j]  = #{i < j : ranks[i] < ranks[j]}``
+      ``wsum_greater[j] = sum of weights[i] over i < j with ranks[i] > ranks[j]``.
+
+    Each sequence of ``ranks`` must be a permutation of 1..m; ``weights`` has
+    the same shape as ``ranks``.  Queries against the prefix before a block
+    are answered from cumulative histograms over ranks, rebuilt once per
+    block, and pairs inside the block by a dense comparison.
+    """
+    ranks = np.asarray(ranks)
+    shape = ranks.shape
+    ranks = ranks.reshape(-1, shape[-1])
+    weights = np.asarray(weights, dtype=float).reshape(ranks.shape)
+    rows, m = ranks.shape
+    count_less = np.zeros((rows, m), dtype=np.int64)
+    wsum_greater = np.zeros((rows, m), dtype=float)
+    if m <= 1:
+        return count_less.reshape(shape), wsum_greater.reshape(shape)
+    if block is None:
+        block = max(32, int(1.5 * np.sqrt(m)))  # about m * block work per sequence
+    row = np.arange(rows)[:, None]
+    tri = np.tri(min(block, m), min(block, m), -1, dtype=bool)  # [j, i] with i < j
+
+    # Cumulative structures over the rank axis for everything seen so far:
+    # seen_count_cum[:, r] = #{seen with rank <= r}, seen_wsum_cum likewise.
+    seen_count_cum = np.zeros((rows, m + 1), dtype=np.int64)
+    seen_wsum_cum = np.zeros((rows, m + 1), dtype=float)
+    seen_flags = np.zeros((rows, m + 1), dtype=np.int64)
+    seen_wts = np.zeros((rows, m + 1), dtype=float)
+
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        rb = ranks[:, start:stop]
+        wb = weights[:, start:stop]
+
+        # Against the prefix before this block.
+        count_less[:, start:stop] = seen_count_cum[row, rb - 1]
+        wsum_greater[:, start:stop] = seen_wsum_cum[:, m:] - seen_wsum_cum[row, rb]
+
+        # Within-block pairs (i before j, both local).
+        width = stop - start
+        if width > 1:
+            earlier = tri[:width, :width]
+            less = rb[:, None, :] < rb[:, :, None]          # [., j, i] rank_i < rank_j
+            count_less[:, start:stop] += (earlier & less).sum(axis=2)
+            wsum_greater[:, start:stop] += ((earlier & ~less) * wb[:, None, :]).sum(axis=2)
+
+        seen_flags[row, rb] = 1
+        seen_wts[row, rb] = wb
+        np.cumsum(seen_flags, axis=1, out=seen_count_cum)
+        np.cumsum(seen_wts, axis=1, out=seen_wsum_cum)
+
+    return count_less.reshape(shape), wsum_greater.reshape(shape)
+
+
+def _l2_constant_terms(cells: _Cells):
+    """The product term and the two brackets of the quadratic closed form."""
+    z_bracket = _min_row_sums(1.0 - cells.g1)
+    t_bracket_sorted = _min_row_sums(1.0 - cells.g2)
+    return z_bracket.sum() * t_bracket_sorted.sum() / cells.m**4, z_bracket, t_bracket_sorted
+
+
+def dominance_closed_form(pd: PairedDistances):
+    """The quadratic closed form as it was before the min-kernel split
+    (oracle): each row of a ``(P, m)`` block of re-paired Y distances ranks
+    its records by a stable argsort in z-order, and the joint term sums
+    ``prefix_dominance``'s counts and weight sums.  The evaluator returns
+    the joint terms and the statistics."""
+    cells = _Cells(pd, estimate_weight(pd.z), estimate_weight(pd.t))
+    m, n = cells.m, pd.n
+    surv_z, surv_t_sorted = 1.0 - cells.g1, 1.0 - cells.g2
+    product_term, z_bracket, t_bracket_sorted = _l2_constant_terms(cells)
+
+    def evaluate(t_block):
+        t_rank = stable_ranks(t_block[:, cells.z_order])
+        surv_t = surv_t_sorted[t_rank - 1]
+        count_less, wsum_greater = prefix_dominance(t_rank, surv_t)
+        diag = (surv_z * surv_t).sum(axis=1)
+        off = (surv_z * (surv_t * count_less + wsum_greater)).sum(axis=1)
+        joint_term = (diag + 2.0 * off) / (m * m)
+        cross_term = (z_bracket * t_bracket_sorted[t_rank - 1]).sum(axis=1) / (m * m * m)
+        values = n * (joint_term + product_term - 2.0 * cross_term)
+        return joint_term, _clamp_nonnegative(values, "l2")
+
+    return evaluate
+
+
+def dominance_l2_evaluator(pd: PairedDistances):
+    """The quadratic functional as evaluated before the min-kernel split
+    (oracle), on a ``(P, m)`` block of re-paired Y distances: the cell sum
+    where ``stats_core`` selects it, and ``dominance_closed_form`` elsewhere."""
+    cells = _Cells(pd, estimate_weight(pd.z), estimate_weight(pd.t))
+    if cells.size <= _closed_form_work(cells.m):
+        return value_block_evaluator(pd, Functional.L2)
+    closed_form = dominance_closed_form(pd)
+    return lambda t_block: closed_form(t_block)[1]
+
+
+def min_kernel_literal(surv_z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_{i,j} min(Z_i, Z_j) * min(s_i, s_j) per row of ``s`` (records in
+    z-order, Z = ``surv_z``), from the full m x m matrices (oracle)."""
+    z_min = np.minimum.outer(surv_z, surv_z)
+    return np.array([float(np.sum(z_min * np.minimum.outer(row, row))) for row in s])
+
+
 def value_block_evaluator(pd: PairedDistances, functional):
     """``stats_core.prepare`` as it was when its evaluators took a ``(P, m)``
     block of re-paired Y distances instead of pair indices (oracle).  Each
     block re-derives from the values what index evaluation prepares once:
     the kept-column codes by a float ``searchsorted`` and the closed form's
-    ranks by a float stable argsort.  Index evaluation must give its bits."""
+    Y order by a float stable argsort in z-order (equal distances in
+    z-order).  Index evaluation must give its bits."""
     if functional == Functional.SUP:
         return sup_float_sweep(pd)
     if pd.pair_count == 1:
@@ -364,27 +492,16 @@ def value_block_evaluator(pd: PairedDistances, functional):
     if functional == Functional.L1:
         scale = np.sqrt(n) / m**2
         return lambda t_block: scale * cell_sum(t_block, False)
-    if cells.size <= m * block_size(m):
+    if cells.size <= _closed_form_work(m):
         scale = n / m**4
         return lambda t_block: scale * cell_sum(t_block, True)
 
-    surv_z, surv_t_sorted = 1.0 - cells.g1, 1.0 - cells.g2
-    odd = 2.0 * np.arange(1, m + 1) - 1.0
-    product_term = (1.0 - float(np.dot(odd, cells.g1)) / (m * m)) * (
-        1.0 - float(np.dot(odd, cells.g2)) / (m * m)
-    )
-    pos = np.arange(1, m + 1, dtype=float)
-    z_bracket = pos * surv_z + _suffix_sums(surv_z)
-    t_bracket_sorted = pos * surv_t_sorted + _suffix_sums(surv_t_sorted)
+    product_term, z_bracket, t_bracket_sorted = _l2_constant_terms(cells)
 
     def closed_form(t_block):
-        t_rank = stable_ranks(t_block[:, z_order])
-        surv_t = surv_t_sorted[t_rank - 1]
-        count_less, wsum_greater = prefix_dominance(t_rank, surv_t)
-        diag = (surv_z * surv_t).sum(axis=1)
-        off = (surv_z * (surv_t * count_less + wsum_greater)).sum(axis=1)
-        joint_term = (diag + 2.0 * off) / (m * m)
-        cross_term = (z_bracket * t_bracket_sorted[t_rank - 1]).sum(axis=1) / (m * m * m)
+        order = np.argsort(t_block[:, z_order], axis=1, kind="stable")
+        joint_term = _min_kernel_sums(order, 1.0 - cells.g1, 1.0 - cells.g2) / (m * m)
+        cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
         return _clamp_nonnegative(n * (joint_term + product_term - 2.0 * cross_term), "l2")
 
     return closed_form

@@ -1,7 +1,11 @@
+"""Brute-force checks of the rank dominance sums (``oracles.prefix_dominance``)
+that the earlier quadratic closed form was built on, and that its oracle
+(``oracles.dominance_closed_form``) still uses."""
+
 import numpy as np
 import pytest
 
-from recurtest.rankstats import prefix_dominance, stable_ranks
+from oracles import prefix_dominance, stable_ranks
 
 
 def brute_dominance(ranks, weights):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import recurtest as rt
@@ -19,16 +19,18 @@ from recurtest import (
     StatisticSpec,
 )
 from recurtest import stats_core, streams
-from recurtest.rankstats import block_size
-from recurtest.stats_core import _clamp_nonnegative
+from recurtest.stats_core import _clamp_nonnegative, _closed_form_work
 
 from oracles import (
+    dominance_closed_form,
+    dominance_l2_evaluator,
     empirical_process,
     joint_recurrence_rate,
     l1_statistic_exact,
     l1_statistic_naive,
     l2_statistic_exact,
     l2_statistic_naive,
+    min_kernel_literal,
     recurrence_rate,
     sup_float_sweep,
     sup_statistic_naive,
@@ -334,7 +336,7 @@ class TestL2Evaluators:
         for n, scale in ROUNDED_CASES:
             pd = rounded_pairs(n, scale)
             cells = stats_core._Cells(pd, *weights_for(pd))
-            sides.add(cells.size <= pd.pair_count * block_size(pd.pair_count))
+            sides.add(cells.size <= _closed_form_work(pd.pair_count))
         assert sides == {True, False}
 
     @pytest.mark.parametrize(
@@ -344,15 +346,15 @@ class TestL2Evaluators:
     )
     def test_selection(self, monkeypatch, ties, n):
         # Integer samples under Linf take the cell sum; continuous ones under
-        # L1 take the closed form, whose rank dominance sums are counted.
+        # L1 take the closed form, whose preparations are counted.
         calls = []
-        real = stats_core.prefix_dominance
+        real = stats_core._l2_closed_form
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(stats_core, "prefix_dominance", counted)
+        monkeypatch.setattr(stats_core, "_l2_closed_form", counted)
         rng = np.random.default_rng(n)
         x = rng.standard_normal((n, 100))
         y = x**2 + 3.0 * rng.standard_normal((n, 100))
@@ -600,6 +602,99 @@ class TestIndexBlocks:
                 assert np.array_equal(evaluate(layout), want)
 
 
+def probe_data(seed, n, scale, metric, noise=1.0):
+    """Y = X^2 + noise * eps in 3 dimensions, rounded at ``scale`` if given."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    y = x**2 + noise * rng.standard_normal((n, 3))
+    if scale is not None:
+        x, y = np.round(scale * x), np.round(scale * y)
+    return x, y, rt.paired_distances(x, y, metric, metric)
+
+
+P_VALUE_PROBE = [(n, scale, metric) for n in (12, 20, 30, 50) for scale in (None, 10, 1000)
+                 for metric in Metric]
+
+
+class TestMinKernel:
+    """The closed form's joint term as a sum of products of two minima
+    (``stats_core._min_kernel_sums``), against the rank dominance sums it
+    replaced (``oracles.dominance_closed_form``) and the literal double sum
+    (``oracles.min_kernel_literal``)."""
+
+    @staticmethod
+    def joint(cells, t_block):
+        """The min-kernel sums of the rows of ``t_block``, ordered by their
+        values (equal ones in z-order), over m^2."""
+        order = np.argsort(t_block[:, cells.z_order], axis=1, kind="stable")
+        return stats_core._min_kernel_sums(order, 1.0 - cells.g1, 1.0 - cells.g2) / cells.m**2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 60),
+        scale=st.sampled_from([None, 1, 16, 1000]),
+    )
+    def test_matches_dominance_oracle(self, seed, n, scale):
+        # Continuous data under L1, or data rounded at ``scale`` under Linf.
+        metric = Metric.L1 if scale is None else Metric.LINF
+        _, _, pd = probe_data(seed, n, scale, metric)
+        assume(np.ptp(pd.z) > 0 and np.ptp(pd.t) > 0)
+        rng = np.random.default_rng(seed)
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(9)])
+        cells = stats_core._Cells(pd, *weights_for(pd))
+        joint, _ = dominance_closed_form(pd)(pd.t[block])
+        assert np.allclose(self.joint(cells, pd.t[block]), joint, rtol=1e-13, atol=0)
+        evaluate = stats_core.prepare(pd, Functional.L2)
+        got = in_blocks(evaluate, block, len(block))
+        for size in (1, 7):
+            assert np.array_equal(in_blocks(evaluate, block, size), got)
+        assert np.allclose(got, dominance_l2_evaluator(pd)(pd.t[block]), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    @pytest.mark.parametrize("scale", [None, 1])
+    def test_matches_literal_double_sum(self, n, scale):
+        metric = Metric.L1 if scale is None else Metric.LINF
+        _, _, pd = probe_data((n, scale or 0), n, scale, metric)
+        wx, wy = weights_for(pd)
+        cells = stats_core._Cells(pd, wx, wy)
+        rng = np.random.default_rng(n)
+        m = pd.pair_count
+        t_block = pd.t[np.array([np.arange(m)] + [rng.permutation(m) for _ in range(5)])]
+        s = 1.0 - rt.weight_cdf(wy, t_block[:, cells.z_order])
+        want = min_kernel_literal(1.0 - cells.g1, s) / m**2
+        assert np.allclose(self.joint(cells, t_block), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("elements", [1, 1000, 1 << 20])
+    def test_tile_chunks_do_not_change_bits(self, monkeypatch, elements):
+        # One tile at a time, a few, and all of them at once.
+        pd = random_pairs(8, 40)
+        rng = np.random.default_rng(40)
+        block = np.array([rng.permutation(pd.pair_count) for _ in range(5)])
+        evaluate = stats_core.prepare(pd, Functional.L2)
+        want = evaluate(block)
+        monkeypatch.setattr(stats_core, "_TILE_ELEMENTS", elements)
+        assert np.array_equal(evaluate(block), want)
+
+    @pytest.mark.parametrize("n, scale, metric", P_VALUE_PROBE,
+                             ids=lambda v: getattr(v, "value", str(v)))
+    def test_p_values_match_dominance_oracle(self, n, scale, metric):
+        # Four tests of 99 permutations per case, 144 in all: the statistics
+        # agree to 1e-10 and so the p-values are those of the earlier kernel.
+        for seed in range(4):
+            x, y, pd = probe_data((n, scale or 0, seed), n, scale, metric, noise=2.0)
+            spec = StatisticSpec(Functional.L2, metric, metric)
+            report = rt.permutation_test(x, y, spec, m=99, seed=seed, jobs=1)
+            perms = [np.arange(n)] + [
+                streams.substream(seed, streams.PERMUTATION, k).permutation(n) for k in range(1, 100)
+            ]
+            want = dominance_l2_evaluator(pd)(pd.t[np.array([pair_index(n, p) for p in perms])])
+            got = np.append(report.observed, report.perm_stats)
+            assert np.allclose(got, want, rtol=1e-10, atol=0)
+            assert report.p_value == (1 + np.count_nonzero(want[1:] >= want[0])) / 100
+
+
 class TestCellSumExact:
     """The integral functionals against their rational cell sums, built from
     the same float weight-CDF values."""
@@ -626,10 +721,24 @@ class TestCellSumExact:
             assert l2[row] == pytest.approx(float(l2_statistic_exact(pdr, wx, wy)), rel=1e-12, abs=0)
 
 
+def run_fresh(code: str, env_update=None) -> str:
+    """Run ``code`` in a fresh interpreter that imports this recurtest and
+    return its stdout."""
+    src = str(Path(rt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_update or {})
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_bits_do_not_depend_on_blas_threads():
     # The kernels' row sums are dot products: a fresh interpreter limited to
     # one BLAS thread must give the bits of this process.  The l1 row of
-    # n = 150 has 11,175 columns, more than a BLAS shares among threads.
+    # n = 150 has 11,175 columns, more than a BLAS shares among threads, and
+    # so do the l2 closed form's cross term and (block, bucket) tables there.
     code = (
         "import numpy as np, recurtest as rt\n"
         "rng = np.random.default_rng(9)\n"
@@ -642,18 +751,29 @@ def test_bits_do_not_depend_on_blas_threads():
         "spec = rt.StatisticSpec(rt.Functional.L2, rt.Metric.LINF, rt.Metric.LINF)\n"
         "report = rt.permutation_test(x, y, spec, m=20, seed=1, jobs=1)\n"
         "out += [report.observed, *report.perm_stats]\n"
+        "x = rng.standard_normal((150, 4)); y = x**2 + rng.standard_normal((150, 4))\n"
+        "spec = rt.StatisticSpec(rt.Functional.L2, rt.Metric.L1, rt.Metric.L1)\n"
+        "report = rt.permutation_test(x, y, spec, m=3, seed=2, jobs=1)\n"
+        "out += [report.observed, *report.perm_stats]\n"
         "print(np.array(out).tobytes().hex())\n"
     )
-    src = str(Path(rt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    bits = {}
-    for threads in ("1", None):
-        run_env = dict(env)
-        run_env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads:
-            run_env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True,
-                              text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        bits[threads] = proc.stdout
-    assert bits["1"] == bits[None]
+    assert run_fresh(code, {"OPENBLAS_NUM_THREADS": "1"}) == run_fresh(code)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM of /proc")
+def test_l2_closed_form_memory():
+    # One closed-form row at n = 400 (79,800 pairs) keeps the peak resident
+    # memory of a fresh interpreter under 120 MB: its working state is
+    # O(m), with no table of B floats per pair.  The child reads its own
+    # high-water mark, since Linux folds the peak of the process that
+    # started it into its ru_maxrss.
+    code = (
+        "import numpy as np, recurtest as rt\n"
+        "rng = np.random.default_rng(400)\n"
+        "x = rng.standard_normal((400, 4)); y = x**2 + rng.standard_normal((400, 4))\n"
+        "spec = rt.StatisticSpec(rt.Functional.L2, rt.Metric.L1, rt.Metric.L1)\n"
+        "assert rt.statistic(x, y, spec) > 0\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')))\n"
+    )
+    assert int(run_fresh(code)) / 1024 < 120.0
