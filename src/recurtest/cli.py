@@ -25,6 +25,7 @@ _JOBS_HELP = (
     "processes to use (default: every usable CPU; 1 starts no worker); "
     "the output does not depend on it"
 )
+_SCENARIO_HELP = {"len": "series length (columns)", "phi": "comma-separated autoregressive coefficients"}
 
 
 def _parse_levels(text: str, perms: int) -> list[float]:
@@ -55,11 +56,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_test(args) -> int:
-    spec = StatisticSpec(
-        functional=Functional.parse(args.functional),
-        metric_x=Metric.parse(args.metric_x),
-        metric_y=Metric.parse(args.metric_y),
-    )
+    spec = StatisticSpec.parse(args.functional, args.metric_x, args.metric_y)
     levels = _parse_levels(args.levels, args.perms)
     x = fileio.read_dataset(args.x)
     y = fileio.read_dataset(args.y)
@@ -80,11 +77,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_dependogram(args) -> int:
-    spec = StatisticSpec(
-        functional=Functional.parse(args.functional),
-        metric_x=Metric.parse(args.metric),
-        metric_y=Metric.parse(args.metric),
-    )
+    spec = StatisticSpec.parse(args.functional, args.metric, args.metric)
     levels = _parse_levels(args.levels, args.perms)
     data = fileio.read_dataset(args.data)
     groups = fileio.parse_groups(args.groups, data.shape[1])
@@ -153,17 +146,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="emit synthetic scenario data as two CSV files")
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--n", required=True, type=int, help="number of replications (rows)")
-    p_sim.add_argument("--len", required=True, type=int, help="series length (columns)")
     p_sim.add_argument("--seed", required=True, type=int)
     p_sim.add_argument("--out-x", required=True)
     p_sim.add_argument("--out-y", required=True)
-    p_sim.add_argument("--phi", help="comma-separated autoregressive coefficients")
-    p_sim.add_argument("--theta", type=float)
-    p_sim.add_argument("--hurst", type=float)
-    p_sim.add_argument("--lambda", type=float)
-    p_sim.add_argument("--lambda1", type=float)
-    p_sim.add_argument("--lambda2", type=float)
-    p_sim.add_argument("--sigma", type=float)
+    # One flag per scenario parameter; phi is parsed from its text.
+    for name, (_, kind) in SCENARIO_PARAMETERS.items():
+        p_sim.add_argument(f"--{name}", type=str if kind is tuple else kind,
+                           required=name == "len", help=_SCENARIO_HELP.get(name))
     p_sim.set_defaults(func=_cmd_simulate)
 
     return parser

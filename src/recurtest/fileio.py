@@ -15,9 +15,8 @@ import numpy as np
 
 from .exceptions import InvalidInputError
 from .harness import PowerStudySpec
-from .metrics import Metric
 from .simulate import scenario_config
-from .stats_core import Functional, StatisticSpec
+from .stats_core import StatisticSpec
 
 POWER_SCHEMA_VERSION = 1
 
@@ -45,7 +44,7 @@ def read_dataset(path: str) -> np.ndarray:
     if not rows:
         raise InvalidInputError(f"{path}: file is empty")
 
-    def parse(rowno: int, cells: list[str]) -> list[float]:
+    def values(rowno: int, cells: list[str]) -> list[float]:
         out = []
         for c, cell in enumerate(cells, start=1):
             try:
@@ -63,7 +62,7 @@ def read_dataset(path: str) -> np.ndarray:
 
     start = 0
     try:
-        parse(*rows[0])
+        values(*rows[0])
     except InvalidInputError:
         start = 1  # header row
         if len(rows) == 1:
@@ -78,7 +77,7 @@ def read_dataset(path: str) -> np.ndarray:
             raise InvalidInputError(
                 f"{path}: row {rowno} has {len(cells)} columns, expected {width}"
             )
-        parsed.append(parse(rowno, cells))
+        parsed.append(values(rowno, cells))
     return np.asarray(parsed, dtype=float)
 
 
@@ -221,14 +220,9 @@ def read_power_config(path: str):
     for i, raw in enumerate(raw_specs):
         if not isinstance(raw, dict):
             raise InvalidInputError(f"{where}: specs[{i}] must be an object")
-        _reject_unknown_keys(raw, ("functional", "metric_x", "metric_y"), f"{where}: specs[{i}]")
-        specs.append(
-            StatisticSpec(
-                functional=Functional.parse(_require(raw, "functional", str, f"{where}: specs[{i}]")),
-                metric_x=Metric.parse(_require(raw, "metric_x", str, f"{where}: specs[{i}]")),
-                metric_y=Metric.parse(_require(raw, "metric_y", str, f"{where}: specs[{i}]")),
-            )
-        )
+        keys = ("functional", "metric_x", "metric_y")
+        _reject_unknown_keys(raw, keys, f"{where}: specs[{i}]")
+        specs.append(StatisticSpec.parse(*(_require(raw, k, str, f"{where}: specs[{i}]") for k in keys)))
     return PowerStudySpec(
         scenario=scenario,
         specs=tuple(specs),

@@ -6,12 +6,13 @@ permuting rows leaves the X side and the Y-side distance multiset unchanged,
 so only the pairing between the two coupled lists differs between
 permutations.  The pairings are then evaluated in blocks: row k of the
 blocks is permutation k, drawn from a stream that depends only on (seed, k),
-and row 0 is the identity, the observed pairing.  Each block builds the
-pair indices of its rows, a ``(P, pairs)`` array, and the prepared
-statistic sweeps all of them at once.  The blocks are the units of
-``_workers.run_units``, so they run over this process and forked workers.
-Each row's statistic is independent of its block, so the result is
-identical for any block size and any number of processes.
+and row 0 is the identity, the observed pairing.  Each block maps its
+permutations to the pair indices of its rows, a ``(P, pairs)`` array
+(``PairedDistances.pair_index``), and the prepared statistic sweeps all of
+them at once.  The blocks are the units of ``_workers.run_units``, so they
+run over this process and forked workers.  Each row's statistic is
+independent of its block, so the result is identical for any block size and
+any number of processes.
 """
 
 from __future__ import annotations
@@ -98,24 +99,19 @@ def permutation_test(
         raise InvalidInputError(f"permutation test needs n >= 3 observations, got {n}")
 
     evaluate = prepare(pd0, spec.functional)
-    rows, cols = np.triu_indices(n, 1)
-    # Pair (i, j), i < j, sits at i*n - i(i+1)/2 + j - i - 1 of pd0.t (the
-    # row-major upper triangle): offset[i] + j.  The identity permutation
-    # thus gives the identity row of pair indices.
-    i = np.arange(n)
-    offset = i * n - i * (i + 1) // 2 - i - 1
+    identity = np.arange(n)
     block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
 
     def block_stats(b: int) -> np.ndarray:
         """The statistics of rows b*block .. of the m + 1: row k pairs by
-        permutation k, and row 0 by the identity ``i``."""
+        permutation k, and row 0 by the identity."""
         perms = np.array(
             [
-                i if k == 0 else streams.substream(seed, streams.PERMUTATION, k).permutation(n)
+                identity if k == 0 else streams.substream(seed, streams.PERMUTATION, k).permutation(n)
                 for k in range(b * block, min((b + 1) * block, m + 1))
             ]
         )
-        return evaluate(_permuted_pairs(perms, rows, cols, offset))
+        return evaluate(pd0.pair_index(perms))
 
     stats = np.concatenate(run_units(block_stats, (m + block) // block, jobs))
     observed = float(stats[0])
@@ -132,21 +128,6 @@ def permutation_test(
         perm_stats=perm_stats,
         elapsed=time.perf_counter() - start,
     )
-
-
-def _permuted_pairs(perms, rows, cols, offset) -> np.ndarray:
-    """The pair indices of each row of ``perms``: pair (i, j) takes pair
-    (perm[i], perm[j]), found at ``offset[low] + high`` of the pair list.
-
-    ``take`` and the in-place steps beat fancy indexing here, and the other
-    temporaries are gone before the caller's kernel runs.
-    """
-    index = perms.take(rows, axis=1)
-    other = perms.take(cols, axis=1)
-    low = np.minimum(index, other)
-    np.maximum(index, other, out=index)
-    index += np.take(offset, low, out=other)
-    return index
 
 
 def min_permutations(alpha: float) -> int:

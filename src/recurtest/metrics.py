@@ -3,33 +3,45 @@
 Observations are rows of an ``(n, d)`` matrix; a discretized curve is just a
 row with many columns (an equispaced time step only rescales all distances by
 a common factor, which every downstream statistic is invariant to).
+
+``PairedDistances`` owns the pair layout, the pairs i < j in lexicographic
+order, and maps permutations of the observations to pair indices
+(``pair_index``).  Distances beyond the float range are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import InvalidInputError
 
 
-class Metric(Enum):
+class Choice(Enum):
+    """A named option; subclasses list the members."""
+
+    @classmethod
+    def parse(cls, text: str):
+        """The member named ``text``, ignoring case and surrounding blanks."""
+        try:
+            return cls(str(text).strip().lower())
+        except ValueError:
+            choices = ", ".join(c.value for c in cls)
+            raise InvalidInputError(
+                f"unknown {cls.__name__.lower()} {text!r} (choose from {choices})"
+            ) from None
+
+
+class Metric(Choice):
     """Coordinate-wise distance: sum, root of sum of squares, or maximum of
     absolute differences."""
 
     L1 = "l1"
     L2 = "l2"
     LINF = "linf"
-
-    @classmethod
-    def parse(cls, text: str) -> "Metric":
-        try:
-            return cls(str(text).strip().lower())
-        except ValueError:
-            choices = ", ".join(m.value for m in cls)
-            raise InvalidInputError(f"unknown metric {text!r} (choose from {choices})") from None
 
 
 def ensure_sample(data, name: str = "sample") -> np.ndarray:
@@ -78,14 +90,16 @@ def _norm(diff: np.ndarray, kind: Metric):
 def _pairwise(a: np.ndarray, kind: Metric) -> np.ndarray:
     """Distances between the rows of ``a`` over the pairs i < j, in lexicographic
     order, one row against its successors at a time (O(n d) working memory).
-    Equal rows are exactly 0 apart."""
+    Equal rows are exactly 0 apart, and a distance beyond the float range is
+    inf, without a warning."""
     n = a.shape[0]
     out = np.empty(n * (n - 1) // 2)
     start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        out[start:stop] = _norm(np.abs(a[i + 1 :] - a[i]), kind)
-        start = stop
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            stop = start + n - 1 - i
+            out[start:stop] = _norm(np.abs(a[i + 1 :] - a[i]), kind)
+            start = stop
     return out
 
 
@@ -122,6 +136,30 @@ class PairedDistances:
     def pair_count(self) -> int:
         """Number of stored (unordered) pairs."""
         return self.z.size
+
+    @cached_property
+    def _layout(self):
+        """The observations (i, j) of each stored pair, and ``offset``: pair
+        (i, j), i < j, is at ``offset[i] + j`` (the row-major upper triangle)."""
+        rows, cols = np.triu_indices(self.n, 1)
+        i = np.arange(self.n)
+        return rows, cols, i * self.n - i * (i + 1) // 2 - i - 1
+
+    def pair_index(self, perms: np.ndarray) -> np.ndarray:
+        """The ``(P, m)`` pair indices of a ``(P, n)`` block of permutations:
+        pair (i, j) of row p takes pair (perms[p, i], perms[p, j]).  The
+        identity permutation gives the identity row.
+
+        ``take`` and the in-place steps beat fancy indexing here, and the
+        other temporaries are gone before the caller's kernel runs.
+        """
+        rows, cols, offset = self._layout
+        index = perms.take(rows, axis=1)
+        other = perms.take(cols, axis=1)
+        low = np.minimum(index, other)
+        np.maximum(index, other, out=index)
+        index += np.take(offset, low, out=other)
+        return index
 
 
 def paired_distances(x, y, metric_x: Metric, metric_y: Metric) -> PairedDistances:

@@ -13,9 +13,9 @@ aggregated three ways:
 
 Each kernel has a closed form over the coupled distance list, evaluated in
 two steps.  ``prepare`` computes once everything that re-pairing the Y-side
-distances leaves unchanged: the cell grid (``_Cells``: the z-order, the
-stops and columns, and a small integer code of each pair's Y distance) and
-the weight terms.  The evaluator it returns then takes a ``(P, m)`` block of
+distances leaves unchanged: the cell grid (``_Cells``: the X and Y orders,
+the stops and columns, and a small integer code of each pair's Y distance)
+and the weight terms.  The evaluator it returns then takes a ``(P, m)`` block of
 pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
 of one permutation -- and evaluates every row at once with state of shape
 ``(P, .)``.  The single-pairing kernels evaluate the identity row.  Each
@@ -41,14 +41,13 @@ pair count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import isqrt
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import InternalConsistencyError, InvalidInputError
-from .metrics import Metric, PairedDistances, paired_distances
+from .exceptions import InternalConsistencyError
+from .metrics import Choice, Metric, PairedDistances, paired_distances
 from .weights import GaussianWeight, estimate_weight, weight_cdf
 
 # Computed values of the quadratic statistic below this are round-off noise
@@ -60,23 +59,13 @@ _NEGATIVE_TOL = 1e-12
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
-class Functional(Enum):
+class Functional(Choice):
     """Aggregation of the discrepancy: absolute integral, squared integral,
     or supremum."""
 
     L1 = "l1"
     L2 = "l2"
     SUP = "sup"
-
-    @classmethod
-    def parse(cls, text: str) -> "Functional":
-        try:
-            return cls(str(text).strip().lower())
-        except ValueError:
-            choices = ", ".join(f.value for f in cls)
-            raise InvalidInputError(
-                f"unknown functional {text!r} (choose from {choices})"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -86,6 +75,11 @@ class StatisticSpec:
     functional: Functional
     metric_x: Metric
     metric_y: Metric
+
+    @classmethod
+    def parse(cls, functional: str, metric_x: str, metric_y: str) -> "StatisticSpec":
+        """The spec named by its three choices (see ``Choice.parse``)."""
+        return cls(Functional.parse(functional), Metric.parse(metric_x), Metric.parse(metric_y))
 
 
 def _clamp_nonnegative(values, where: str):
@@ -193,7 +187,8 @@ class _Cells:
                  wy: GaussianWeight | None = None):
         self.m = pd.pair_count
         self.z_order = np.argsort(pd.z, kind="stable")
-        self.t_sorted = np.sort(pd.t, kind="stable")
+        self.t_order = np.argsort(pd.t, kind="stable")
+        self.t_sorted = pd.t[self.t_order]
         edges_x, edges_y = pd.z[self.z_order], self.t_sorted
         if wx is not None:
             self.g1 = edges_x = weight_cdf(wx, edges_x)  # in z-sorted order
@@ -276,14 +271,13 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     term of their product (``_min_kernel_sums``), and the product and cross
     terms, which factorize into per-record brackets prepared once.  A row
     orders its records by Y distance by a scatter of z-positions and a
-    gather in the prepared Y order; only runs of equal Y distances are
+    gather in the Y order of ``cells``; only runs of equal Y distances are
     sorted, into z-order, so that the bits depend on the values alone.  The
     terms cancel to about six digits on tied data, which the cell sum avoids.
     """
-    m, n, z_order = cells.m, pd.n, cells.z_order
+    m, n, z_order, t_order = cells.m, pd.n, cells.z_order, cells.t_order
     surv_z = 1.0 - cells.g1  # in z-sorted order
     surv_t_sorted = 1.0 - cells.g2
-    t_order = np.argsort(pd.t, kind="stable")
     positions = np.arange(m, dtype=np.int32)
     # The ranks in runs of equal Y distances, and m times each one's run
     # start: sorting these keys puts the z-positions of each run in order.
@@ -439,8 +433,8 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     tie-breaking and equal to the supremum of the left-continuous rate
     process over all radii.
 
-    The sweep keeps each column's largest and smallest D over the stops,
-    which give each row's exact maximum K of |D|; a row with K = 0 (as on a
+    The sweep keeps each column's largest |D| over the stops, which gives
+    each row's exact maximum K of |D|; a row with K = 0 (as on a
     constant side) is exactly 0.  Otherwise the value reported is the
     largest float deviation |C - (h/m)*cum|, rounded as a float sweep rounds
     it, and it is evaluated only in the columns where |D| reaches K (one per
@@ -457,13 +451,12 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
         if cells.size == 0:
             return best
         codes, sweep = cells.sweep(index)
-        top = next(sweep).copy()
-        bottom = top.copy()
+        peak = np.abs(next(sweep))
+        magnitude = np.empty_like(peak)
         for num in sweep:
-            np.maximum(top, num, out=top)
-            np.minimum(bottom, num, out=bottom)
-        k = np.maximum(top.max(axis=1), -bottom.min(axis=1))[:, None]
-        rows, cols = np.nonzero(((top == k) | (bottom == -k)) & (k > 0))
+            np.maximum(peak, np.abs(num, out=magnitude), out=peak)
+        k = peak.max(axis=1)[:, None]
+        rows, cols = np.nonzero((peak == k) & (k > 0))
         # The float deviations of those columns at every stop, a block's
         # worth of columns at a time.
         for lo in range(0, rows.size, len(index)):

@@ -49,8 +49,11 @@ def estimate_weight(distances) -> GaussianWeight:
         raise DegenerateWeightError(
             "all pairwise distances are identical; the weight scale is zero"
         )
-    mu = float(d.mean())
-    sigma = float(np.sqrt(np.mean((d - mu) ** 2)))
+    with np.errstate(over="ignore"):
+        mu = float(d.mean())
+        sigma = float(np.sqrt(np.mean((d - mu) ** 2)))
+    if not (np.isfinite(mu) and np.isfinite(sigma)):
+        raise InvalidInputError("pairwise distance spread overflowed to infinity")
     if sigma == 0.0:
         raise DegenerateWeightError("pairwise distance spread underflowed to zero")
     return GaussianWeight(mu=mu, sigma=sigma)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import recurtest as rt
+from recurtest import cli
 from recurtest.cli import main
 from recurtest.fileio import read_dataset, read_power_config, write_dataset
+from recurtest.simulate import SCENARIO_PARAMETERS
 
 
 def run(argv):
@@ -349,6 +351,35 @@ def _test_argv(tmp_path):
             "--seed", "1"]
 
 
+def _test_on(text, *flags):
+    """``recurtest test`` with ``text`` as both samples' file."""
+    def argv(tmp_path):
+        args = _test_argv(tmp_path)
+        for name in ("x.csv", "y.csv"):
+            (tmp_path / name).write_text(text)
+        return args + list(flags)
+    return argv
+
+
+def _dependogram(groups):
+    def argv(tmp_path):
+        write_dataset(str(tmp_path / "d.csv"), np.random.default_rng(47).standard_normal((8, 4)))
+        return ["dependogram", "--data", str(tmp_path / "d.csv"), "--groups", groups,
+                "--functional", "l2", "--metric", "l2", "--perms", "19", "--seed", "1"]
+    return argv
+
+
+def _config_text(text):
+    def argv(tmp_path):
+        (tmp_path / "cfg.json").write_text(text)
+        return ["power", "--config", str(tmp_path / "cfg.json")]
+    return argv
+
+
+_OVERFLOW_308 = "1e308,0\n-1e308,0\n0,1\n"
+_OVERFLOW_200 = "1e200,0\n-1e200,0\n0,1\n3,3\n"
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -398,6 +429,39 @@ def _test_argv(tmp_path):
         pytest.param(_power(scenario={"n": True}), "'n'", id="config-n-bool"),
         pytest.param(_power(reps=True), "reps", id="config-reps-bool"),
         pytest.param(_power(alpha=10**400), "alpha", id="config-alpha-overflow"),
+        pytest.param(lambda tmp_path: _test_argv(tmp_path) + ["--levels", "0.05,x"],
+                     "levels must be a comma-separated float list, got '0.05,x'", id="levels-text"),
+        pytest.param(lambda tmp_path: _test_argv(tmp_path) + ["--levels", ","],
+                     "at least one level is required", id="levels-empty"),
+        pytest.param(_test_on(""), "x.csv: file is empty", id="dataset-empty"),
+        pytest.param(_test_on("1,2\n3,nan\n4,5\n"),
+                     "x.csv: row 2, column 2: non-finite value 'nan'", id="dataset-non-finite"),
+        pytest.param(_test_on("a,b\n"), "x.csv: no data rows after the header",
+                     id="dataset-header-only"),
+        pytest.param(_dependogram("a0:2;b=2:4"), "group 'a0:2' is not of the form name=start:stop",
+                     id="groups-no-equals"),
+        pytest.param(_dependogram("a=02;b=2:4"), "group 'a=02' is not of the form name=start:stop",
+                     id="groups-no-colon"),
+        pytest.param(_dependogram("a=0:x;b=2:4"), "group 'a=0:x': column bounds must be integers",
+                     id="groups-bounds-text"),
+        pytest.param(_dependogram("a=0:4"), "need at least 2 groups", id="groups-one"),
+        pytest.param(lambda tmp_path: ["power", "--config", str(tmp_path / "missing.json")],
+                     "cannot read", id="config-missing"),
+        pytest.param(_config_text("{"), "cfg.json: invalid JSON", id="config-invalid-json"),
+        pytest.param(_config_text("[]"), "cfg.json: the config must be a JSON object",
+                     id="config-not-object"),
+        pytest.param(_power(specs=[]), "cfg.json: key 'specs' must be a non-empty list",
+                     id="config-specs-empty"),
+        pytest.param(_power(specs=["l2"]), "cfg.json: specs[0] must be an object",
+                     id="config-spec-not-object"),
+        pytest.param(_test_on(_OVERFLOW_308, "--functional", "l2"),
+                     "pairwise distances contain non-finite values", id="distance-overflow"),
+        pytest.param(_test_on(_OVERFLOW_200, "--functional", "l1", "--metric-x", "l1",
+                              "--metric-y", "linf"),
+                     "pairwise distance spread overflowed to infinity", id="spread-overflow-l1"),
+        pytest.param(_test_on(_OVERFLOW_200, "--functional", "l2", "--metric-x", "l1",
+                              "--metric-y", "linf"),
+                     "pairwise distance spread overflowed to infinity", id="spread-overflow-l2"),
     ],
 )
 def test_invalid_input_exit2_one_line(tmp_path, capsys, argv, named):
@@ -405,6 +469,62 @@ def test_invalid_input_exit2_one_line(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_report_to_stdout_without_out(tmp_path, capsys):
+    assert run(_test_argv(tmp_path)) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m"] == 19 and doc["statistic"]["functional"] == "l2"
+
+
+def test_unexpected_exception_exits1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "permutation_test", fail)
+    assert run(_test_argv(tmp_path)) == 1
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+# A value of each scenario parameter: its flag text and its config value.
+_SCENARIO_VALUES = {
+    "len": ("30", 30),
+    "phi": ("0.2,0.5", [0.2, 0.5]),
+    "theta": ("0.2", 0.2),
+    "hurst": ("0.6", 0.6),
+    "lambda": ("9", 9),
+    "lambda1": ("2", 2.0),
+    "lambda2": ("4", 4.0),
+    "sigma": ("2", 2.0),
+}
+
+
+@pytest.mark.parametrize("key", list(SCENARIO_PARAMETERS))
+def test_simulate_flag_and_config_key_agree(tmp_path, monkeypatch, key):
+    text, value = _SCENARIO_VALUES[key]
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return np.zeros((cfg.n, 2)), np.zeros((cfg.n, 2))
+
+    monkeypatch.setattr(cli, "gen_scenario", capture)
+    flags = {"len": "20", key: text}
+    assert run(["simulate", "--scenario", "C7", "--n", "3", "--seed", "0",
+                "--out-x", str(tmp_path / "x.csv"), "--out-y", str(tmp_path / "y.csv"),
+                *(part for name, v in flags.items() for part in (f"--{name}", v))]) == 0
+    doc = {"schema_version": 1, "scenario": {"id": "C7", "n": 3, "len": 20, key: value},
+           "specs": [{"functional": "l2", "metric_x": "l2", "metric_y": "l2"}],
+           "reps": 2, "m": 19, "alpha": 0.05, "seed": 3}
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert seen == [read_power_config(str(tmp_path / "cfg.json")).scenario]
+
+
+def test_simulate_help_lists_the_schema_flags(capsys):
+    assert run(["simulate", "--help"]) == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    fixed = {"--help", "--scenario", "--n", "--seed", "--out-x", "--out-y"}
+    assert flags - fixed == {f"--{key}" for key in SCENARIO_PARAMETERS}
 
 
 def test_cli_loads_no_scipy(tmp_path):

@@ -273,6 +273,16 @@ class TestDependogram:
         assert [e.observed for e in a.entries] == [e.observed for e in b.entries]
         assert [e.p_value for e in a.entries] == [e.p_value for e in b.entries]
 
+    def test_one_group_rejected(self):
+        with pytest.raises(InvalidInputError, match="need at least 2 groups, got 1"):
+            rt.dependogram([np.zeros((8, 2))], SPEC22, m=19, seed=1)
+
+    def test_one_label_per_group(self):
+        rng = np.random.default_rng(8)
+        groups = [rng.standard_normal((8, 2)) for _ in range(3)]
+        with pytest.raises(InvalidInputError, match="one label per group required"):
+            rt.dependogram(groups, SPEC22, m=19, seed=1, labels=["a", "b"])
+
     def test_common_size_required(self):
         rng = np.random.default_rng(6)
         groups = [rng.standard_normal((8, 2)), rng.standard_normal((9, 2))]

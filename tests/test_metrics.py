@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,16 @@ class TestEnsureSample:
         with pytest.raises(InvalidInputError):
             rt.ensure_sample(np.zeros((2, 2, 2)))
 
+    def test_no_columns(self):
+        with pytest.raises(InvalidInputError, match="needs at least 1 coordinate"):
+            rt.ensure_sample(np.zeros((3, 0)))
+
+
+def test_unknown_metric_names_the_choices():
+    with pytest.raises(InvalidInputError, match=r"^unknown metric 'l3' \(choose from l1, l2, linf\)$"):
+        Metric.parse("l3")
+    assert Metric.parse(" LINF ") is Metric.LINF
+
 
 class TestPairedDistances:
     def test_hand_example(self):
@@ -92,6 +104,40 @@ class TestPairedDistances:
     def test_size_mismatch(self):
         with pytest.raises(InvalidInputError):
             rt.paired_distances(np.zeros((3, 2)), np.zeros((4, 2)), Metric.L2, Metric.L2)
+
+    @pytest.mark.parametrize(
+        "n, z, t, message",
+        [
+            (1, [1.0], [1.0], "need n >= 2"),
+            (3, [1.0, 2.0, 3.0], [1.0, 2.0], "equal positive length"),
+            (3, [1.0, np.inf, 3.0], [1.0, 2.0, 3.0], "non-finite"),
+        ],
+        ids=["one-observation", "shape-mismatch", "non-finite"],
+    )
+    def test_invalid_structure(self, n, z, t, message):
+        with pytest.raises(InvalidInputError, match=message):
+            rt.PairedDistances(n=n, z=np.array(z), t=np.array(t))
+
+    @pytest.mark.parametrize("kind", list(Metric))
+    def test_overflowing_distances_raise_without_warning(self, kind):
+        # |1e308 - (-1e308)| is beyond the float range under every metric.
+        x = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-finite values"):
+                rt.paired_distances(x, x, kind, kind)
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_pair_index_matches_square_matrix_lookup(self, n):
+        rng = np.random.default_rng(n)
+        pd = rt.paired_distances(rng.standard_normal(n), rng.standard_normal(n), Metric.L1, Metric.L1)
+        perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(6)])
+        rows, cols = np.triu_indices(n, 1)
+        at = np.zeros((n, n), dtype=int)
+        at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+        index = pd.pair_index(perms)
+        assert np.array_equal(index, at[perms[:, rows], perms[:, cols]])
+        assert np.array_equal(index[0], np.arange(pd.pair_count))
 
     def test_row_swap_leaves_multiset(self):
         rng = np.random.default_rng(4)

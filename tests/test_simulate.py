@@ -157,6 +157,9 @@ class TestArArma:
 
 
 class TestFbm:
+    def test_single_point_is_zero(self):
+        assert rt.gen_fbm(1, 0.7, rng_of(9)).tolist() == [0.0]
+
     def test_starts_at_zero_and_deterministic(self):
         a = rt.gen_fbm(100, 0.7, rng_of(9))
         b = rt.gen_fbm(100, 0.7, rng_of(9))
@@ -271,6 +274,22 @@ class TestFou2:
     def test_long_memory_smoke(self):
         x, y = rt.gen_fou2(40, 0.7, 2.0, 4.0, 1.0, rng_of(29))
         assert x.shape == y.shape == (40,)
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: rt.gen_ar_arma(0, (0.1,), 0.0, rng), "length must be >= 1, got 0"),
+        (lambda rng: rt.gen_fbm(0, 0.7, rng), "length must be >= 1, got 0"),
+        (lambda rng: rt.gen_fou(1, 0.5, 0.3, 1.0, rng), "length must be >= 2, got 1"),
+        (lambda rng: simulate.scenario_config("null", 0, {}), "replication count must be >= 1, got 0"),
+        (lambda rng: simulate.scenario_config("null", 2, {"len": 0}), "series length must be >= 1, got 0"),
+    ],
+    ids=["arma-len", "fbm-len", "fou-len", "config-n", "config-len"],
+)
+def test_too_short_rejected(draw, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        draw(rng_of(1))
 
 
 class TestScenarios:

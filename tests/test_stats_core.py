@@ -227,6 +227,21 @@ class TestKernelsSmall:
             _clamp_nonnegative(-1e-9, "test")
 
 
+class TestSpecParsing:
+    def test_unknown_functional_names_the_choices(self):
+        with pytest.raises(rt.InvalidInputError,
+                           match=r"^unknown functional 'cubic' \(choose from l1, l2, sup\)$"):
+            Functional.parse("cubic")
+
+    def test_spec_from_names(self):
+        assert StatisticSpec.parse(" L2", "linf", "L1 ") == StatisticSpec(
+            Functional.L2, Metric.LINF, Metric.L1)
+
+    def test_spec_names_the_bad_choice(self):
+        with pytest.raises(rt.InvalidInputError, match="^unknown metric 'l0'"):
+            StatisticSpec.parse("sup", "l1", "l0")
+
+
 class TestStatisticEndToEnd:
     def test_n2_zero_for_every_spec(self):
         rng = np.random.default_rng(0)

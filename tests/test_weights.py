@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,3 +117,31 @@ def test_subnormal_spread_is_degenerate():
     # surface as an uncalibratable weight rather than a zero-scale normal
     with pytest.raises(DegenerateWeightError):
         rt.estimate_weight([0.0, 9.2e-215])
+
+
+@pytest.mark.parametrize("mu, sigma", [(np.nan, 1.0), (0.0, np.inf)], ids=["mu-nan", "sigma-inf"])
+def test_parameters_must_be_finite(mu, sigma):
+    with pytest.raises(InvalidInputError, match="weight parameters must be finite"):
+        GaussianWeight(mu, sigma)
+
+
+@pytest.mark.parametrize(
+    "metric, message",
+    [
+        (rt.Metric.L1, "pairwise distance spread overflowed to infinity"),
+        (rt.Metric.LINF, "pairwise distance spread overflowed to infinity"),
+        # the squares of the coordinate differences overflow first
+        (rt.Metric.L2, "pairwise distances contain non-finite values"),
+    ],
+    ids=["l1", "linf", "l2"],
+)
+@pytest.mark.parametrize("functional", [rt.Functional.L1, rt.Functional.L2], ids=["l1", "l2"])
+def test_overflowing_spread_raises_without_warning(functional, metric, message):
+    # Every distance is finite under L1 and Linf, but their squared
+    # deviations from the mean are not.
+    x = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0], [3.0, 3.0]])
+    spec = rt.StatisticSpec(functional, metric, metric)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            rt.statistic(x, x, spec)
