@@ -3,11 +3,11 @@
 A unit is ``fn(i)`` for an index ``i``; it must depend only on ``i`` and
 what ``fn`` holds (every random draw comes from a stream of its own), so
 the results do not depend on how many processes compute them.  The units
-are split into contiguous chunks: this process computes the first, and a
-forked worker computes each of the others and sends its results back
-pickled through a pipe.  The results are put back in index order.  A fork
-costs a few milliseconds, which a call of tiny units pays in wall time;
-``jobs=1`` keeps such a call in-process.
+are split into contiguous chunks: this process computes the first and
+largest, and a forked worker each of the others, whose results it sends
+back pickled through a pipe.  The results are put back in index order.  A
+fork costs a few milliseconds, which a call of tiny units pays in wall
+time; ``jobs=1`` keeps such a call in-process.
 
 Workers are forked, not spawned: a forked worker starts from the parent's
 memory in a few milliseconds and inherits ``fn`` without pickling it, while
@@ -66,16 +66,16 @@ def run_units(fn, count: int, jobs) -> list:
     """``[fn(i) for i in range(count)]``, over up to ``jobs`` processes.
 
     Units 0 .. count-1 are split into ``worker_count(jobs, count)``
-    contiguous chunks: this process computes the first and a forked worker
-    each of the others.  The results of ``fn`` must be picklable; ``fn``
-    itself, a closure or a ``functools.partial`` alike, need not be.  A
-    worker whose unit raises reports only that unit's index; the lowest
-    failing index is then run again in this process, so the caller gets the
-    very exception a serial run raises, and no exception object has to
-    survive pickling.
+    contiguous chunks, larger ones first: this process, which starts before
+    any worker, computes the first and a forked worker each of the others.
+    The results of ``fn`` must be picklable; ``fn`` itself, a closure or a
+    ``functools.partial`` alike, need not be.  A worker whose unit raises
+    reports only that unit's index; the lowest failing index is then run
+    again in this process, so the caller gets the very exception a serial
+    run raises, and no exception object has to survive pickling.
     """
     workers = worker_count(jobs, count)
-    bounds = [count * w // workers for w in range(workers + 1)]
+    bounds = [-(-count * w // workers) for w in range(workers + 1)]
     (lo, hi), *chunks = zip(bounds, bounds[1:])
     children = []
     try:

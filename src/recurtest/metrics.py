@@ -75,7 +75,11 @@ def distance(a, b, kind: Metric) -> float:
         raise InvalidInputError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
     if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
         raise InvalidInputError("observations contain non-finite entries")
-    return float(_norm(np.abs(av - bv), kind))
+    with np.errstate(over="ignore"):
+        value = float(_norm(np.abs(av - bv), kind))
+    if not np.isfinite(value):
+        raise InvalidInputError("the distance is beyond the float range")
+    return value
 
 
 def _norm(diff: np.ndarray, kind: Metric):

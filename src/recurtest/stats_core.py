@@ -309,36 +309,28 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     return evaluate
 
 
-# Cap on the elements of each dense temporary of ``_tile_min_sums``; a tile
-# larger than this is taken alone.
-_TILE_ELEMENTS = 1 << 15
-
-
 def _tile_min_sums(values: np.ndarray, weights: np.ndarray, groups=None) -> np.ndarray:
     """Per row of ``values``, cut into tiles of B = ``weights.shape[1]``:
     the sum over tiles k of sum_{i<j} weights[k, j] min(values[i], values[j]),
-    without the pairs of equal ``groups`` if given.  Each tile's minima are
-    reduced over i before the weights apply."""
+    without the pairs of equal ``groups`` if given.  Step d = 1..B/2 pairs
+    each position i of every row and tile with (i + d) mod B: the pairs d and
+    B - d apart, each formed once (both halves of d = B/2, at half weight).
+    Each dot product is one (row, tile)'s, so a row's bits are its own."""
     count, size = weights.shape
-    tiles = values.reshape(-1, size)
-    step = max(1, _TILE_ELEMENTS // (size * size))
-    upper = np.tri(size, size, -1).T  # [i, j] = 1 where i < j
-    buffer = np.empty((2, min(step, len(tiles)), size, size))
-    out = np.empty(len(tiles))
-    for lo in range(0, len(tiles), step):
-        v = tiles[lo : lo + step]
-        pairs, keep = buffer[:, : len(v)]
-        np.minimum(v[:, :, None], v[:, None, :], out=pairs)
-        if groups is None:
-            pairs *= upper
-        else:
-            g = groups.reshape(-1, size)[lo : lo + step]
-            np.not_equal(g[:, :, None], g[:, None, :], out=keep)
-            keep *= upper
-            pairs *= keep
-        w = weights[np.arange(lo, lo + len(v)) % count]
-        np.sum(np.vecdot(pairs, w[:, None, :]), axis=1, out=out[lo : lo + len(v)])
-    return out.reshape(len(values), count).sum(axis=1)
+    tiles = values.reshape(len(values), count, size)
+    ring = np.concatenate([tiles, tiles], axis=2)
+    if groups is not None:
+        groups = groups.reshape(tiles.shape)
+        group_ring = np.concatenate([groups, groups], axis=2)
+    out = np.zeros(tiles.shape[:2])
+    for d in range(1, size // 2 + 1):
+        mins = np.minimum(tiles, ring[..., d : d + size])
+        if groups is not None:
+            mins *= groups != group_ring[..., d : d + size]
+        # Each pair takes its later position's weight: i + d, or i once wrapped.
+        w = np.concatenate([weights[:, d:], weights[:, size - d :]], axis=1)
+        out += np.vecdot(mins, w / 2 if 2 * d == size else w)
+    return out.sum(axis=1)
 
 
 def _min_kernel_sums(order: np.ndarray, surv_z: np.ndarray, surv_t: np.ndarray) -> np.ndarray:
@@ -347,8 +339,8 @@ def _min_kernel_sums(order: np.ndarray, surv_z: np.ndarray, surv_t: np.ndarray) 
     nonincreasing, and ``order[p, r]`` is the z-position of the record of
     Y rank r.  Blocks of B = isqrt(m) consecutive z-positions and buckets of
     B consecutive Y ranks split the pairs three ways.  Pairs within a block,
-    and pairs within a bucket but across blocks, are summed over dense
-    B x B tiles of minima (``_tile_min_sums``).  The other pairs take the Z
+    and pairs within a bucket but across blocks, are summed by diagonals of
+    tiles of B records (``_tile_min_sums``).  The other pairs take the Z
     of their later block and the s of their higher bucket, so tables of the
     count, Z, Z*s and s per (block, bucket), two exclusive 2-D prefix sums
     and two dot products sum them: O(m^1.5) work and O(m) memory per row.

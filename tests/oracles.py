@@ -12,12 +12,14 @@ evaluation of blocks of re-paired Y distances, whose bits the evaluation of
 pair-index blocks keeps.  ``dominance_closed_form`` is the earlier closed
 form of the quadratic functional, built on the rank dominance sums of
 ``prefix_dominance``, and ``min_kernel_literal`` the literal double sum
-that replaced it.
+that replaced it; ``tile_min_sums_literal`` sums the within-tile pairs of
+``_min_kernel_sums`` one by one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import fsum
 
 import numpy as np
 from scipy.stats import norm
@@ -464,6 +466,25 @@ def min_kernel_literal(surv_z: np.ndarray, s: np.ndarray) -> np.ndarray:
     z-order, Z = ``surv_z``), from the full m x m matrices (oracle)."""
     z_min = np.minimum.outer(surv_z, surv_z)
     return np.array([float(np.sum(z_min * np.minimum.outer(row, row))) for row in s])
+
+
+def tile_min_sums_literal(values: np.ndarray, weights: np.ndarray, groups=None) -> np.ndarray:
+    """Per row of ``values``, cut into tiles of B = ``weights.shape[1]``:
+    the sum over tiles k and pairs i < j of tile k of weights[k, j] *
+    min(values[i], values[j]), skipping the pairs of equal ``groups`` if
+    given, one term at a time and summed with ``math.fsum`` (oracle)."""
+    count, size = weights.shape
+    out = []
+    for p, row in enumerate(values):
+        terms = []
+        for k in range(count):
+            for j in range(size):
+                b = k * size + j
+                for a in range(k * size, b):
+                    if groups is None or groups[p, a] != groups[p, b]:
+                        terms.append(weights[k, j] * min(row[a], row[b]))
+        out.append(fsum(terms))
+    return np.array(out)
 
 
 def value_block_evaluator(pd: PairedDistances, functional):

@@ -37,6 +37,21 @@ class TestDistance:
         with pytest.raises(InvalidInputError):
             rt.distance([0, 0], [np.inf, 0], Metric.LINF)
 
+    @pytest.mark.parametrize(
+        "a, b, kind",
+        [
+            ((1e308, 0.0), (-1e308, 0.0), Metric.L1),
+            ((1e200, 0.0), (-1e200, 0.0), Metric.L2),
+            ((1e308,), (-1e308,), Metric.LINF),
+        ],
+        ids=["l1", "l2", "linf"],
+    )
+    def test_overflow_rejected_without_warning(self, a, b, kind):
+        # Finite input whose distance is beyond the float range; warnings
+        # are errors in this suite.
+        with pytest.raises(InvalidInputError, match="beyond the float range"):
+            rt.distance(a, b, kind)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),

@@ -34,6 +34,7 @@ from oracles import (
     recurrence_rate,
     sup_float_sweep,
     sup_statistic_naive,
+    tile_min_sums_literal,
     value_block_evaluator,
 )
 
@@ -681,16 +682,38 @@ class TestMinKernel:
         want = min_kernel_literal(1.0 - cells.g1, s) / m**2
         assert np.allclose(self.joint(cells, t_block), want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("elements", [1, 1000, 1 << 20])
-    def test_tile_chunks_do_not_change_bits(self, monkeypatch, elements):
-        # One tile at a time, a few, and all of them at once.
-        pd = random_pairs(8, 40)
-        rng = np.random.default_rng(40)
-        block = np.array([rng.permutation(pd.pair_count) for _ in range(5)])
-        evaluate = stats_core.prepare(pd, Functional.L2)
-        want = evaluate(block)
-        monkeypatch.setattr(stats_core, "_TILE_ELEMENTS", elements)
-        assert np.array_equal(evaluate(block), want)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 3),
+        count=st.integers(1, 4),
+        size=st.integers(1, 40),
+        pad=st.integers(0, 39),
+        groups=st.sampled_from([None, "few", "one", "distinct"]),
+    )
+    def test_tile_sums_match_literal_sum(self, seed, rows, count, size, pad, groups):
+        # Tiles of B = size records, the last ``pad`` of them padding zeros
+        # (value and weight) as in ``_min_kernel_sums``; values rounded to
+        # one digit tie.
+        rng = np.random.default_rng(seed)
+        padded, pad = count * size, pad % size
+        values = np.round(rng.random((rows, padded)), 1)
+        weights = rng.random(padded)
+        values[:, padded - pad :] = weights[padded - pad :] = 0.0
+        weights = weights.reshape(count, size)
+        labels = {
+            None: None,
+            "few": rng.integers(0, 3, (rows, padded), dtype=np.uint8),
+            "one": np.zeros((rows, padded), dtype=np.uint8),
+            "distinct": np.broadcast_to(np.arange(padded, dtype=np.uint8), (rows, padded)),
+        }[groups]
+        got = stats_core._tile_min_sums(values, weights, labels)
+        want = tile_min_sums_literal(values, weights, labels)
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        if groups == "one":
+            assert np.array_equal(got, np.zeros(rows))
+        elif groups == "distinct":
+            assert np.array_equal(got, stats_core._tile_min_sums(values, weights))
 
     @pytest.mark.parametrize("n, scale, metric", P_VALUE_PROBE,
                              ids=lambda v: getattr(v, "value", str(v)))

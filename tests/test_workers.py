@@ -234,6 +234,15 @@ def test_units_need_not_pickle():
     assert [i for *_, i in got] == list(range(5))
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_caller_computes_the_larger_share(count):
+    # a worker starts late, so the caller takes units 0 .. ceil(count/2) - 1
+    if _workers.worker_count(2, count) < 2:
+        pytest.skip("one usable CPU: no worker starts")
+    got = _workers.run_units(pid_and_index, count, 2)
+    assert [i for pid, i in got if pid == os.getpid()] == list(range(-(-count // 2)))
+
+
 def exit_in_worker(parent, i):
     if os.getpid() != parent:
         os._exit(3)
@@ -243,7 +252,7 @@ def exit_in_worker(parent, i):
 def test_dead_worker_raises_and_is_reaped():
     if _workers.worker_count(2, 5) < 2:
         pytest.skip("one usable CPU: no worker starts")
-    with pytest.raises(RuntimeError, match=r"worker for units 2\.\.4 exited with code 3"):
+    with pytest.raises(RuntimeError, match=r"worker for units 3\.\.4 exited with code 3"):
         _workers.run_units(partial(exit_in_worker, os.getpid()), 5, 2)
     assert_no_child_left()
 
