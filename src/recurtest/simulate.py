@@ -28,8 +28,8 @@ Every replication draws from a stream that depends only on (seed, index).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
-from math import ceil, exp, isfinite, sqrt
+from itertools import chain, islice
+from math import ceil, exp, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -57,22 +57,34 @@ _LONG_MEMORY_DEFAULT = 0.7
 
 # Most grid points the long-memory burn-in window may have.  One C5
 # replication at this cap (len 100, the smallest allowed lambda) peaks at
-# 820 MB RSS, 790 MB above the import: about 400 bytes per point, mostly the
-# FFT temporaries of _fbm_path (ru_maxrss in a fresh interpreter).
+# 703 MB RSS, 674 MB above the import: about 320 bytes per point, nearly all
+# of it numpy's FFT working memory for the eigenvalues of _fgn_scale, whose
+# 2**22 + 198 points have the prime factor 5563 (ru_maxrss in a fresh
+# interpreter).
 _MAX_BURN_IN = 2**21
 
 # Most values a scenario may draw into one (n, len) matrix.  The X and Y
 # matrices take 16 bytes per value, 256 MiB at the cap; generation peaks at
-# up to about 40 bytes per value for D1-D3 (0.7 GB at the cap) and about 18
-# for the other scenarios (0.3 GB), measured with ru_maxrss above the import.
+# up to about 40 bytes per value for D1-D3 (0.7 GB at the cap) and about 17
+# for C4 and C7 (0.3 GB; len 100), measured with ru_maxrss above the import.
 _MAX_VALUES = 2**24
 
 # Steps the ARMA recursion runs, and discards, before a discrete series starts.
 _ARMA_BURN_IN = 500
 
-# Replications whose ARMA recursions step together: their burn-in noise then
-# takes at most 500 * 4096 * 8 bytes (16 MiB), whatever n is.
-_ARMA_BLOCK = 4096
+# Most values a block of replications that step together may hold (8 MiB of
+# floats), whatever n is, as each caller of _blocks counts them; a block has
+# one replication at least.
+_BLOCK_VALUES = 2**20
+
+# Fewest positions per row for which _lfilter steps numpy rows: below this,
+# one position at a time as Python floats is faster.  The crossover is about
+# 18 positions for the first-order kernel sum and 22 for ARMA(2,1) (numpy
+# 2.4, Python 3.11, 2-core Xeon).
+_ROW_COLUMNS = 20
+
+# Values _lfilter converts to Python floats at a time in that case.
+_FLOAT_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -166,23 +178,55 @@ def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
 
 def _lfilter(b, a, steps, state=None, skip: int = 0) -> np.ndarray:
     """Outputs of the recursive filter ``b(z) / a(z)``, ``a[0] == 1``, over
-    ``steps``, without the first ``skip``.
+    the rows of ``steps``, without the first ``skip``.
 
     Transposed direct form II with the shorter of ``b``/``a`` zero-padded to
     the common order (at least 2), in the operation order of
     ``scipy.signal.lfilter``, so the outputs equal its outputs bit for bit.
-    ``steps`` is a list of floats (one sequence), or a 2-D array whose rows
-    are the steps of its columns, filtered together; the result has the
-    shape of ``steps`` less ``skip`` rows, and only those outputs are stored.
-    ``state`` is the initial delay line (zeros when omitted).
+    ``steps`` is an array whose rows are the steps of its positions: a 1-D
+    array is one sequence, and a row may have any shape.  Each coefficient
+    and each entry of ``state``, the initial delay line (zeros when
+    omitted), is a number or an array that broadcasts against a row, so
+    every position is filtered with its own coefficients and start; the
+    outputs take the broadcast shape.  The result has ``len(steps) - skip``
+    rows, and only those outputs are stored.  Rows of fewer than
+    ``_ROW_COLUMNS`` positions are filtered one position at a time, as
+    Python floats.
     """
     order = max(len(a), len(b))
     b = [*b, *[0.0] * (order - len(b))]
     a = [*a, *[0.0] * (order - len(a))]
-    z = list(state) if state is not None else [0.0] * (order - 1)
+    state = [*state] if state is not None else [0.0] * (order - 1)
+    steps = np.asarray(steps)
+    row = np.broadcast_shapes(steps.shape[1:], *(np.shape(c) for c in (*b, *a, *state)))
+    out_shape = (len(steps) - skip, *row)
+    if prod(row) >= _ROW_COLUMNS:
+        # Array coefficients are laid out at the row's shape once: a ufunc
+        # that broadcasts costs more per step than the arithmetic here.
+        def full(c):
+            return np.ascontiguousarray(np.broadcast_to(c, row)) if np.ndim(c) else c
+
+        return _transposed_form([*map(full, b)], [*map(full, a)], [*map(full, state)], steps, skip, out_shape)
+    out = np.empty(out_shape)
+    lead = (1,) * (len(row) + 1 - steps.ndim)  # the axes a row gains from broadcasting
+    steps = np.broadcast_to(steps.reshape(len(steps), *lead, *steps.shape[1:]), (len(steps), *row))
+    for at in np.ndindex(row):
+        b_at, a_at, z_at = ([float(np.broadcast_to(c, row)[at]) for c in cs] for cs in (b, a, state))
+        column = steps[(slice(None), *at)]
+        floats = chain.from_iterable(
+            column[i : i + _FLOAT_CHUNK].tolist() for i in range(0, len(column), _FLOAT_CHUNK)
+        )
+        out[(slice(None), *at)] = _transposed_form(b_at, a_at, z_at, floats, skip, out_shape[:1])
+    return out
+
+
+def _transposed_form(b, a, z, steps, skip: int, out_shape) -> np.ndarray:
+    """``_lfilter``'s recursion over an iterable of steps, from the delay line
+    ``z``, which it updates: the outputs after the first ``skip``, an array
+    of shape ``out_shape``."""
     # Coefficients bound once: list indexing would double the cost of a float step.
     b_first, b_last, a_last = b[0], b[-1], a[-1]
-    middle = [(i, b[i + 1], a[i + 1]) for i in range(order - 2)]
+    middle = [(i, b[i + 1], a[i + 1]) for i in range(len(b) - 2)]
 
     def outputs():
         for x in steps:
@@ -192,8 +236,7 @@ def _lfilter(b, a, steps, state=None, skip: int = 0) -> np.ndarray:
             z[-1] = x * b_last - y * a_last
             yield y
 
-    kept = np.dtype((float, np.shape(steps[0])))
-    return np.fromiter(islice(outputs(), skip, None), kept, len(steps) - skip)
+    return np.fromiter(islice(outputs(), skip, None), np.dtype((float, out_shape[1:])), out_shape[0])
 
 
 def _arma_coefficients(phi, theta) -> tuple[tuple[float, ...], float]:
@@ -248,7 +291,7 @@ def gen_ar_arma(length: int, phi, theta: float, rng: np.random.Generator) -> np.
         raise InvalidInputError(f"length must be >= 1, got {length}")
     phi, theta = _arma_coefficients(phi, theta)
     eps = rng.standard_normal(_ARMA_BURN_IN + length)
-    return _arma(phi, theta, eps.tolist(), _ARMA_BURN_IN)
+    return _arma(phi, theta, eps, _ARMA_BURN_IN)
 
 
 def _validate_hurst(hurst: float) -> float:
@@ -258,9 +301,26 @@ def _validate_hurst(hurst: float) -> float:
     return hurst
 
 
-def _fbm_path(length: int, hurst: float, pre_steps: int, rng: np.random.Generator):
+def _fgn_scale(hurst: float, steps: int) -> np.ndarray:
+    """Square roots of the circulant-embedding eigenvalues of ``steps``
+    unit-spaced fGn increments, over the root of their count (``2 * steps``
+    values): the scale ``_fbm_path`` gives its complex draws."""
+    lags = np.arange(steps + 1.0)
+    h2 = 2.0 * hurst
+    acov = 0.5 * ((lags + 1.0) ** h2 - 2.0 * lags**h2 + np.abs(lags - 1.0) ** h2)
+    del lags
+    eig = np.fft.hfft(acov)  # spectrum of the circulant acov[0..steps], acov[steps-1..1]
+    del acov
+    # Clip round-off below zero; the exact eigenvalues are nonnegative.
+    np.maximum(eig, 0.0, out=eig)
+    eig /= eig.size
+    return np.sqrt(eig, out=eig)
+
+
+def _fbm_path(length: int, hurst: float, pre_steps: int, rng: np.random.Generator, scale: np.ndarray):
     """fBm on the grid (k - pre_steps)/length, k = 0, ..., pre_steps + length - 1,
-    pinned to zero at t = 0.
+    pinned to zero at t = 0; ``scale`` is ``_fgn_scale(hurst, pre_steps +
+    length - 1)``, computed once for every path of a call.
 
     The increments are fractional Gaussian noise, drawn exactly by circulant
     embedding (Davies & Harte 1987): the autocovariance of the unit-spaced
@@ -269,19 +329,17 @@ def _fbm_path(length: int, hurst: float, pre_steps: int, rng: np.random.Generato
     1997).  A complex Gaussian vector scaled by their square roots and
     transformed by one FFT has that covariance in its real part.  fBm has
     stationary increments, so the cumulative sum minus its value at t = 0 has
-    the fBm law on the whole grid.  O(N log N) time, O(N) memory.
+    the fBm law on the whole grid.  O(N log N) time, O(N) memory; the draws
+    are scaled and transformed in place.
     """
-    steps = pre_steps + length - 1
-    lags = np.arange(steps + 1.0)
-    h2 = 2.0 * hurst
-    acov = 0.5 * ((lags + 1.0) ** h2 - 2.0 * lags**h2 + np.abs(lags - 1.0) ** h2)
-    eig = np.fft.hfft(acov)  # spectrum of the circulant acov[0..steps], acov[steps-1..1]
-    noise = rng.standard_normal(2 * eig.size).view(np.complex128)
-    # Clip round-off below zero; the exact eigenvalues are nonnegative.
-    unit = np.fft.fft(np.sqrt(np.maximum(eig, 0.0) / eig.size) * noise)[:steps].real
+    steps = scale.size // 2
+    noise = rng.standard_normal(2 * scale.size).view(np.complex128)
+    noise *= scale
+    unit = np.fft.fft(noise, out=noise)[:steps].real
     path = np.zeros(steps + 1)
     np.cumsum(unit * length**-hurst, out=path[1:])
-    return path - path[pre_steps]
+    path -= path[pre_steps]
+    return path
 
 
 def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
@@ -295,7 +353,7 @@ def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     hurst = _validate_hurst(hurst)
     if length == 1:
         return np.zeros(1)
-    return _fbm_path(length, hurst, 0, rng)
+    return _fbm_path(length, hurst, 0, rng, _fgn_scale(hurst, length - 1))
 
 
 def _flow_parameters(length: int, hurst: float, lams, sigma: float):
@@ -326,29 +384,36 @@ def _flow_parameters(length: int, hurst: float, lams, sigma: float):
     return hurst, lams, sigma, ceil(10.0 / (slowest * delta))
 
 
-def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generator):
-    """Driver on [0, 1) and its exponential-kernel averages at the rates ``lams``,
-    ``(x, y_1, ..., y_k)`` of ``length`` points each.  For H = 0.5 every rate
-    consumes the same stationary-start and residual draws."""
+def _blocks(n: int, values: int):
+    """Replications 0..n-1 in blocks of at most ``_BLOCK_VALUES`` values, when
+    each replication takes ``values`` of them."""
+    width = max(1, _BLOCK_VALUES // values)
+    return (range(first, min(first + width, n)) for first in range(0, n, width))
+
+
+def _flows(length: int, hurst: float, lams, sigma: float, n: int, stream):
+    """Drivers on [0, 1) and their exponential-kernel averages at the rates
+    ``lams`` for replications 0..n-1, replication k drawing from
+    ``stream(k)``.  Yields ``(block, x, y)`` for each block of replications,
+    ``x`` of shape ``(len(block), length)`` and ``y`` of ``(len(lams),
+    len(block), length)``.
+
+    Each replication makes the draws of a one-replication call; one filter
+    then steps every replication and rate of the block together, with
+    per-rate coefficients.  For H = 0.5 every rate consumes the same
+    stationary-start and residual draws."""
     hurst, lams, sigma, pre_steps = _flow_parameters(length, hurst, lams, sigma)
     delta = 1.0 / length
-
     if hurst != 0.5:
-        path = _fbm_path(length, hurst, pre_steps, rng)
-        # Riemann-Stieltjes sum of the exponential kernel against the path.
-        inp = [0.0, *(sigma * np.diff(path)).tolist()]
-        flows = []
-        for lam in lams:
-            decay = exp(-lam * delta)
-            flows.append(_lfilter((decay,), (1.0, -decay), inp, skip=pre_steps))
-        return (path[pre_steps:], *flows)
+        scale = _fgn_scale(hurst, pre_steps + length - 1)
+        decay = np.array([[exp(-lam * delta)] for lam in lams])
+        # Per replication: its path increments.
+        for block in _blocks(n, pre_steps + length):
+            rngs = map(stream, block)
+            yield block, *_fractional_block(length, hurst, pre_steps, sigma, decay, scale, len(block), rngs)
+        return
 
-    driver = np.zeros(length)
-    np.cumsum(rng.standard_normal(length - 1) * sqrt(1.0 / length), out=driver[1:])
-    d_w = np.diff(driver)
-    start = rng.standard_normal()
-    resid = rng.standard_normal(length - 1)
-    flows = []
+    rates = []
     for lam in lams:
         # Exact one-step law: y_{k+1} = decay * y_k + eta_k with the innovation
         # split into its projection on the driver increment plus an independent
@@ -357,11 +422,60 @@ def _flows(length: int, hurst: float, lams, sigma: float, rng: np.random.Generat
         eta_var = sigma * sigma * (1.0 - decay * decay) / (2.0 * lam)
         loading = sigma * (1.0 - decay) / (lam * delta)
         resid_var = max(eta_var - loading * loading * delta, 0.0)
-        y0 = sqrt(sigma * sigma / (2.0 * lam)) * start
-        eta = loading * d_w + sqrt(resid_var) * resid
-        y = _lfilter((1.0,), (1.0, -decay), eta.tolist(), (decay * y0,))
-        flows.append(np.concatenate(([y0], y)))
-    return (driver, *flows)
+        rates.append((decay, loading, sqrt(resid_var), sqrt(sigma * sigma / (2.0 * lam))))
+    coefficients = np.array(rates).T[..., None]
+    # Per replication: its draws, its driver and its innovations at every rate.
+    for block in _blocks(n, (3 + len(lams)) * length):
+        yield block, *_brownian_block(length, coefficients, len(block), map(stream, block))
+
+
+def _fractional_block(length, hurst, pre_steps, sigma, decay, scale, width, rngs):
+    """``(x, y)`` of ``_flows`` for H != 0.5 and one block of ``width``
+    replications: the kernel sums at the rates of ``decay``, shape
+    ``(rates, 1)``, of the fBm paths drawn from ``rngs``."""
+    x = np.empty((width, length))
+    # Riemann-Stieltjes sum of the exponential kernel against each path.
+    steps = np.empty((pre_steps + length, width))
+    steps[0] = 0.0
+    for column, rng in enumerate(rngs):
+        path = _fbm_path(length, hurst, pre_steps, rng, scale)
+        x[column] = path[pre_steps:]
+        np.subtract(path[1:], path[:-1], out=steps[1:, column])
+        steps[1:, column] *= sigma
+    return x, _lfilter((decay,), (1.0, -decay), steps, skip=pre_steps).transpose(1, 2, 0)
+
+
+def _brownian_block(length, coefficients, width, rngs):
+    """``(x, y)`` of ``_flows`` for H = 0.5 and one block of ``width``
+    replications drawing from ``rngs``; ``coefficients`` holds each rate's
+    decay, driver loading, residual and stationary standard deviations,
+    shape ``(4, rates, 1)``."""
+    decay, loading, resid_sd, stationary_sd = coefficients
+    d_w = np.empty((width, length - 1))
+    start = np.empty(width)
+    resid = np.empty((width, length - 1))
+    for column, rng in enumerate(rngs):
+        d_w[column] = rng.standard_normal(length - 1)
+        start[column] = rng.standard_normal()
+        resid[column] = rng.standard_normal(length - 1)
+    x = np.zeros((width, length))
+    d_w *= sqrt(1.0 / length)
+    np.cumsum(d_w, axis=1, out=x[:, 1:])
+    np.subtract(x[:, 1:], x[:, :-1], out=d_w)
+    # The innovations, one row per step as _lfilter takes them.
+    eta = np.empty((length - 1, len(decay), width))
+    np.multiply(loading, d_w.T[:, None], out=eta)
+    for rate, sd in enumerate(resid_sd[:, 0]):
+        np.multiply(resid, sd, out=d_w)  # the increments are in eta now
+        eta[:, rate] += d_w.T
+    del d_w, resid
+    y0 = stationary_sd * start
+    steps = _lfilter((1.0,), (1.0, -decay), eta, (decay * y0,))
+    del eta
+    y = np.empty((len(decay), width, length))
+    y[:, :, 0] = y0
+    y[:, :, 1:] = steps.transpose(1, 2, 0)
+    return x, y
 
 
 def gen_fou(length: int, hurst: float, lam: float, sigma: float, rng: np.random.Generator):
@@ -370,7 +484,8 @@ def gen_fou(length: int, hurst: float, lam: float, sigma: float, rng: np.random.
     Returns ``(x, y)`` where ``x`` is the driver path on [0, 1) and ``y`` the
     smoothed process, both of ``length`` points.
     """
-    return _flows(length, hurst, (lam,), sigma, rng)
+    ((_, x, y),) = _flows(length, hurst, (lam,), sigma, 1, lambda k: rng)
+    return x[0], y[0, 0]
 
 
 def fou_pair_weights(lam1: float, lam2: float) -> tuple[float, float]:
@@ -387,8 +502,8 @@ def gen_fou2(length: int, hurst: float, lam1: float, lam2: float, sigma: float, 
     identical innovation draws against the shared driver.
     """
     w1, w2 = fou_pair_weights(lam1, lam2)
-    x, y1, y2 = _flows(length, hurst, (lam1, lam2), sigma, rng)
-    return x, w1 * y1 + w2 * y2
+    ((_, x, y),) = _flows(length, hurst, (lam1, lam2), sigma, 1, lambda k: rng)
+    return x[0], w1 * y[0, 0] + w2 * y[1, 0]
 
 
 def _resolve_hurst(cfg: ScenarioConfig) -> float:
@@ -447,12 +562,14 @@ def _response(scenario: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
 def _discrete_batch(cfg: ScenarioConfig):
     """D1-D3: replication k draws its ARMA noise and then its response noise
     from the stream (cfg.seed, k); the recursion then steps a block of
-    replications together, one numpy row per time step."""
+    replications together, one row per time step."""
     steps = _ARMA_BURN_IN + cfg.length
     x = np.empty((cfg.n, cfg.length))
     eps = np.empty((cfg.n, cfg.length))
-    for first in range(0, cfg.n, _ARMA_BLOCK):
-        block = range(first, min(first + _ARMA_BLOCK, cfg.n))
+    # Only the burn-in rows count: numpy rows beat the float loop only when
+    # wide, so a block stays wide however long the series; its other rows
+    # are no more than the output's.
+    for block in _blocks(cfg.n, _ARMA_BURN_IN):
         noise = np.empty((steps, len(block)))
         for column, k in enumerate(block):
             rng = streams.substream(cfg.seed, streams.SCENARIO, k)
@@ -466,23 +583,41 @@ def _discrete_batch(cfg: ScenarioConfig):
     return x, _response(cfg.scenario, x, eps)
 
 
+def _flow_batch(cfg: ScenarioConfig):
+    """C4-C7, X-OU-Y-OU and X-FOU-Y-FOU: replication k draws from the stream
+    (cfg.seed, k), and ``_flows`` steps a block of replications together."""
+    one_rate = cfg.scenario in ("C4", "C5")
+    lams = (cfg.lam,) if one_rate else (cfg.lam1, cfg.lam2)
+    xs = np.empty((cfg.n, cfg.length))
+    ys = np.empty((cfg.n, cfg.length))
+
+    def stream(k):
+        return streams.substream(cfg.seed, streams.SCENARIO, k)
+
+    for block, x, y in _flows(cfg.length, cfg.hurst, lams, cfg.sigma, cfg.n, stream):
+        rows = slice(block.start, block.stop)
+        if one_rate:
+            xs[rows], ys[rows] = x, y[0]
+        elif cfg.scenario in ("C6", "C7"):
+            w1, w2 = fou_pair_weights(cfg.lam1, cfg.lam2)
+            xs[rows] = x
+            np.multiply(y[0], w1, out=ys[rows])
+            ys[rows] += w2 * y[1]
+        else:  # the two rates' averages of one shared driver
+            xs[rows], ys[rows] = y
+        del x, y  # freed before the next block is drawn
+    return xs, ys
+
+
 def _one_replication(cfg: ScenarioConfig, rng: np.random.Generator):
-    """One (x, y) draw of a scenario other than D1-D3."""
-    scenario = cfg.scenario
-    if scenario == "null":
+    """One (x, y) draw of null or C1-C3."""
+    if cfg.scenario == "null":
         x = gen_white_noise(cfg.length, rng)
         y = gen_white_noise(cfg.length, rng)
         return x, y
-    if scenario == "C4" or scenario == "C5":
-        return gen_fou(cfg.length, cfg.hurst, cfg.lam, cfg.sigma, rng)
-    if scenario == "C6" or scenario == "C7":
-        return gen_fou2(cfg.length, cfg.hurst, cfg.lam1, cfg.lam2, cfg.sigma, rng)
-    if scenario in ("X-OU-Y-OU", "X-FOU-Y-FOU"):
-        _, xs, ys = _flows(cfg.length, cfg.hurst, (cfg.lam1, cfg.lam2), cfg.sigma, rng)
-        return xs, ys
     x = gen_fbm(cfg.length, cfg.hurst, rng)
-    y = _response(scenario, x, gen_white_noise(cfg.length, rng))
-    if scenario == "C3":
+    y = _response(cfg.scenario, x, gen_white_noise(cfg.length, rng))
+    if cfg.scenario == "C3":
         y = y + 3.0 * gen_white_noise(cfg.length, rng)
     return x, y
 
@@ -503,12 +638,14 @@ def gen_scenario(cfg: ScenarioConfig):
     cfg = _check_scenario(cfg)
     if cfg.scenario in ("D1", "D2", "D3"):
         xs, ys = _discrete_batch(cfg)
-    else:
+    elif cfg.scenario in ("null", "C1", "C2", "C3"):
         xs = np.empty((cfg.n, cfg.length))
         ys = np.empty((cfg.n, cfg.length))
         for k in range(cfg.n):
             rng = streams.substream(cfg.seed, streams.SCENARIO, k)
             xs[k], ys[k] = _one_replication(cfg, rng)
+    else:
+        xs, ys = _flow_batch(cfg)
 
     if cfg.scenario in ("D2", "C2"):
         root = np.sqrt(np.abs(xs))

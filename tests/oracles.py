@@ -13,15 +13,19 @@ pair-index blocks keeps.  ``dominance_closed_form`` is the earlier closed
 form of the quadratic functional, built on the rank dominance sums of
 ``prefix_dominance``, and ``min_kernel_literal`` the literal double sum
 that replaced it; ``tile_min_sums_literal`` sums the within-tile pairs of
-``_min_kernel_sums`` one by one.
+``_min_kernel_sums`` one by one.  ``flows_one_replication`` is the earlier
+generator of one replication of the smoothed-driver scenarios, with its own
+eigenvalues and one scipy filter per rate, whose bits the blocks of
+replications keep.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import fsum
+from math import ceil, exp, fsum, sqrt
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.stats import norm
 
 from recurtest import Functional, InvalidInputError, PairedDistances
@@ -526,3 +530,44 @@ def value_block_evaluator(pd: PairedDistances, functional):
         return _clamp_nonnegative(n * (joint_term + product_term - 2.0 * cross_term), "l2")
 
     return closed_form
+
+
+def _fbm_path_one(length: int, hurst: float, pre_steps: int, rng) -> np.ndarray:
+    steps = pre_steps + length - 1
+    lags = np.arange(steps + 1.0)
+    h2 = 2.0 * hurst
+    acov = 0.5 * ((lags + 1.0) ** h2 - 2.0 * lags**h2 + np.abs(lags - 1.0) ** h2)
+    eig = np.fft.hfft(acov)
+    noise = rng.standard_normal(2 * eig.size).view(np.complex128)
+    unit = np.fft.fft(np.sqrt(np.maximum(eig, 0.0) / eig.size) * noise)[:steps].real
+    path = np.zeros(steps + 1)
+    np.cumsum(unit * length**-hurst, out=path[1:])
+    return path - path[pre_steps]
+
+
+def flows_one_replication(length: int, hurst: float, lams, sigma: float, rng):
+    """Driver and its exponential-kernel averages at the rates ``lams``,
+    ``(x, y_1, ..., y_k)``, for one replication drawing from ``rng``."""
+    delta = 1.0 / length
+    if hurst != 0.5:
+        pre_steps = ceil(10.0 / (min(lams) * delta))
+        path = _fbm_path_one(length, hurst, pre_steps, rng)
+        inp = np.concatenate(([0.0], sigma * np.diff(path)))
+        flows = [lfilter([exp(-lam * delta)], [1.0, -exp(-lam * delta)], inp)[pre_steps:] for lam in lams]
+        return (path[pre_steps:], *flows)
+    driver = np.zeros(length)
+    np.cumsum(rng.standard_normal(length - 1) * sqrt(1.0 / length), out=driver[1:])
+    d_w = np.diff(driver)
+    start = rng.standard_normal()
+    resid = rng.standard_normal(length - 1)
+    flows = []
+    for lam in lams:
+        decay = exp(-lam * delta)
+        eta_var = sigma * sigma * (1.0 - decay * decay) / (2.0 * lam)
+        loading = sigma * (1.0 - decay) / (lam * delta)
+        resid_var = max(eta_var - loading * loading * delta, 0.0)
+        y0 = sqrt(sigma * sigma / (2.0 * lam)) * start
+        eta = loading * d_w + sqrt(resid_var) * resid
+        y, _ = lfilter([1.0], [1.0, -decay], eta, zi=[decay * y0])
+        flows.append(np.concatenate(([y0], y)))
+    return (driver, *flows)

@@ -7,7 +7,9 @@ from scipy.signal import lfilter
 
 import recurtest as rt
 from recurtest import InvalidInputError, ScenarioConfig, simulate, streams
-from recurtest.simulate import _fbm_path, _lfilter
+from recurtest.simulate import _fbm_path, _fgn_scale, _lfilter
+
+from oracles import flows_one_replication
 
 
 def rng_of(*key):
@@ -103,6 +105,27 @@ class TestLfilter:
             assert np.array_equal(row, lfilter((1.0, 0.2), (1.0, -0.2, -0.5), steps)[150:])
 
 
+    @pytest.mark.parametrize("row_columns", [1, 10**9], ids=["numpy-rows", "floats"])
+    @pytest.mark.parametrize("steps_row", [(3, 8), (8,)], ids=["full-rows", "broadcast-rows"])
+    def test_positions_take_their_own_coefficients_and_state(self, steps_row, row_columns, monkeypatch):
+        # outputs of shape (3, 8): coefficients and states per row of it or per position
+        monkeypatch.setattr(simulate, "_ROW_COLUMNS", row_columns)
+        row = (3, 8)
+        x = rng_of(66).standard_normal((300, *steps_row))
+        b = (rng_of(67).uniform(0.5, 1.5, (3, 1)), 0.2)
+        a = (1.0, rng_of(68).uniform(-0.4, 0.4, row), -0.3)
+        state = (rng_of(69).standard_normal(row), rng_of(70).standard_normal((3, 1)))
+        got = _lfilter(b, a, x, state, skip=40)
+        assert got.shape == (260, *row)
+        for at in np.ndindex(row):
+            def pick(coefficients):
+                return [np.broadcast_to(c, row)[at] for c in coefficients]
+
+            column = x[:, at[0], at[1]] if x.ndim == 3 else x[:, at[1]]
+            want = lfilter(pick(b), pick(a), column, zi=pick(state))[0][40:]
+            assert np.array_equal(got[(slice(None), *at)], want)
+
+
 class TestArArma:
     def test_degenerate_coefficients_give_white_noise(self):
         series = rt.gen_ar_arma(1000, (0.0,), 0.0, rng_of(4))
@@ -146,7 +169,7 @@ class TestArArma:
     def test_discrete_batch_blocks_do_not_change_draws(self, monkeypatch):
         cfg = ScenarioConfig(scenario="D1", n=7, length=30, phi=(0.2, 0.5), theta=0.2, seed=66)
         whole = rt.gen_scenario(cfg)
-        monkeypatch.setattr(simulate, "_ARMA_BLOCK", 3)  # rows step as 3 + 3 + 1
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 3 * 500)  # rows step as 3 + 3 + 1
         blocked = rt.gen_scenario(cfg)
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked))
 
@@ -181,7 +204,8 @@ class TestFbm:
     @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("length, pre_steps", [(2, 1), (5, 3), (6, 11)])
     def test_exact_covariance_with_negative_times(self, hurst, length, pre_steps):
-        a = linear_map(lambda rng: _fbm_path(length, hurst, pre_steps, rng))
+        scale = _fgn_scale(hurst, pre_steps + length - 1)
+        a = linear_map(lambda rng: _fbm_path(length, hurst, pre_steps, rng, scale))
         times = (np.arange(pre_steps + length) - pre_steps) / length
         assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
 
@@ -341,6 +365,69 @@ class TestScenarios:
                 digest.update(xs.tobytes())
                 digest.update(ys.tobytes())
         assert digest.hexdigest() == self.DRAW_DIGESTS[sid]
+
+    # The same digest at n = 40, len 100, seeds 0 and 7, default parameters,
+    # for the scenarios whose replications step through one filter in blocks:
+    # at n = 40 a block is wide enough to step as numpy rows.  Recorded before
+    # the replications stepped together, when each ran its own recursion.
+    WIDE_DIGESTS = {
+        "C4": "fce1a01bcc94caac6cd0e1e6a07d25a10ee78d7a7958691827d5a663bb1d45d9",
+        "C5": "67c803616ce99591957d1c948c176e058b7d0007bc16b5ca8391fdbd5aefa481",
+        "C6": "4016bafdb7e729314b5e0806bdd44a414ccd015e39a6c819fa09b2a1c7af163f",
+        "C7": "fe45693ad49d34bba5217d1f3f83b0f41a40af5c71200de86b6fc3b1cdf7b3f5",
+        "X-OU-Y-OU": "51eee2a278db8ed601088114b1ce0ce2d07a16b61fd38e9b1fced90b45190bc7",
+        "X-FOU-Y-FOU": "343981cec4130f3af603b92f161c65d37a0b55122b7cfdbd0f859fdb9c8e93f5",
+    }
+
+    @pytest.mark.parametrize("sid", sorted(WIDE_DIGESTS))
+    def test_wide_batch_draws_are_pinned(self, sid):
+        digest = hashlib.sha256()
+        for seed in (0, 7):
+            xs, ys = rt.gen_scenario(ScenarioConfig(scenario=sid, n=40, length=100, seed=seed))
+            digest.update(xs.tobytes())
+            digest.update(ys.tobytes())
+        assert digest.hexdigest() == self.WIDE_DIGESTS[sid]
+
+    @pytest.mark.parametrize("sid", sorted(WIDE_DIGESTS))
+    @pytest.mark.parametrize(
+        "width, row_columns",
+        [(7, 20), (7, 2), (3, 4), (1, 20)],
+        ids=["one-block-floats", "one-block-rows", "mixed-blocks", "single-blocks"],
+    )
+    def test_flow_rows_equal_one_replication(self, sid, width, row_columns, monkeypatch):
+        # n = 7 in blocks of `width` replications; a block steps as numpy rows
+        # once its replications times rates reach `row_columns`
+        length, seed = 25, 71
+        hurst = 0.5 if sid in ("C4", "C6", "X-OU-Y-OU") else 0.7
+        lams = (2.0,) if sid in ("C4", "C5") else (2.0, 4.0)
+        split, sizes = simulate._blocks, []
+
+        def blocks(n, values):
+            # a budget of `width` replications' values
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", width * values)
+            for block in split(n, values):
+                sizes.append(len(block))
+                yield block
+
+        monkeypatch.setattr(simulate, "_blocks", blocks)
+        monkeypatch.setattr(simulate, "_ROW_COLUMNS", row_columns)
+        cfg = ScenarioConfig(scenario=sid, n=7, length=length, lam=2.0, lam1=2.0, lam2=4.0, seed=seed)
+        xs, ys = rt.gen_scenario(cfg)
+        assert sizes == [width] * (7 // width) + [7 % width] * (7 % width > 0)
+        w1, w2 = rt.fou_pair_weights(2.0, 4.0)
+        for k in range(7):
+            def rng():
+                return streams.substream(seed, streams.SCENARIO, k)
+
+            x, *flows = flows_one_replication(length, hurst, lams, 1.0, rng())
+            if sid in ("C4", "C5"):
+                want = [(x, flows[0]), rt.gen_fou(length, hurst, 2.0, 1.0, rng())]
+            elif sid in ("C6", "C7"):
+                want = [(x, w1 * flows[0] + w2 * flows[1]), rt.gen_fou2(length, hurst, 2.0, 4.0, 1.0, rng())]
+            else:
+                want = [flows]
+            for x_k, y_k in want:
+                assert xs[k].tobytes() == x_k.tobytes() and ys[k].tobytes() == y_k.tobytes()
 
     def test_replication_streams_are_stable(self):
         # replication k depends only on (seed, k): growing n keeps a prefix
