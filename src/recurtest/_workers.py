@@ -29,13 +29,12 @@ of a call grows with the number of processes; ``jobs`` bounds it.
 
 from __future__ import annotations
 
-import numbers
 import os
 import pickle
 import sys
 import threading
 
-from .exceptions import InvalidInputError
+from .exceptions import positive_count
 
 
 def worker_count(jobs, units: int) -> int:
@@ -49,9 +48,7 @@ def worker_count(jobs, units: int) -> int:
     while other threads run.
     """
     if jobs is not None:
-        if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
-            raise InvalidInputError(f"jobs must be a positive integer, got {jobs!r}")
-        jobs = int(jobs)
+        jobs = positive_count(jobs, "jobs", "must be a positive integer")
     # A process that never imported multiprocessing is no Pool worker.
     mp = sys.modules.get("multiprocessing")
     if sys.platform != "linux" or threading.active_count() > 1 or (

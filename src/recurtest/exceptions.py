@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of the counts
+that callers pass."""
+
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -13,3 +16,14 @@ class DegenerateWeightError(InvalidInputError):
 class InternalConsistencyError(RuntimeError):
     """Raised when an internal numerical invariant is violated beyond
     round-off tolerance."""
+
+
+def positive_count(value, name: str, below: str = "must be >= 1") -> int:
+    """``value`` as an ``int`` if it is an integer (of any integral type but
+    ``bool``) >= 1.  Otherwise raises ``InvalidInputError``: "``name`` must be
+    a positive integer", or for an integer below 1, "``name`` ``below``"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+    if value < 1:
+        raise InvalidInputError(f"{name} {below}, got {value}")
+    return int(value)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import streams
 from ._workers import run_units
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, positive_count
 from .metrics import ensure_sample, paired_distances
 from .stats_core import StatisticSpec, prepare
 
@@ -89,8 +89,7 @@ def permutation_test(
     holds one block at a time.  The report, ``perm_stats`` included, is the
     same for every ``jobs``, but for ``elapsed``.
     """
-    if m < 1:
-        raise InvalidInputError(f"permutation count must be >= 1, got {m}")
+    m = positive_count(m, "permutation count")
     start = time.perf_counter()
 
     pd0 = paired_distances(x, y, spec.metric_x, spec.metric_y)
@@ -208,6 +207,7 @@ def dependogram(
     sizes = {s.shape[0] for s in samples}
     if len(sizes) != 1:
         raise InvalidInputError(f"groups must share a common sample size, got {sorted(sizes)}")
+    m = positive_count(m, "permutation count")
     levels = [float(a) for a in levels]
     for alpha in levels:
         check_level(alpha, m)

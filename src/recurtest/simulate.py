@@ -28,13 +28,14 @@ Every replication draws from a stream that depends only on (seed, index).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain, islice
 from math import ceil, exp, isfinite, prod, sqrt
 
 import numpy as np
 
 from . import streams
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, positive_count
 
 _SCENARIOS = (
     "null",
@@ -65,16 +66,17 @@ _MAX_BURN_IN = 2**21
 
 # Most values a scenario may draw into one (n, len) matrix.  The X and Y
 # matrices take 16 bytes per value, 256 MiB at the cap; generation peaks at
-# up to about 40 bytes per value for D1-D3 (0.7 GB at the cap) and about 17
-# for C4 and C7 (0.3 GB; len 100), measured with ru_maxrss above the import.
+# about 17 bytes per value above the import (D1 308 MB at the cap, len 100),
+# and at about 33 for D2 and C2 (561 and 548 MB), whose pooled noise scale
+# takes two more full-size matrices (ru_maxrss in a fresh interpreter).
 _MAX_VALUES = 2**24
 
 # Steps the ARMA recursion runs, and discards, before a discrete series starts.
 _ARMA_BURN_IN = 500
 
 # Most values a block of replications that step together may hold (8 MiB of
-# floats), whatever n is, as each caller of _blocks counts them; a block has
-# one replication at least.
+# floats), whatever n is, as _scenario_step counts them; a block has one
+# replication at least.
 _BLOCK_VALUES = 2**20
 
 # Fewest positions per row for which _lfilter steps numpy rows: below this,
@@ -171,8 +173,7 @@ def scenario_config(scenario: str, n: int, params: dict, seed: int = 0) -> Scena
 
 def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
     """Standard Gaussian white noise of the given length."""
-    if length < 1:
-        raise InvalidInputError(f"length must be >= 1, got {length}")
+    length = positive_count(length, "length")
     return rng.standard_normal(length)
 
 
@@ -285,10 +286,14 @@ def gen_ar_arma(length: int, phi, theta: float, rng: np.random.Generator) -> np.
 
     Driven by standard Gaussian noise; the first ``_ARMA_BURN_IN`` steps are
     discarded, which far exceeds the mixing time of every parameter set used
-    in the study scenarios.
+    in the study scenarios.  Near the unit root it does not: from the zero
+    start an AR(1) series has 1 - phi**(2 t) of its stationary variance at
+    step t, so in D1-D3's units of its stationary spread its variance is
+    about 0.67 at phi = 0.999 and 0.10 at phi = 0.9999 (len 100), and at
+    phi = 0.99999 that spread, summed over at most 100,000 terms of the
+    expansion, is itself 7% low.
     """
-    if length < 1:
-        raise InvalidInputError(f"length must be >= 1, got {length}")
+    length = positive_count(length, "length")
     phi, theta = _arma_coefficients(phi, theta)
     eps = rng.standard_normal(_ARMA_BURN_IN + length)
     return _arma(phi, theta, eps, _ARMA_BURN_IN)
@@ -348,12 +353,16 @@ def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
     Exact Gaussian draw (unit scale) by circulant embedding of its
     increments; the path starts at zero.
     """
-    if length < 1:
-        raise InvalidInputError(f"length must be >= 1, got {length}")
-    hurst = _validate_hurst(hurst)
+    length = positive_count(length, "length")
+    return _fbm_sampler(length, _validate_hurst(hurst))(rng)
+
+
+def _fbm_sampler(length: int, hurst: float):
+    """``rng -> path``: ``gen_fbm``'s draw, with the eigenvalues computed
+    once for every path."""
     if length == 1:
-        return np.zeros(1)
-    return _fbm_path(length, hurst, 0, rng, _fgn_scale(hurst, length - 1))
+        return lambda rng: np.zeros(1)
+    return partial(_fbm_path, length, hurst, 0, scale=_fgn_scale(hurst, length - 1))
 
 
 def _flow_parameters(length: int, hurst: float, lams, sigma: float):
@@ -391,12 +400,11 @@ def _blocks(n: int, values: int):
     return (range(first, min(first + width, n)) for first in range(0, n, width))
 
 
-def _flows(length: int, hurst: float, lams, sigma: float, n: int, stream):
-    """Drivers on [0, 1) and their exponential-kernel averages at the rates
-    ``lams`` for replications 0..n-1, replication k drawing from
-    ``stream(k)``.  Yields ``(block, x, y)`` for each block of replications,
-    ``x`` of shape ``(len(block), length)`` and ``y`` of ``(len(lams),
-    len(block), length)``.
+def _flows(length: int, hurst: float, lams, sigma: float):
+    """``(values, step)``, as ``_scenario_step`` returns them, of the drivers
+    on [0, 1) and their exponential-kernel averages at the rates ``lams``:
+    a block's ``x`` holds the drivers, and its ``y`` has the shape
+    ``(len(lams), width, length)``.
 
     Each replication makes the draws of a one-replication call; one filter
     then steps every replication and rate of the block together, with
@@ -408,10 +416,7 @@ def _flows(length: int, hurst: float, lams, sigma: float, n: int, stream):
         scale = _fgn_scale(hurst, pre_steps + length - 1)
         decay = np.array([[exp(-lam * delta)] for lam in lams])
         # Per replication: its path increments.
-        for block in _blocks(n, pre_steps + length):
-            rngs = map(stream, block)
-            yield block, *_fractional_block(length, hurst, pre_steps, sigma, decay, scale, len(block), rngs)
-        return
+        return pre_steps + length, partial(_fractional_block, length, hurst, pre_steps, sigma, decay, scale)
 
     rates = []
     for lam in lams:
@@ -423,10 +428,8 @@ def _flows(length: int, hurst: float, lams, sigma: float, n: int, stream):
         loading = sigma * (1.0 - decay) / (lam * delta)
         resid_var = max(eta_var - loading * loading * delta, 0.0)
         rates.append((decay, loading, sqrt(resid_var), sqrt(sigma * sigma / (2.0 * lam))))
-    coefficients = np.array(rates).T[..., None]
     # Per replication: its draws, its driver and its innovations at every rate.
-    for block in _blocks(n, (3 + len(lams)) * length):
-        yield block, *_brownian_block(length, coefficients, len(block), map(stream, block))
+    return (3 + len(lams)) * length, partial(_brownian_block, length, np.array(rates).T[..., None])
 
 
 def _fractional_block(length, hurst, pre_steps, sigma, decay, scale, width, rngs):
@@ -484,7 +487,7 @@ def gen_fou(length: int, hurst: float, lam: float, sigma: float, rng: np.random.
     Returns ``(x, y)`` where ``x`` is the driver path on [0, 1) and ``y`` the
     smoothed process, both of ``length`` points.
     """
-    ((_, x, y),) = _flows(length, hurst, (lam,), sigma, 1, lambda k: rng)
+    x, y = _flows(length, hurst, (lam,), sigma)[1](1, [rng])
     return x[0], y[0, 0]
 
 
@@ -502,124 +505,118 @@ def gen_fou2(length: int, hurst: float, lam1: float, lam2: float, sigma: float, 
     identical innovation draws against the shared driver.
     """
     w1, w2 = fou_pair_weights(lam1, lam2)
-    ((_, x, y),) = _flows(length, hurst, (lam1, lam2), sigma, 1, lambda k: rng)
+    x, y = _flows(length, hurst, (lam1, lam2), sigma)[1](1, [rng])
     return x[0], w1 * y[0, 0] + w2 * y[1, 0]
 
 
-def _resolve_hurst(cfg: ScenarioConfig) -> float:
-    if cfg.scenario in ("C4", "C6", "X-OU-Y-OU"):
-        if cfg.hurst is not None and cfg.hurst != 0.5:
-            raise InvalidInputError(f"scenario {cfg.scenario} has a Brownian driver: hurst must be 0.5, got {cfg.hurst}")
-        return 0.5
-    if cfg.hurst is not None:
-        return _validate_hurst(cfg.hurst)
-    return _LONG_MEMORY_DEFAULT if cfg.scenario in ("C5", "C7", "X-FOU-Y-FOU") else 0.5
+def _rates(cfg: ScenarioConfig) -> tuple[float, ...]:
+    """Mean-reversion rates of a smoothed-driver scenario; none for the others."""
+    if cfg.scenario in ("C4", "C5"):
+        return (cfg.lam,)
+    if cfg.scenario in ("C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU"):
+        return (cfg.lam1, cfg.lam2)
+    return ()
 
 
 def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Run every parameter check of ``gen_scenario`` without drawing.
 
-    Returns the config with its Hurst exponent resolved and, for D1-D3, its
-    ARMA coefficients validated as floats.
+    Returns the config with its counts as ``int``, its Hurst exponent
+    resolved and, for D1-D3, its ARMA coefficients validated as floats.
     """
     if cfg.scenario not in _SCENARIOS:
         raise InvalidInputError(
             f"unknown scenario {cfg.scenario!r} (choose from {', '.join(_SCENARIOS)})"
         )
-    if cfg.n < 1:
-        raise InvalidInputError(f"replication count must be >= 1, got {cfg.n}")
-    if cfg.length < 1:
-        raise InvalidInputError(f"series length must be >= 1, got {cfg.length}")
-    values = cfg.n * cfg.length
-    if values > _MAX_VALUES:
+    n = positive_count(cfg.n, "replication count")
+    length = positive_count(cfg.length, "series length")
+    if n * length > _MAX_VALUES:
         raise InvalidInputError(
-            f"n {cfg.n} and len {cfg.length} need {values} values per matrix, "
+            f"n {n} and len {length} need {n * length} values per matrix, "
             f"more than the cap of {_MAX_VALUES}"
         )
-    hurst = _resolve_hurst(cfg)
+    cfg = replace(cfg, n=n, length=length)
+    if cfg.scenario in ("C4", "C6", "X-OU-Y-OU"):
+        if cfg.hurst is not None and cfg.hurst != 0.5:
+            raise InvalidInputError(f"scenario {cfg.scenario} has a Brownian driver: hurst must be 0.5, got {cfg.hurst}")
+        hurst = 0.5
+    elif cfg.hurst is not None:
+        hurst = _validate_hurst(cfg.hurst)
+    else:
+        hurst = _LONG_MEMORY_DEFAULT if cfg.scenario in ("C5", "C7", "X-FOU-Y-FOU") else 0.5
     if cfg.scenario in ("D1", "D2", "D3"):
         phi, theta = _arma_coefficients(cfg.phi, cfg.theta)
         return replace(cfg, hurst=hurst, phi=phi, theta=theta)
-    if cfg.scenario in ("C4", "C5"):
-        _flow_parameters(cfg.length, hurst, (cfg.lam,), cfg.sigma)
-    elif cfg.scenario in ("C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU"):
-        if cfg.scenario in ("C6", "C7"):
-            fou_pair_weights(cfg.lam1, cfg.lam2)
-        _flow_parameters(cfg.length, hurst, (cfg.lam1, cfg.lam2), cfg.sigma)
+    if cfg.scenario in ("C6", "C7"):
+        fou_pair_weights(cfg.lam1, cfg.lam2)
+    if rates := _rates(cfg):
+        _flow_parameters(length, hurst, rates, cfg.sigma)
     return replace(cfg, hurst=hurst)
 
 
-def _response(scenario: str, x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Y of the D/C alternatives from the signal and its noise; D2/C2 defer
-    their noise scaling to the batch, and C3 adds a second noise."""
-    if scenario in ("D1", "C1"):
-        return x * x + 3.0 * eps
-    if scenario in ("D2", "C2"):
-        return eps
-    return eps * x
+def _response_block(cfg: ScenarioConfig, size: int, signal, to_x, width: int, rngs):
+    """``(x, y)`` of null, D1-D3 or C1-C3 for a block of ``width``
+    replications drawing from ``rngs``.  Each replication draws ``size``
+    values with ``signal(rng)``, then its noise (a second one for C3), all
+    as columns; ``to_x`` turns the block's signal columns into those of x.
+    Y is the noise for null and for D2/C2, which scale it over the whole
+    batch later, and the alternative of x and the noise otherwise."""
+    draws = np.empty((size, width))
+    eps = np.empty((1 + (cfg.scenario == "C3"), cfg.length, width))
+    for column, rng in enumerate(rngs):
+        draws[:, column] = signal(rng)
+        for noise in eps:
+            noise[:, column] = rng.standard_normal(cfg.length)
+    x = to_x(draws)
+    y = eps[0]
+    if cfg.scenario in ("D1", "C1"):
+        y = x * x + 3.0 * y
+    elif cfg.scenario in ("D3", "C3"):
+        y = y * x
+        for noise in eps[1:]:  # C3's second noise
+            y += 3.0 * noise
+    return x.T, y.T
 
 
-def _discrete_batch(cfg: ScenarioConfig):
-    """D1-D3: replication k draws its ARMA noise and then its response noise
-    from the stream (cfg.seed, k); the recursion then steps a block of
-    replications together, one row per time step."""
-    steps = _ARMA_BURN_IN + cfg.length
-    x = np.empty((cfg.n, cfg.length))
-    eps = np.empty((cfg.n, cfg.length))
-    # Only the burn-in rows count: numpy rows beat the float loop only when
-    # wide, so a block stays wide however long the series; its other rows
-    # are no more than the output's.
-    for block in _blocks(cfg.n, _ARMA_BURN_IN):
-        noise = np.empty((steps, len(block)))
-        for column, k in enumerate(block):
-            rng = streams.substream(cfg.seed, streams.SCENARIO, k)
-            noise[:, column] = rng.standard_normal(steps)
-            eps[k] = gen_white_noise(cfg.length, rng)
-        x[block.start : block.stop] = _arma(cfg.phi, cfg.theta, noise, _ARMA_BURN_IN).T
-    # The discrete scenarios use the series in units of its stationary
-    # spread; only the quadratic alternative is sensitive to the scale (the
-    # other transforms are exactly scale-equivariant).
-    x /= _stationary_sd(cfg.phi, cfg.theta)
-    return x, _response(cfg.scenario, x, eps)
+def _scenario_step(cfg: ScenarioConfig):
+    """``(values, step)`` of a checked config.  ``step(width, rngs)`` returns
+    the rows ``(x, y)`` of a block of ``width`` replications, the i-th
+    drawing from the i-th of ``rngs``; ``values`` is what one replication
+    counts against ``_blocks``'s budget."""
+    if cfg.scenario in ("D1", "D2", "D3"):
+        steps = _ARMA_BURN_IN + cfg.length
+        # The discrete scenarios use the series in units of its stationary
+        # spread; only the quadratic alternative is sensitive to the scale
+        # (the other transforms are exactly scale-equivariant).
+        sd = _stationary_sd(cfg.phi, cfg.theta)
 
+        def arma(noise):
+            return _arma(cfg.phi, cfg.theta, noise, _ARMA_BURN_IN) / sd
 
-def _flow_batch(cfg: ScenarioConfig):
-    """C4-C7, X-OU-Y-OU and X-FOU-Y-FOU: replication k draws from the stream
-    (cfg.seed, k), and ``_flows`` steps a block of replications together."""
-    one_rate = cfg.scenario in ("C4", "C5")
-    lams = (cfg.lam,) if one_rate else (cfg.lam1, cfg.lam2)
-    xs = np.empty((cfg.n, cfg.length))
-    ys = np.empty((cfg.n, cfg.length))
+        # Only the burn-in rows count: numpy rows beat the float loop only
+        # when wide, so a block stays wide however long the series; its
+        # other rows are no more than the output's.
+        return _ARMA_BURN_IN, partial(_response_block, cfg, steps, partial(gen_white_noise, steps), arma)
+    if not _rates(cfg):  # null and C1-C3, whose replications each draw their path
+        if cfg.scenario == "null":
+            signal = partial(gen_white_noise, cfg.length)
+        else:
+            signal = _fbm_sampler(cfg.length, cfg.hurst)
+        # The signal, its noises and the response.
+        return 4 * cfg.length, partial(_response_block, cfg, cfg.length, signal, lambda path: path)
+    values, flows = _flows(cfg.length, cfg.hurst, _rates(cfg), cfg.sigma)
+    if cfg.scenario in ("C6", "C7"):
+        w1, w2 = fou_pair_weights(cfg.lam1, cfg.lam2)
 
-    def stream(k):
-        return streams.substream(cfg.seed, streams.SCENARIO, k)
+    def step(width, rngs):
+        x, y = flows(width, rngs)
+        if cfg.scenario in ("C4", "C5"):
+            return x, y[0]
+        if cfg.scenario in ("C6", "C7"):
+            return x, w1 * y[0] + w2 * y[1]
+        return y  # the two rates' averages of one shared driver
 
-    for block, x, y in _flows(cfg.length, cfg.hurst, lams, cfg.sigma, cfg.n, stream):
-        rows = slice(block.start, block.stop)
-        if one_rate:
-            xs[rows], ys[rows] = x, y[0]
-        elif cfg.scenario in ("C6", "C7"):
-            w1, w2 = fou_pair_weights(cfg.lam1, cfg.lam2)
-            xs[rows] = x
-            np.multiply(y[0], w1, out=ys[rows])
-            ys[rows] += w2 * y[1]
-        else:  # the two rates' averages of one shared driver
-            xs[rows], ys[rows] = y
-        del x, y  # freed before the next block is drawn
-    return xs, ys
-
-
-def _one_replication(cfg: ScenarioConfig, rng: np.random.Generator):
-    """One (x, y) draw of null or C1-C3."""
-    if cfg.scenario == "null":
-        x = gen_white_noise(cfg.length, rng)
-        y = gen_white_noise(cfg.length, rng)
-        return x, y
-    x = gen_fbm(cfg.length, cfg.hurst, rng)
-    y = _response(cfg.scenario, x, gen_white_noise(cfg.length, rng))
-    if cfg.scenario == "C3":
-        y = y + 3.0 * gen_white_noise(cfg.length, rng)
-    return x, y
+    return values, step
 
 
 def gen_scenario(cfg: ScenarioConfig):
@@ -631,22 +628,18 @@ def gen_scenario(cfg: ScenarioConfig):
     across the whole replication batch.
 
     A scenario may draw at most 2**24 values (n * len) per matrix.  The two
-    matrices then take 256 MiB, and generation peaks at about 0.7 GB (D1-D3)
-    or 0.3 GB (the others).  A larger config raises ``InvalidInputError``
-    before anything is allocated.
+    matrices then take 256 MiB, and generation peaks at about 0.3 GB, or
+    0.56 GB for D2/C2.  A larger config raises ``InvalidInputError`` before
+    anything is allocated.
     """
     cfg = _check_scenario(cfg)
-    if cfg.scenario in ("D1", "D2", "D3"):
-        xs, ys = _discrete_batch(cfg)
-    elif cfg.scenario in ("null", "C1", "C2", "C3"):
-        xs = np.empty((cfg.n, cfg.length))
-        ys = np.empty((cfg.n, cfg.length))
-        for k in range(cfg.n):
-            rng = streams.substream(cfg.seed, streams.SCENARIO, k)
-            xs[k], ys[k] = _one_replication(cfg, rng)
-    else:
-        xs, ys = _flow_batch(cfg)
-
+    values, step = _scenario_step(cfg)
+    xs = np.empty((cfg.n, cfg.length))
+    ys = np.empty((cfg.n, cfg.length))
+    # Each block is written into the matrices before the next is drawn.
+    for block in _blocks(cfg.n, values):
+        rngs = (streams.substream(cfg.seed, streams.SCENARIO, k) for k in block)
+        xs[block.start : block.stop], ys[block.start : block.stop] = step(len(block), rngs)
     if cfg.scenario in ("D2", "C2"):
         root = np.sqrt(np.abs(xs))
         scale = float(root.std())  # pooled over the whole batch

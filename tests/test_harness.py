@@ -84,6 +84,24 @@ def test_validation():
         rt.run_power(tiny_study(specs=()))
 
 
+@pytest.mark.parametrize("field, name", [("reps", "replication count"), ("m", "permutation count")])
+@pytest.mark.parametrize(
+    "value, message",
+    [(0, "must be >= 1, got 0"), (2.5, "must be a positive integer, got 2.5"),
+     (True, "must be a positive integer, got True")],
+    ids=["zero", "fraction", "bool"],
+)
+def test_counts_must_be_positive_integers(field, name, value, message):
+    with pytest.raises(InvalidInputError, match=f"^{name} {message}$"):
+        rt.run_power(tiny_study(**{field: value}))
+
+
+def test_numpy_integer_counts_accepted():
+    result = rt.run_power(tiny_study(reps=np.int64(12), m=np.int64(19)), jobs=1)
+    assert type(result.study.reps) is int and type(result.study.m) is int
+    assert np.array_equal(result.p_values, rt.run_power(tiny_study(), jobs=1).p_values)
+
+
 def test_failed_replication_names_index():
     bad = tiny_study(scenario=ScenarioConfig(scenario="null", n=2, length=3, seed=0))
     # n=2 violates the permutation-test precondition inside replication 0

@@ -94,8 +94,31 @@ class TestPermutationTest:
 
     def test_invalid_m(self):
         x, y = gaussian_pair(8)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^permutation count must be >= 1, got 0$"):
             rt.permutation_test(x, y, SPEC22, m=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [(0, "must be >= 1, got 0"), (2.5, "must be a positive integer, got 2.5"),
+         (True, "must be a positive integer, got True")],
+        ids=["zero", "fraction", "bool"],
+    )
+    def test_m_must_be_a_positive_integer(self, m, message):
+        x, y = gaussian_pair(8)
+        for call in (
+            lambda: rt.permutation_test(x, y, SPEC22, m=m, seed=1),
+            lambda: rt.dependogram([x, y], SPEC22, m=m, seed=1, levels=[0.5]),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^permutation count {message}$"):
+                call()
+
+    def test_numpy_integer_m_accepted(self):
+        x, y = gaussian_pair(8)
+        rep = rt.permutation_test(x, y, SPEC22, m=np.int64(19), seed=1)
+        assert type(rep.m) is int and rep.m == 19
+        assert rep.p_value == rt.permutation_test(x, y, SPEC22, m=19, seed=1).p_value
+        dep = rt.dependogram([x, y], SPEC22, m=np.int64(19), seed=1)
+        assert dep == rt.dependogram([x, y], SPEC22, m=19, seed=1)
 
     def test_needs_three_observations(self):
         rng = np.random.default_rng(0)

@@ -317,6 +317,8 @@ def test_too_short_rejected(draw, message):
 
 
 class TestScenarios:
+    FLOWS = ("C4", "C5", "C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU")
+
     @pytest.mark.parametrize(
         "sid", ["null", "D1", "D2", "D3", "C1", "C2", "C3", "C4", "C6", "X-OU-Y-OU"]
     )
@@ -366,11 +368,20 @@ class TestScenarios:
                 digest.update(ys.tobytes())
         assert digest.hexdigest() == self.DRAW_DIGESTS[sid]
 
-    # The same digest at n = 40, len 100, seeds 0 and 7, default parameters,
-    # for the scenarios whose replications step through one filter in blocks:
-    # at n = 40 a block is wide enough to step as numpy rows.  Recorded before
-    # the replications stepped together, when each ran its own recursion.
+    # The same digest at n = 40, len 100, seeds 0 and 7, default parameters:
+    # at n = 40 a block of D1-D3 or of the smoothed-driver scenarios is wide
+    # enough to step as numpy rows.  The smoothed-driver digests were recorded
+    # when each replication ran its own recursion, the others when null and
+    # C1-C3 were generated one replication at a time and D1-D3 as whole
+    # matrices.
     WIDE_DIGESTS = {
+        "null": "909a2c7628c1dbdfccfbc8a71352ca8ab60d0c7bbb476f9939a32a479cf45882",
+        "D1": "8ae18d92e44d9fb630b4f20e89a379aaa96023f02856f56d006ddf71b311efab",
+        "D2": "d24412c51954a51684ada3194b53166cdbca69c65a65b5ea6778a868383e0fa5",
+        "D3": "fb07f4334a2f696cbdb149783171af3e180a24f3e0780984cdc491217c4e6a2f",
+        "C1": "1d94e335c4c254017da49d50542905650097941f1e8cdf006141d3fce297d532",
+        "C2": "636a5b680fce9cf35c787ff66f2d011ea09eba342d38165ffde3130a7cf1cfef",
+        "C3": "56576dce6870a375ac7cd765c48d1d2762882ce1da2cd42303d4ba0c4f07b870",
         "C4": "fce1a01bcc94caac6cd0e1e6a07d25a10ee78d7a7958691827d5a663bb1d45d9",
         "C5": "67c803616ce99591957d1c948c176e058b7d0007bc16b5ca8391fdbd5aefa481",
         "C6": "4016bafdb7e729314b5e0806bdd44a414ccd015e39a6c819fa09b2a1c7af163f",
@@ -388,7 +399,7 @@ class TestScenarios:
             digest.update(ys.tobytes())
         assert digest.hexdigest() == self.WIDE_DIGESTS[sid]
 
-    @pytest.mark.parametrize("sid", sorted(WIDE_DIGESTS))
+    @pytest.mark.parametrize("sid", sorted(FLOWS))
     @pytest.mark.parametrize(
         "width, row_columns",
         [(7, 20), (7, 2), (3, 4), (1, 20)],
@@ -429,12 +440,52 @@ class TestScenarios:
             for x_k, y_k in want:
                 assert xs[k].tobytes() == x_k.tobytes() and ys[k].tobytes() == y_k.tobytes()
 
-    def test_replication_streams_are_stable(self):
-        # replication k depends only on (seed, k): growing n keeps a prefix
-        small = rt.gen_scenario(ScenarioConfig(scenario="D1", n=3, length=30, seed=33))
-        large = rt.gen_scenario(ScenarioConfig(scenario="D1", n=5, length=30, seed=33))
-        assert np.array_equal(small[0], large[0][:3])
-        assert np.array_equal(small[1], large[1][:3])
+    @pytest.mark.parametrize("sid", sorted(DRAW_DIGESTS))
+    def test_replication_streams_are_stable(self, sid, monkeypatch):
+        # replication k depends only on (seed, k): growing n keeps a prefix,
+        # and blocks of one replication give the same rows as one block
+        def draw(n):
+            return rt.gen_scenario(ScenarioConfig(scenario=sid, n=n, length=25, seed=33))
+
+        xs, ys = draw(7)
+        small_xs, small_ys = draw(5)
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 1)
+        single_xs, single_ys = draw(7)
+        assert xs[:5].tobytes() == small_xs.tobytes()
+        assert xs.tobytes() == single_xs.tobytes()
+        assert ys.tobytes() == single_ys.tobytes()
+        if sid not in ("D2", "C2"):  # whose noise scale is pooled over the batch
+            assert ys[:5].tobytes() == small_ys.tobytes()
+
+    @pytest.mark.parametrize("sid", ["C1", "C2", "C3", "C5", "C7", "X-FOU-Y-FOU"])
+    def test_eigenvalues_computed_once_per_call(self, sid, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _fgn_scale(*args)
+
+        monkeypatch.setattr(simulate, "_fgn_scale", counted)
+        monkeypatch.setattr(simulate, "_BLOCK_VALUES", 1)  # blocks of one replication
+        rt.gen_scenario(ScenarioConfig(scenario=sid, n=5, length=25, hurst=0.7, lam=2.0, lam1=2.0, lam2=4.0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field, name", [("n", "replication count"), ("length", "series length")])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.5, "must be a positive integer, got 2.5"), (True, "must be a positive integer, got True"),
+         (0, "must be >= 1, got 0")],
+        ids=["fraction", "bool", "zero"],
+    )
+    def test_counts_must_be_positive_integers(self, field, name, value, message):
+        cfg = ScenarioConfig(**{"scenario": "null", "n": 3, field: value})
+        with pytest.raises(InvalidInputError, match=f"^{name} {message}$"):
+            rt.gen_scenario(cfg)
+
+    def test_numpy_integer_counts_accepted(self):
+        xs, ys = rt.gen_scenario(ScenarioConfig(scenario="D1", n=np.int64(3), length=np.int64(25), seed=5))
+        want = rt.gen_scenario(ScenarioConfig(scenario="D1", n=3, length=25, seed=5))
+        assert xs.tobytes() == want[0].tobytes() and ys.tobytes() == want[1].tobytes()
 
     def test_multiplicative_noise_uncorrelated_but_dependent(self):
         cfg = ScenarioConfig(scenario="D3", n=300, length=100, phi=(0.1,), seed=34)
