@@ -48,7 +48,7 @@ def worker_count(jobs, units: int) -> int:
     while other threads run.
     """
     if jobs is not None:
-        jobs = positive_count(jobs, "jobs", "must be a positive integer")
+        jobs = positive_count(jobs, "jobs")
     # A process that never imported multiprocessing is no Pool worker.
     mp = sys.modules.get("multiprocessing")
     if sys.platform != "linux" or threading.active_count() > 1 or (
@@ -67,9 +67,10 @@ def run_units(fn, count: int, jobs) -> list:
     any worker, computes the first and a forked worker each of the others.
     The results of ``fn`` must be picklable; ``fn`` itself, a closure or a
     ``functools.partial`` alike, need not be.  A worker whose unit raises
-    reports only that unit's index; the lowest failing index is then run
-    again in this process, so the caller gets the very exception a serial
-    run raises, and no exception object has to survive pickling.
+    sends only the results before it; the units it did not compute are then
+    run in this process, the lowest failing one first, so the caller gets
+    the very exception a serial run raises, and no exception object has to
+    survive pickling.
     """
     workers = worker_count(jobs, count)
     bounds = [-(-count * w // workers) for w in range(workers + 1)]
@@ -82,27 +83,26 @@ def run_units(fn, count: int, jobs) -> list:
         results = [fn(i) for i in range(lo, hi)]
         done = [_collect(child, *chunk) for child, chunk in zip(children, chunks)]
 
-        for (part, failed), (_, hi) in zip(done, chunks):
-            results += part
-            if failed is not None:
-                # Raises here as in a serial run; should the failure not
-                # repeat, the rest of the chunk is computed in-process.
-                results += [fn(i) for i in range(failed, hi)]
+        for part, (start, stop) in zip(done, chunks):
+            # The units after a worker's results, from its first failure on,
+            # raise here as in a serial run; should the failure not repeat,
+            # they are computed in-process.
+            results += part + [fn(i) for i in range(start + len(part), stop)]
     finally:
         _stop(children)
     return results
 
 
-def _run_chunk(fn, lo: int, hi: int):
-    """Units ``lo .. hi-1`` in order: ``(results, None)``, or the results
-    before the first failing unit and that unit's index."""
+def _run_chunk(fn, lo: int, hi: int) -> list:
+    """The results of units ``lo .. hi-1`` in order, up to the first that
+    raises."""
     results = []
     for i in range(lo, hi):
         try:
             results.append(fn(i))
-        except Exception:  # reported by index; the parent re-raises it
-            return results, i
-    return results, None
+        except Exception:  # the parent runs it again and re-raises
+            break
+    return results
 
 
 def _fork_chunk(fn, lo: int, hi: int) -> list:
@@ -126,7 +126,7 @@ def _fork_chunk(fn, lo: int, hi: int) -> list:
 
 
 def _collect(child: list, lo: int, hi: int):
-    """The chunk result a worker sent, once it has exited and been reaped."""
+    """The results a worker sent, once it has exited and been reaped."""
     pid, read_end = child
     child[1] = None  # closed when the block ends
     with open(read_end, "rb") as pipe:

@@ -14,7 +14,7 @@ import sys
 from . import __version__, fileio
 from .exceptions import InvalidInputError
 from .harness import run_power
-from .inference import check_level, dependogram, permutation_test
+from .inference import check_levels, dependogram, permutation_test
 from .metrics import Metric
 from .simulate import SCENARIO_PARAMETERS, gen_scenario, scenario_config
 from .stats_core import Functional, StatisticSpec
@@ -28,19 +28,13 @@ _JOBS_HELP = (
 _SCENARIO_HELP = {"len": "series length (columns)", "phi": "comma-separated autoregressive coefficients"}
 
 
-def _parse_levels(text: str, perms: int) -> list[float]:
+def _parse_levels(text: str) -> list[float]:
     try:
         levels = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise InvalidInputError(f"levels must be a comma-separated float list, got {text!r}") from None
     if not levels:
         raise InvalidInputError("at least one level is required")
-    # The outputs name each level by its "g" format, so no two may share it.
-    names = [format(a, "g") for a in levels]
-    for i, a in enumerate(levels):
-        check_level(a, perms)
-        if names[i] in names[:i]:
-            raise InvalidInputError(f"level {names[i]} is repeated")
     return levels
 
 
@@ -48,16 +42,13 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise InvalidInputError(f"cannot write {path}: {err.strerror or err}") from err
+        with fileio.open_text(path, "w") as fh:
+            fh.write(text)
 
 
 def _cmd_test(args) -> int:
     spec = StatisticSpec.parse(args.functional, args.metric_x, args.metric_y)
-    levels = _parse_levels(args.levels, args.perms)
+    levels = check_levels(_parse_levels(args.levels), args.perms)
     x = fileio.read_dataset(args.x)
     y = fileio.read_dataset(args.y)
     if x.shape[0] != y.shape[0]:
@@ -78,7 +69,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_dependogram(args) -> int:
     spec = StatisticSpec.parse(args.functional, args.metric, args.metric)
-    levels = _parse_levels(args.levels, args.perms)
+    levels = check_levels(_parse_levels(args.levels), args.perms)
     data = fileio.read_dataset(args.data)
     groups = fileio.parse_groups(args.groups, data.shape[1])
     samples = [data[:, g.start : g.stop] for g in groups]
@@ -91,7 +82,7 @@ def _cmd_dependogram(args) -> int:
         labels=[g.name for g in groups],
         jobs=args.jobs,
     )
-    _write_text(args.out, fileio.dependogram_to_csv(dep, levels))
+    _write_text(args.out, fileio.dependogram_to_csv(dep))
     return 0
 
 

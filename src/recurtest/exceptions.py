@@ -18,12 +18,12 @@ class InternalConsistencyError(RuntimeError):
     round-off tolerance."""
 
 
-def positive_count(value, name: str, below: str = "must be >= 1") -> int:
+def positive_count(value, name: str) -> int:
     """``value`` as an ``int`` if it is an integer (of any integral type but
     ``bool``) >= 1.  Otherwise raises ``InvalidInputError``: "``name`` must be
-    a positive integer", or for an integer below 1, "``name`` ``below``"."""
+    a positive integer", or for an integer below 1, "``name`` must be >= 1"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
     if value < 1:
-        raise InvalidInputError(f"{name} {below}, got {value}")
+        raise InvalidInputError(f"{name} must be >= 1, got {value}")
     return int(value)

@@ -9,6 +9,7 @@ digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,22 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+@contextmanager
+def open_text(path: str, mode: str = "r"):
+    """``path`` opened as UTF-8 text for reading (``"r"``, any line ends) or
+    writing (``"w"``, LF line ends).  An ``OSError`` while it is open
+    becomes ``InvalidInputError``: "cannot read|write <path>: <reason>", and
+    so do bytes read that are not UTF-8."""
+    try:
+        with open(path, mode, encoding="utf-8", newline=None if mode == "r" else "\n") as fh:
+            yield fh
+    except OSError as err:
+        verb = "read" if mode == "r" else "write"
+        raise InvalidInputError(f"cannot {verb} {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise InvalidInputError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def _parse_row(line: str) -> list[str]:
     return [cell.strip() for cell in line.split(",")]
 
@@ -35,11 +52,8 @@ def read_dataset(path: str) -> np.ndarray:
     Parse failures name the offending row and column (1-based, counting the
     header row if present).
     """
-    try:
-        with open(path, encoding="utf-8", newline=None) as fh:
-            lines = [ln.rstrip("\r\n") for ln in fh]
-    except OSError as err:
-        raise InvalidInputError(f"cannot read {path}: {err.strerror or err}") from err
+    with open_text(path) as fh:
+        lines = [ln.rstrip("\r\n") for ln in fh]
     rows = [(i + 1, _parse_row(ln)) for i, ln in enumerate(lines) if ln.strip() != ""]
     if not rows:
         raise InvalidInputError(f"{path}: file is empty")
@@ -83,13 +97,10 @@ def read_dataset(path: str) -> np.ndarray:
 
 def write_dataset(path: str, data: np.ndarray) -> None:
     arr = np.asarray(data, dtype=float)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in np.atleast_2d(arr):
-                fh.write(",".join(_fmt(v) for v in row))
-                fh.write("\n")
-    except OSError as err:
-        raise InvalidInputError(f"cannot write {path}: {err.strerror or err}") from err
+    with open_text(path, "w") as fh:
+        for row in np.atleast_2d(arr):
+            fh.write(",".join(_fmt(v) for v in row))
+            fh.write("\n")
 
 
 def report_to_json(report, levels, tool_version: str) -> str:
@@ -126,16 +137,10 @@ def parse_groups(text: str, n_columns: int) -> list[GroupSpec]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "=" not in chunk:
+        name, equals, span = chunk.partition("=")
+        if not equals or ":" not in span:
             raise InvalidInputError(f"group {chunk!r} is not of the form name=start:stop")
-        name, _, span = chunk.partition("=")
         name = name.strip()
-        if not name or "," in name or ":" in name or name in (g.name for g in groups):
-            raise InvalidInputError(
-                f"group {chunk!r}: a name must be nonempty, unique and free of ',' and ':'"
-            )
-        if ":" not in span:
-            raise InvalidInputError(f"group {chunk!r} is not of the form name=start:stop")
         lo_txt, _, hi_txt = span.partition(":")
         try:
             lo, hi = int(lo_txt), int(hi_txt)
@@ -189,10 +194,8 @@ def read_power_config(path: str):
     }
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             doc = json.load(fh)
-    except OSError as err:
-        raise InvalidInputError(f"cannot read {path}: {err.strerror or err}") from err
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON: {err}") from None
     where = path
@@ -257,9 +260,9 @@ def power_result_to_csv(result) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dependogram_to_csv(dep, levels) -> str:
+def dependogram_to_csv(dep) -> str:
     """Fixed-column CSV: pair,observed,critical@...,reject@... per level."""
-    level_txt = [format(a, "g") for a in levels]
+    level_txt = [format(a, "g") for a in dep.levels]
     header = (
         ["pair", "observed"]
         + [f"critical@{t}" for t in level_txt]
@@ -268,7 +271,7 @@ def dependogram_to_csv(dep, levels) -> str:
     lines = [",".join(header)]
     for entry in dep.entries:
         cells = [f"{entry.label_a}:{entry.label_b}", _fmt(entry.observed)]
-        cells += [_fmt(entry.critical_values[a]) for a in levels]
-        cells += [str(entry.rejects[a]).lower() for a in levels]
+        cells += [_fmt(entry.critical_values[a]) for a in dep.levels]
+        cells += [str(entry.rejects[a]).lower() for a in dep.levels]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

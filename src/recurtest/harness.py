@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from math import sqrt
@@ -62,13 +61,11 @@ def _replication(study: PowerStudySpec, jobs, k: int):
     try:
         data_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 0)
         xs, ys = gen_scenario(replace(study.scenario, seed=data_seed))
-        p_values, seconds = [], []
+        reports = []
         for j, spec in enumerate(study.specs):
             test_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 1 + j)
-            t0 = time.perf_counter()
-            p_values.append(permutation_test(xs, ys, spec, study.m, test_seed, jobs=jobs).p_value)
-            seconds.append(time.perf_counter() - t0)
-        return p_values, seconds
+            reports.append(permutation_test(xs, ys, spec, study.m, test_seed, jobs=jobs))
+        return [r.p_value for r in reports], [r.elapsed for r in reports]
     except Exception as err:
         # Same type (the CLI's exit code depends on it), built without
         # calling a constructor whose signature is unknown.

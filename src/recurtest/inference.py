@@ -64,6 +64,7 @@ class Dependogram:
     """All pairwise test outcomes between a list of groups."""
 
     labels: list[str]
+    levels: list[float]
     entries: list[DependogramEntry] = field(default_factory=list)
 
 
@@ -146,6 +147,22 @@ def check_level(alpha: float, m: int) -> None:
         )
 
 
+def check_levels(levels, m) -> list[float]:
+    """``levels`` as floats, checked for a test of ``m`` permutations: ``m``
+    must be a positive count, and each level in turn must pass
+    ``check_level`` and differ in its ``%g`` form, which names it in the
+    outputs, from the levels before it.  Raises ``InvalidInputError``
+    otherwise."""
+    m = positive_count(m, "permutation count")
+    levels = [float(a) for a in levels]
+    names = [format(a, "g") for a in levels]
+    for i, alpha in enumerate(levels):
+        check_level(alpha, m)
+        if names[i] in names[:i]:
+            raise InvalidInputError(f"level {names[i]} is repeated")
+    return levels
+
+
 def critical_values(perm_stats, levels) -> list[float]:
     """Finite-sample permutation critical values at the requested levels.
 
@@ -195,7 +212,8 @@ def dependogram(
 
     Runs the permutation test on every unordered pair of groups with a
     per-pair derived seed, and records observed values, permutation critical
-    values and rejection flags at each level.  ``jobs`` bounds the
+    values and rejection flags at each level (see ``check_levels``).  Labels
+    must be nonempty, unique and free of ',' and ':'.  ``jobs`` bounds the
     processes, this one and forked workers, that the call uses (default:
     every usable CPU; ``jobs=1`` starts none).  Each process holds one
     pair's test at a time, so peak memory grows with the process count.
@@ -207,18 +225,21 @@ def dependogram(
     sizes = {s.shape[0] for s in samples}
     if len(sizes) != 1:
         raise InvalidInputError(f"groups must share a common sample size, got {sorted(sizes)}")
-    m = positive_count(m, "permutation count")
-    levels = [float(a) for a in levels]
-    for alpha in levels:
-        check_level(alpha, m)
+    levels = check_levels(levels, m)
     if labels is None:
         labels = [f"g{i}" for i in range(len(samples))]
     labels = [str(l) for l in labels]
     if len(labels) != len(samples):
         raise InvalidInputError("one label per group required")
+    # The CSV names a pair "a:b" in a comma-separated row.
+    for i, label in enumerate(labels):
+        if not label or "," in label or ":" in label or label in labels[:i]:
+            raise InvalidInputError(
+                f"group {label!r}: a name must be nonempty, unique and free of ',' and ':'"
+            )
 
     pairs = [(a, b) for a in range(len(samples)) for b in range(a + 1, len(samples))]
     test_jobs = jobs if len(pairs) == 1 else 1
     entry = partial(_pair_entry, samples, labels, pairs, spec, m, seed, levels, test_jobs)
     entries = run_units(entry, len(pairs), jobs)
-    return Dependogram(labels=labels, entries=entries)
+    return Dependogram(labels=labels, levels=levels, entries=entries)

@@ -67,8 +67,8 @@ _MAX_BURN_IN = 2**21
 # Most values a scenario may draw into one (n, len) matrix.  The X and Y
 # matrices take 16 bytes per value, 256 MiB at the cap; generation peaks at
 # about 17 bytes per value above the import (D1 308 MB at the cap, len 100),
-# and at about 33 for D2 and C2 (561 and 548 MB), whose pooled noise scale
-# takes two more full-size matrices (ru_maxrss in a fresh interpreter).
+# and at about 25 for D2 and C2 (433 and 420 MB), whose pooled noise scale
+# takes one more full-size matrix (ru_maxrss in a fresh interpreter).
 _MAX_VALUES = 2**24
 
 # Steps the ARMA recursion runs, and discards, before a discrete series starts.
@@ -629,7 +629,7 @@ def gen_scenario(cfg: ScenarioConfig):
 
     A scenario may draw at most 2**24 values (n * len) per matrix.  The two
     matrices then take 256 MiB, and generation peaks at about 0.3 GB, or
-    0.56 GB for D2/C2.  A larger config raises ``InvalidInputError`` before
+    0.43 GB for D2/C2.  A larger config raises ``InvalidInputError`` before
     anything is allocated.
     """
     cfg = _check_scenario(cfg)
@@ -641,7 +641,13 @@ def gen_scenario(cfg: ScenarioConfig):
         rngs = (streams.substream(cfg.seed, streams.SCENARIO, k) for k in block)
         xs[block.start : block.stop], ys[block.start : block.stop] = step(len(block), rngs)
     if cfg.scenario in ("D2", "C2"):
-        root = np.sqrt(np.abs(xs))
-        scale = float(root.std())  # pooled over the whole batch
-        ys = root + scale * ys
+        # ys = root + root.std() * ys for root = sqrt(|xs|), in one more
+        # matrix: the deviations from the pooled mean and their squares
+        # overwrite the root, summed over the whole batch as np.std sums
+        # them (the same bits), and the root is then taken again.
+        buf = np.abs(xs)
+        np.sqrt(buf, out=buf)
+        buf -= np.add.reduce(buf, axis=None) / buf.size
+        ys *= np.sqrt(np.add.reduce(np.square(buf, out=buf), axis=None) / buf.size)
+        ys += np.sqrt(np.abs(xs, out=buf), out=buf)
     return xs, ys

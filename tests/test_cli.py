@@ -356,7 +356,7 @@ def _test_on(text, *flags):
     def argv(tmp_path):
         args = _test_argv(tmp_path)
         for name in ("x.csv", "y.csv"):
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         return args + list(flags)
     return argv
 
@@ -371,7 +371,7 @@ def _dependogram(groups):
 
 def _config_text(text):
     def argv(tmp_path):
-        (tmp_path / "cfg.json").write_text(text)
+        (tmp_path / "cfg.json").write_bytes(text if isinstance(text, bytes) else text.encode())
         return ["power", "--config", str(tmp_path / "cfg.json")]
     return argv
 
@@ -404,8 +404,11 @@ _OVERFLOW_200 = "1e200,0\n-1e200,0\n0,1\n3,3\n"
             "cannot write",
             id="test-out-missing-dir",
         ),
-        pytest.param(lambda tmp_path: _test_argv(tmp_path) + ["--jobs", "0"], "jobs",
+        pytest.param(lambda tmp_path: _test_argv(tmp_path) + ["--jobs", "0"], "jobs must be >= 1, got 0",
                      id="test-jobs-zero"),
+        # the count is named, not the first level it cannot resolve
+        pytest.param(lambda tmp_path: _test_argv(tmp_path) + ["--perms", "0"],
+                     "permutation count must be >= 1, got 0", id="test-perms-zero"),
         pytest.param(_power(scenario={"lamda": 5.0}), "lamda", id="config-unknown-scenario-key"),
         # scenario values are checked when the config is read, before any draw
         pytest.param(_power(scenario={"id": "C4", "hurst": 0.9}),
@@ -420,7 +423,7 @@ _OVERFLOW_200 = "1e200,0\n-1e200,0\n0,1\n3,3\n"
         pytest.param(_power(scenario={"n": 2, "len": 2**23 + 1}),
                      "cfg.json: scenario: n 2 and len 8388609 need 16777218 values",
                      id="config-size-cap"),
-        pytest.param(lambda tmp_path: _power()(tmp_path) + ["--jobs", "0"], "jobs",
+        pytest.param(lambda tmp_path: _power()(tmp_path) + ["--jobs", "0"], "jobs must be >= 1, got 0",
                      id="power-jobs-zero"),
         pytest.param(_power(scenario={"id": "D1", "phi": ["x"]}), "phi", id="config-phi-text"),
         pytest.param(_power(scenario={"id": "D1", "phi": [[0.1]]}), "phi", id="config-phi-nested"),
@@ -448,6 +451,10 @@ _OVERFLOW_200 = "1e200,0\n-1e200,0\n0,1\n3,3\n"
         pytest.param(lambda tmp_path: ["power", "--config", str(tmp_path / "missing.json")],
                      "cannot read", id="config-missing"),
         pytest.param(_config_text("{"), "cfg.json: invalid JSON", id="config-invalid-json"),
+        pytest.param(_config_text(b'{"seed": "\xff"}'), "cfg.json: not UTF-8 text (invalid start byte)",
+                     id="config-not-utf8"),
+        pytest.param(_test_on(b"1,2\n3,\xff\n4,5\n"), "x.csv: not UTF-8 text (invalid start byte)",
+                     id="dataset-not-utf8"),
         pytest.param(_config_text("[]"), "cfg.json: the config must be a JSON object",
                      id="config-not-object"),
         pytest.param(_power(specs=[]), "cfg.json: key 'specs' must be a non-empty list",

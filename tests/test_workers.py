@@ -304,6 +304,24 @@ def test_daemonic_caller_runs_in_process():
     assert len({pid for pid, _ in got}) == 1 and got[0][0] != os.getpid()
 
 
+def fail_in_worker(parent, i):
+    if os.getpid() != parent and i == 4:
+        raise RepFailure(i, "worker broke")
+    return os.getpid(), i
+
+
+def test_failure_only_in_a_worker_is_computed_here():
+    # With 2 processes the worker has units 3-5.  Unit 4 raises there but
+    # not in the caller, which then computes units 4 and 5 itself.
+    if _workers.worker_count(2, 6) < 2:
+        pytest.skip("one usable CPU: no worker starts")
+    got = _workers.run_units(partial(fail_in_worker, os.getpid()), 6, 2)
+    assert [i for _, i in got] == list(range(6))
+    pids = [pid for pid, _ in got]
+    assert pids[3] != os.getpid() and pids[:3] + pids[4:] == [os.getpid()] * 5
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("jobs", [0, -1, True, 1.5, "2"])
 def test_invalid_jobs_rejected(jobs):
     with pytest.raises(InvalidInputError, match="jobs"):
