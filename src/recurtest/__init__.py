@@ -30,12 +30,7 @@ from .simulate import (
     ScenarioConfig,
     arma_stationary_sd,
     fou_pair_weights,
-    gen_ar_arma,
-    gen_fbm,
-    gen_fou,
-    gen_fou2,
     gen_scenario,
-    gen_white_noise,
 )
 from .stats_core import (
     Functional,
@@ -72,12 +67,7 @@ __all__ = [
     "ScenarioConfig",
     "arma_stationary_sd",
     "fou_pair_weights",
-    "gen_ar_arma",
-    "gen_fbm",
-    "gen_fou",
-    "gen_fou2",
     "gen_scenario",
-    "gen_white_noise",
     "Functional",
     "StatisticSpec",
     "l1_statistic",

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the check of the counts
-that callers pass."""
+"""Exception types shared across the package, and the checks of the counts
+and typed values that callers pass."""
 
 import numbers
 
@@ -27,3 +27,17 @@ def positive_count(value, name: str) -> int:
     if value < 1:
         raise InvalidInputError(f"{name} must be >= 1, got {value}")
     return int(value)
+
+
+def typed(value, kind: type, message: str):
+    """``value`` if it is a ``kind``, or an integer as a ``float`` when ``kind``
+    is ``float``; otherwise raises ``InvalidInputError(message)``.  A bool is
+    never a number, and an integer beyond the float range is not a float."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif not isinstance(value, bool) and isinstance(value, kind):
+        return value
+    raise InvalidInputError(message)

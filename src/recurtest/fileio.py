@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, typed
 from .harness import PowerStudySpec
 from .simulate import scenario_config
 from .stats_core import StatisticSpec
@@ -164,15 +164,7 @@ def parse_groups(text: str, n_columns: int) -> list[GroupSpec]:
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise InvalidInputError(f"{where}: missing required key {key!r}")
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # beyond the float range: rejected below
-            pass
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise InvalidInputError(f"{where}: key {key!r} must be {kind.__name__}")
-    return value
+    return typed(doc[key], kind, f"{where}: key {key!r} must be {kind.__name__}")
 
 
 def _reject_unknown_keys(doc: dict, known, where: str) -> None:

@@ -31,11 +31,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
 from math import ceil, exp, isfinite, prod, sqrt
+from operator import methodcaller
 
 import numpy as np
 
 from . import streams
-from .exceptions import InvalidInputError, positive_count
+from .exceptions import InvalidInputError, positive_count, typed
 
 _SCENARIOS = (
     "null",
@@ -71,7 +72,13 @@ _MAX_BURN_IN = 2**21
 # takes one more full-size matrix (ru_maxrss in a fresh interpreter).
 _MAX_VALUES = 2**24
 
-# Steps the ARMA recursion runs, and discards, before a discrete series starts.
+# Steps the ARMA recursion runs, and discards, before a discrete series
+# starts: far beyond the mixing time of every parameter set the study
+# scenarios use.  Near the unit root it is not: from the zero start an AR(1)
+# series has 1 - phi**(2 t) of its stationary variance at step t, so in
+# D1-D3's units of its stationary spread its variance is about 0.67 at
+# phi = 0.999 and 0.10 at phi = 0.9999 (len 100), and at phi = 0.99999 that
+# spread, summed over at most 100,000 terms of the expansion, is itself 7% low.
 _ARMA_BURN_IN = 500
 
 # Most values a block of replications that step together may hold (8 MiB of
@@ -116,13 +123,8 @@ class ScenarioConfig:
 
 
 def _number(name: str, value, kind: type):
-    try:
-        if not isinstance(value, bool) and isinstance(value, (int, kind)):
-            return kind(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
     what = "an integer" if kind is int else "a real number"
-    raise InvalidInputError(f"scenario parameter {name!r} must be {what}, got {value!r}")
+    return kind(typed(value, kind, f"scenario parameter {name!r} must be {what}, got {value!r}"))
 
 
 def _reals(name: str, value) -> tuple[float, ...]:
@@ -169,12 +171,6 @@ def scenario_config(scenario: str, n: int, params: dict, seed: int = 0) -> Scena
     cfg = ScenarioConfig(scenario=scenario, n=n, seed=seed, **fields)
     _check_scenario(cfg)
     return cfg
-
-
-def gen_white_noise(length: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard Gaussian white noise of the given length."""
-    length = positive_count(length, "length")
-    return rng.standard_normal(length)
 
 
 def _lfilter(b, a, steps, state=None, skip: int = 0) -> np.ndarray:
@@ -281,31 +277,6 @@ def arma_stationary_sd(phi, theta: float) -> float:
     return _stationary_sd(*_arma_coefficients(phi, theta))
 
 
-def gen_ar_arma(length: int, phi, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """ARMA series x_t = sum_i phi_i x_{t-i} + e_t + theta e_{t-1}.
-
-    Driven by standard Gaussian noise; the first ``_ARMA_BURN_IN`` steps are
-    discarded, which far exceeds the mixing time of every parameter set used
-    in the study scenarios.  Near the unit root it does not: from the zero
-    start an AR(1) series has 1 - phi**(2 t) of its stationary variance at
-    step t, so in D1-D3's units of its stationary spread its variance is
-    about 0.67 at phi = 0.999 and 0.10 at phi = 0.9999 (len 100), and at
-    phi = 0.99999 that spread, summed over at most 100,000 terms of the
-    expansion, is itself 7% low.
-    """
-    length = positive_count(length, "length")
-    phi, theta = _arma_coefficients(phi, theta)
-    eps = rng.standard_normal(_ARMA_BURN_IN + length)
-    return _arma(phi, theta, eps, _ARMA_BURN_IN)
-
-
-def _validate_hurst(hurst: float) -> float:
-    hurst = float(hurst)
-    if not 0.0 < hurst < 1.0:
-        raise InvalidInputError(f"Hurst exponent must be in (0, 1), got {hurst}")
-    return hurst
-
-
 def _fgn_scale(hurst: float, steps: int) -> np.ndarray:
     """Square roots of the circulant-embedding eigenvalues of ``steps``
     unit-spaced fGn increments, over the root of their count (``2 * steps``
@@ -347,50 +318,13 @@ def _fbm_path(length: int, hurst: float, pre_steps: int, rng: np.random.Generato
     return path
 
 
-def gen_fbm(length: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    """Fractional Brownian motion on t = 0, 1/length, ..., (length-1)/length.
-
-    Exact Gaussian draw (unit scale) by circulant embedding of its
-    increments; the path starts at zero.
-    """
-    length = positive_count(length, "length")
-    return _fbm_sampler(length, _validate_hurst(hurst))(rng)
-
-
 def _fbm_sampler(length: int, hurst: float):
-    """``rng -> path``: ``gen_fbm``'s draw, with the eigenvalues computed
-    once for every path."""
+    """``rng -> path``: fractional Brownian motion on t = 0, 1/length, ...,
+    (length-1)/length, starting at zero, drawn exactly (unit scale) by
+    ``_fbm_path`` with the eigenvalues computed once for every path."""
     if length == 1:
         return lambda rng: np.zeros(1)
     return partial(_fbm_path, length, hurst, 0, scale=_fgn_scale(hurst, length - 1))
-
-
-def _flow_parameters(length: int, hurst: float, lams, sigma: float):
-    """Validated ``(hurst, lams, sigma)`` of ``_flows`` and its burn-in step count."""
-    if length < 2:
-        raise InvalidInputError(f"length must be >= 2, got {length}")
-    hurst = _validate_hurst(hurst)
-    lams = tuple(float(lam) for lam in lams)
-    sigma = float(sigma)
-    for lam in lams:
-        if not (0.0 < lam < float("inf") and sigma > 0.0 and isfinite(sigma * sigma / (2.0 * lam))):
-            raise InvalidInputError(
-                "mean-reversion rate lambda and scale sigma must be positive and finite, with a "
-                f"finite stationary variance sigma^2/(2 lambda); got lambda {lam}, sigma {sigma}"
-            )
-    if hurst == 0.5:
-        return hurst, lams, sigma, 0
-    slowest = min(lams)
-    # 10*len and the power-of-two cap times a rate are exact, so this admits
-    # exactly the rates >= the smallest one named below.
-    if 10.0 * length > _MAX_BURN_IN * slowest:
-        raise InvalidInputError(
-            f"mean-reversion rate lambda {slowest} is too small for len {length}: the "
-            f"long-memory burn-in would need more than {_MAX_BURN_IN} grid points; the "
-            f"smallest lambda allowed at this length is {10.0 * length / _MAX_BURN_IN}"
-        )
-    delta = 1.0 / length
-    return hurst, lams, sigma, ceil(10.0 / (slowest * delta))
 
 
 def _blocks(n: int, values: int):
@@ -402,17 +336,18 @@ def _blocks(n: int, values: int):
 
 def _flows(length: int, hurst: float, lams, sigma: float):
     """``(values, step)``, as ``_scenario_step`` returns them, of the drivers
-    on [0, 1) and their exponential-kernel averages at the rates ``lams``:
-    a block's ``x`` holds the drivers, and its ``y`` has the shape
+    on [0, 1) and their exponential-kernel averages at the checked rates
+    ``lams``: a block's ``x`` holds the drivers, and its ``y`` has the shape
     ``(len(lams), width, length)``.
 
-    Each replication makes the draws of a one-replication call; one filter
-    then steps every replication and rate of the block together, with
-    per-rate coefficients.  For H = 0.5 every rate consumes the same
-    stationary-start and residual draws."""
-    hurst, lams, sigma, pre_steps = _flow_parameters(length, hurst, lams, sigma)
+    Each replication draws from its own generator; one filter then steps
+    every replication and rate of the block together, with per-rate
+    coefficients.  For H = 0.5 every rate consumes the same stationary-start
+    and residual draws; otherwise the driver starts ``10 / min(lams)``
+    before t = 0."""
     delta = 1.0 / length
     if hurst != 0.5:
+        pre_steps = ceil(10.0 / (min(lams) * delta))
         scale = _fgn_scale(hurst, pre_steps + length - 1)
         decay = np.array([[exp(-lam * delta)] for lam in lams])
         # Per replication: its path increments.
@@ -481,16 +416,6 @@ def _brownian_block(length, coefficients, width, rngs):
     return x, y
 
 
-def gen_fou(length: int, hurst: float, lam: float, sigma: float, rng: np.random.Generator):
-    """Exponential-kernel average of a (fractional) Brownian driver.
-
-    Returns ``(x, y)`` where ``x`` is the driver path on [0, 1) and ``y`` the
-    smoothed process, both of ``length`` points.
-    """
-    x, y = _flows(length, hurst, (lam,), sigma)[1](1, [rng])
-    return x[0], y[0, 0]
-
-
 def fou_pair_weights(lam1: float, lam2: float) -> tuple[float, float]:
     """Combination weights lam1/(lam1-lam2) and lam2/(lam2-lam1)."""
     if lam1 == lam2:
@@ -498,23 +423,12 @@ def fou_pair_weights(lam1: float, lam2: float) -> tuple[float, float]:
     return lam1 / (lam1 - lam2), lam2 / (lam2 - lam1)
 
 
-def gen_fou2(length: int, hurst: float, lam1: float, lam2: float, sigma: float, rng: np.random.Generator):
-    """Two-rate combination of exponential-kernel averages of one driver.
-
-    Equals w1 * y(lam1) + w2 * y(lam2) exactly, where both components consume
-    identical innovation draws against the shared driver.
-    """
-    w1, w2 = fou_pair_weights(lam1, lam2)
-    x, y = _flows(length, hurst, (lam1, lam2), sigma)[1](1, [rng])
-    return x[0], w1 * y[0, 0] + w2 * y[1, 0]
-
-
 def _rates(cfg: ScenarioConfig) -> tuple[float, ...]:
     """Mean-reversion rates of a smoothed-driver scenario; none for the others."""
     if cfg.scenario in ("C4", "C5"):
-        return (cfg.lam,)
+        return (float(cfg.lam),)
     if cfg.scenario in ("C6", "C7", "X-OU-Y-OU", "X-FOU-Y-FOU"):
-        return (cfg.lam1, cfg.lam2)
+        return (float(cfg.lam1), float(cfg.lam2))
     return ()
 
 
@@ -522,7 +436,8 @@ def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Run every parameter check of ``gen_scenario`` without drawing.
 
     Returns the config with its counts as ``int``, its Hurst exponent
-    resolved and, for D1-D3, its ARMA coefficients validated as floats.
+    resolved and its ARMA coefficients (D1-D3) or scale (smoothed drivers)
+    as floats.
     """
     if cfg.scenario not in _SCENARIOS:
         raise InvalidInputError(
@@ -541,7 +456,9 @@ def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             raise InvalidInputError(f"scenario {cfg.scenario} has a Brownian driver: hurst must be 0.5, got {cfg.hurst}")
         hurst = 0.5
     elif cfg.hurst is not None:
-        hurst = _validate_hurst(cfg.hurst)
+        hurst = float(cfg.hurst)
+        if not 0.0 < hurst < 1.0:
+            raise InvalidInputError(f"Hurst exponent must be in (0, 1), got {hurst}")
     else:
         hurst = _LONG_MEMORY_DEFAULT if cfg.scenario in ("C5", "C7", "X-FOU-Y-FOU") else 0.5
     if cfg.scenario in ("D1", "D2", "D3"):
@@ -549,9 +466,27 @@ def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
         return replace(cfg, hurst=hurst, phi=phi, theta=theta)
     if cfg.scenario in ("C6", "C7"):
         fou_pair_weights(cfg.lam1, cfg.lam2)
-    if rates := _rates(cfg):
-        _flow_parameters(length, hurst, rates, cfg.sigma)
-    return replace(cfg, hurst=hurst)
+    if not (rates := _rates(cfg)):
+        return replace(cfg, hurst=hurst)
+    if length < 2:
+        raise InvalidInputError(f"length must be >= 2, got {length}")
+    sigma = float(cfg.sigma)
+    for lam in rates:
+        if not (0.0 < lam < float("inf") and sigma > 0.0 and isfinite(sigma * sigma / (2.0 * lam))):
+            raise InvalidInputError(
+                "mean-reversion rate lambda and scale sigma must be positive and finite, with a "
+                f"finite stationary variance sigma^2/(2 lambda); got lambda {lam}, sigma {sigma}"
+            )
+    slowest = min(rates)
+    # 10*len and the power-of-two cap times a rate are exact, so this admits
+    # exactly the rates >= the smallest one named below.
+    if hurst != 0.5 and 10.0 * length > _MAX_BURN_IN * slowest:
+        raise InvalidInputError(
+            f"mean-reversion rate lambda {slowest} is too small for len {length}: the "
+            f"long-memory burn-in would need more than {_MAX_BURN_IN} grid points; the "
+            f"smallest lambda allowed at this length is {10.0 * length / _MAX_BURN_IN}"
+        )
+    return replace(cfg, hurst=hurst, sigma=sigma)
 
 
 def _response_block(cfg: ScenarioConfig, size: int, signal, to_x, width: int, rngs):
@@ -596,15 +531,15 @@ def _scenario_step(cfg: ScenarioConfig):
         # Only the burn-in rows count: numpy rows beat the float loop only
         # when wide, so a block stays wide however long the series; its
         # other rows are no more than the output's.
-        return _ARMA_BURN_IN, partial(_response_block, cfg, steps, partial(gen_white_noise, steps), arma)
-    if not _rates(cfg):  # null and C1-C3, whose replications each draw their path
+        return _ARMA_BURN_IN, partial(_response_block, cfg, steps, methodcaller("standard_normal", steps), arma)
+    if not (rates := _rates(cfg)):  # null and C1-C3, whose replications each draw their path
         if cfg.scenario == "null":
-            signal = partial(gen_white_noise, cfg.length)
+            signal = methodcaller("standard_normal", cfg.length)
         else:
             signal = _fbm_sampler(cfg.length, cfg.hurst)
         # The signal, its noises and the response.
         return 4 * cfg.length, partial(_response_block, cfg, cfg.length, signal, lambda path: path)
-    values, flows = _flows(cfg.length, cfg.hurst, _rates(cfg), cfg.sigma)
+    values, flows = _flows(cfg.length, cfg.hurst, rates, cfg.sigma)
     if cfg.scenario in ("C6", "C7"):
         w1, w2 = fou_pair_weights(cfg.lam1, cfg.lam2)
 

@@ -270,20 +270,21 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     Expanding the square gives three means over pairs of records: the joint
     term of their product (``_min_kernel_sums``), and the product and cross
     terms, which factorize into per-record brackets prepared once.  A row
-    orders its records by Y distance by a scatter of z-positions and a
-    gather in the Y order of ``cells``; only runs of equal Y distances are
-    sorted, into z-order, so that the bits depend on the values alone.  The
-    terms cancel to about six digits on tied data, which the cell sum avoids.
+    gathers the Y rank of each z-position and scatters the z-positions into
+    Y order.  So that the bits depend on the values alone, runs of equal Z
+    take their Y ranks in order, and then runs of equal Y distances their
+    z-positions: records tied on X, on Y or on both sit in one order
+    whatever pairing put them there.  The terms cancel to about six digits
+    on tied data, which the cell sum avoids.
     """
-    m, n, z_order, t_order = cells.m, pd.n, cells.z_order, cells.t_order
+    m, n, z_order = cells.m, pd.n, cells.z_order
     surv_z = 1.0 - cells.g1  # in z-sorted order
     surv_t_sorted = 1.0 - cells.g2
     positions = np.arange(m, dtype=np.int32)
-    # The ranks in runs of equal Y distances, and m times each one's run
-    # start: sorting these keys puts the z-positions of each run in order.
-    same = cells.t_sorted[1:] == cells.t_sorted[:-1]
-    tied = np.flatnonzero(np.append(same, False) | np.append(False, same))
-    tie_keys = np.maximum.accumulate(np.where(np.append(False, same)[tied], 0, tied)) * m
+    t_rank = np.empty(m, dtype=np.int32)
+    t_rank[cells.t_order] = positions
+    z_tied, z_tie_keys = _tie_runs(surv_z)
+    t_tied, t_tie_keys = _tie_runs(cells.t_sorted)
 
     # Each record's bracket, its sum of minima over all records on one side:
     # the product term is (sum of Z brackets)(sum of s brackets) / m^4, and
@@ -293,20 +294,36 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     product_term = z_bracket.sum() * t_bracket_sorted.sum() / m**4
 
     def evaluate(index: np.ndarray) -> np.ndarray:
-        # order[p, r]: the z-position of row p's Y pair index of rank r.
+        # ranks[p, i]: the Y rank of row p's record at z-position i, and
+        # order[p, r]: the z-position of its record of Y rank r.
+        ranks = t_rank[index.take(z_order, axis=1)]
+        _sort_runs(ranks, z_tied, z_tie_keys)
         order = np.empty(index.shape, dtype=np.int32)
-        np.put_along_axis(order, index.take(z_order, axis=1), positions, axis=1)
-        order = order.take(t_order, axis=1)
-        if tied.size:
-            keys = order[:, tied] + tie_keys
-            keys.sort(axis=1)
-            order[:, tied] = keys - tie_keys
+        np.put_along_axis(order, ranks, positions, axis=1)
+        _sort_runs(order, t_tied, t_tie_keys)
         cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
         joint_term = _min_kernel_sums(order, surv_z, surv_t_sorted) / (m * m)
         values = n * (joint_term + product_term - 2.0 * cross_term)
         return _clamp_nonnegative(values, "l2_statistic")
 
     return evaluate
+
+
+def _tie_runs(values: np.ndarray):
+    """The positions in runs of equal sorted ``values``, and m times each
+    one's run start, m = ``values.size``: the keys of ``_sort_runs``."""
+    same = values[1:] == values[:-1]
+    tied = np.flatnonzero(np.append(same, False) | np.append(False, same))
+    return tied, np.maximum.accumulate(np.where(np.append(False, same)[tied], 0, tied)) * values.size
+
+
+def _sort_runs(rows: np.ndarray, tied: np.ndarray, tie_keys: np.ndarray) -> None:
+    """Sort the entries of each row of ``rows``, values below m, within the
+    runs of ``_tie_runs``, in place; nothing to do without runs."""
+    if tied.size:
+        keys = rows[:, tied] + tie_keys
+        keys.sort(axis=1)
+        rows[:, tied] = keys - tie_keys
 
 
 def _tile_min_sums(values: np.ndarray, weights: np.ndarray, groups=None) -> np.ndarray:

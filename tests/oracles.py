@@ -497,7 +497,8 @@ def value_block_evaluator(pd: PairedDistances, functional):
     block re-derives from the values what index evaluation prepares once:
     the kept-column codes by a float ``searchsorted`` and the closed form's
     Y order by a float stable argsort in z-order (equal distances in
-    z-order).  Index evaluation must give its bits."""
+    z-order), after sorting the Y distances within each run of equal Z.
+    Index evaluation must give its bits."""
     if functional == Functional.SUP:
         return sup_float_sweep(pd)
     if pd.pair_count == 1:
@@ -522,10 +523,15 @@ def value_block_evaluator(pd: PairedDistances, functional):
         return lambda t_block: scale * cell_sum(t_block, True)
 
     product_term, z_bracket, t_bracket_sorted = _l2_constant_terms(cells)
+    surv_z = 1.0 - cells.g1
+    z_runs = [run for run in np.split(np.arange(m), np.flatnonzero(np.diff(surv_z)) + 1) if run.size > 1]
 
     def closed_form(t_block):
-        order = np.argsort(t_block[:, z_order], axis=1, kind="stable")
-        joint_term = _min_kernel_sums(order, 1.0 - cells.g1, 1.0 - cells.g2) / (m * m)
+        t_by_z = t_block[:, z_order]
+        for run in z_runs:
+            t_by_z[:, run] = np.sort(t_by_z[:, run], axis=1)
+        order = np.argsort(t_by_z, axis=1, kind="stable")
+        joint_term = _min_kernel_sums(order, surv_z, 1.0 - cells.g2) / (m * m)
         cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
         return _clamp_nonnegative(n * (joint_term + product_term - 2.0 * cross_term), "l2")
 

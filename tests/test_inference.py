@@ -289,14 +289,7 @@ def test_swapping_identical_observations_gives_the_observed_statistic(
         (Functional.SUP, False),
         (Functional.SUP, True),
         (Functional.L2, True),
-        pytest.param(
-            Functional.L2, False,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the L2 closed form's float sums depend on the order of tied X "
-                "distances, so the transposition moves it by up to 2e-13 relative (ROADMAP item 2)",
-            ),
-        ),
+        (Functional.L2, False),
     ],
     ids=["l1-continuous", "l1-rounded", "sup-continuous", "sup-rounded", "l2-rounded", "l2-continuous"],
 )

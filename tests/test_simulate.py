@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.signal import lfilter
 
 import recurtest as rt
 from recurtest import InvalidInputError, ScenarioConfig, simulate, streams
-from recurtest.simulate import _fbm_path, _fgn_scale, _lfilter
+from recurtest.simulate import _arma, _blocks, _fbm_path, _fbm_sampler, _fgn_scale, _flows, _lfilter
 
 from oracles import flows_one_replication
 
@@ -47,20 +48,31 @@ def fbm_cov(times, hurst):
     return 0.5 * (at[:, None] + at[None, :] - np.abs(times[:, None] - times[None, :]) ** h2)
 
 
+def flows(length, hurst, lams, n, rng):
+    """``_flows``'s ``(x, y)`` at sigma 1 of n replications, the k-th drawing
+    from ``rng(k)``, in blocks as ``gen_scenario`` forms them."""
+    values, step = _flows(length, hurst, lams, 1.0)
+    blocks = [step(len(block), map(rng, block)) for block in _blocks(n, values)]
+    return np.concatenate([x for x, _ in blocks]), np.concatenate([y for _, y in blocks], axis=1)
+
+
 class TestWhiteNoise:
     def test_moments(self):
-        draws = rt.gen_white_noise(10**6, rng_of(1))
-        assert abs(draws.mean()) < 0.005
-        assert abs(draws.var() - 1.0) < 0.01
+        xs, ys = rt.gen_scenario(ScenarioConfig(scenario="null", n=10_000, length=100, seed=1))
+        for draws in (xs, ys):
+            assert abs(draws.mean()) < 0.005
+            assert abs(draws.var() - 1.0) < 0.01
 
     def test_deterministic(self):
-        a = rt.gen_white_noise(50, rng_of(2))
-        b = rt.gen_white_noise(50, rng_of(2))
-        assert np.array_equal(a, b)
+        cfg = ScenarioConfig(scenario="null", n=2, length=50, seed=2)
+        a, b = rt.gen_scenario(cfg), rt.gen_scenario(cfg)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        rng = streams.substream(2, streams.SCENARIO, 1)
+        assert np.array_equal(a[0][1], rng.standard_normal(50))
 
     def test_length_guard(self):
-        with pytest.raises(InvalidInputError):
-            rt.gen_white_noise(0, rng_of(3))
+        with pytest.raises(InvalidInputError, match="^series length must be >= 1, got 0$"):
+            rt.gen_scenario(ScenarioConfig(scenario="null", n=2, length=0))
 
 
 def arma_variance_oracle(phi, theta, terms=4000):
@@ -126,31 +138,36 @@ class TestLfilter:
             assert np.array_equal(got[(slice(None), *at)], want)
 
 
+def arma_series(length, phi, theta, rng):
+    """An ARMA series as D1-D3 draw it, before scaling to unit variance."""
+    return _arma(phi, theta, rng.standard_normal(500 + length), 500)
+
+
 class TestArArma:
     def test_degenerate_coefficients_give_white_noise(self):
-        series = rt.gen_ar_arma(1000, (0.0,), 0.0, rng_of(4))
+        series = arma_series(1000, (0.0,), 0.0, rng_of(4))
         noise = rng_of(4).standard_normal(1500)[500:]
         assert np.allclose(series, noise)
 
     def test_ar1_lag_one_autocorrelation(self):
-        series = rt.gen_ar_arma(10**6, (0.1,), 0.0, rng_of(5))
+        series = arma_series(10**6, (0.1,), 0.0, rng_of(5))
         acf1 = np.corrcoef(series[:-1], series[1:])[0, 1]
         assert acf1 == pytest.approx(0.1, abs=0.01)
 
     def test_arma21_variance_matches_expansion(self):
         phi, theta = (0.2, 0.5), 0.2
-        series = rt.gen_ar_arma(10**6, phi, theta, rng_of(6))
+        series = arma_series(10**6, phi, theta, rng_of(6))
         assert series.var() == pytest.approx(arma_variance_oracle(phi, theta), rel=0.02)
 
     def test_nonstationary_rejected(self):
-        with pytest.raises(InvalidInputError):
-            rt.gen_ar_arma(100, (1.0,), 0.0, rng_of(7))
-        with pytest.raises(InvalidInputError):
-            rt.gen_ar_arma(100, (0.7, 0.5), 0.0, rng_of(7))
+        for phi in ((1.0,), (0.7, 0.5)):
+            with pytest.raises(InvalidInputError, match=re.escape(f"coefficients {phi} are not stationary")):
+                simulate.scenario_config("D1", 2, {"phi": phi, "len": 100})
 
     def test_study_parameters_accepted(self):
-        rt.gen_ar_arma(100, (0.2, 0.5), 0.2, rng_of(8))
-        rt.gen_ar_arma(100, (0.9,), 0.0, rng_of(8))
+        cfg = simulate.scenario_config("D3", 2, {"phi": [0.2, 0.5], "theta": 0.2, "len": 100})
+        assert (cfg.phi, cfg.theta) == ((0.2, 0.5), 0.2)
+        assert simulate.scenario_config("D1", 2, {"phi": "0.9", "len": 100}).phi == (0.9,)
 
     def test_stationary_sd_matches_expansion_oracle(self):
         for phi, theta in [((0.1,), 0.0), ((0.2, 0.5), 0.2), ((0.9,), 0.0), ((0.0,), 0.0)]:
@@ -164,7 +181,7 @@ class TestArArma:
         sd = rt.arma_stationary_sd(cfg.phi, cfg.theta)
         for k in range(n):
             rng = streams.substream(cfg.seed, streams.SCENARIO, k)
-            assert np.array_equal(xs[k], rt.gen_ar_arma(cfg.length, cfg.phi, cfg.theta, rng) / sd)
+            assert np.array_equal(xs[k], arma_series(cfg.length, cfg.phi, cfg.theta, rng) / sd)
 
     def test_discrete_batch_blocks_do_not_change_draws(self, monkeypatch):
         cfg = ScenarioConfig(scenario="D1", n=7, length=30, phi=(0.2, 0.5), theta=0.2, seed=66)
@@ -181,23 +198,24 @@ class TestArArma:
 
 class TestFbm:
     def test_single_point_is_zero(self):
-        assert rt.gen_fbm(1, 0.7, rng_of(9)).tolist() == [0.0]
+        assert _fbm_sampler(1, 0.7)(rng_of(9)).tolist() == [0.0]
 
     def test_starts_at_zero_and_deterministic(self):
-        a = rt.gen_fbm(100, 0.7, rng_of(9))
-        b = rt.gen_fbm(100, 0.7, rng_of(9))
+        draw = _fbm_sampler(100, 0.7)
+        a = draw(rng_of(9))
+        b = draw(rng_of(9))
         assert a[0] == 0.0
         assert np.array_equal(a, b)
 
     def test_hurst_guard(self):
         for h in (0.0, 1.0, -0.3, 1.5):
-            with pytest.raises(InvalidInputError):
-                rt.gen_fbm(10, h, rng_of(10))
+            with pytest.raises(InvalidInputError, match=re.escape(f"Hurst exponent must be in (0, 1), got {h}")):
+                simulate.scenario_config("C1", 2, {"len": 10, "hurst": h})
 
     @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
     @pytest.mark.parametrize("length", [2, 3, 7, 16])
     def test_exact_covariance(self, hurst, length):
-        a = linear_map(lambda rng: rt.gen_fbm(length, hurst, rng))
+        a = linear_map(_fbm_sampler(length, hurst))
         times = np.arange(length) / length
         assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
 
@@ -210,22 +228,26 @@ class TestFbm:
         assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
 
     def test_brownian_variance_near_end(self):
-        last = np.array([rt.gen_fbm(100, 0.5, rng_of(11, k))[-1] for k in range(40000)])
+        draw = _fbm_sampler(100, 0.5)
+        last = np.array([draw(rng_of(11, k))[-1] for k in range(40000)])
         # last grid point is t = 0.99
         assert last.var() == pytest.approx(0.99, abs=0.02)
 
     def test_brownian_disjoint_increments_uncorrelated(self):
-        paths = np.array([rt.gen_fbm(100, 0.5, rng_of(12, k)) for k in range(80000)])
+        draw = _fbm_sampler(100, 0.5)
+        paths = np.array([draw(rng_of(12, k)) for k in range(80000)])
         inc1 = paths[:, 30] - paths[:, 20]
         inc2 = paths[:, 60] - paths[:, 50]
         assert abs(np.corrcoef(inc1, inc2)[0, 1]) < 0.01
 
     def test_long_memory_variance_law(self):
-        mid = np.array([rt.gen_fbm(100, 0.7, rng_of(13, k))[50] for k in range(40000)])
+        draw = _fbm_sampler(100, 0.7)
+        mid = np.array([draw(rng_of(13, k))[50] for k in range(40000)])
         assert mid.var() == pytest.approx(0.5**1.4, rel=0.02)
 
     def test_covariance_probes(self):
-        paths = np.array([rt.gen_fbm(100, 0.7, rng_of(14, k)) for k in range(80000)])
+        draw = _fbm_sampler(100, 0.7)
+        paths = np.array([draw(rng_of(14, k)) for k in range(80000)])
         for i, j in [(20, 70), (10, 30), (50, 99), (5, 95), (40, 60)]:
             s, t = i / 100, j / 100
             want = 0.5 * (s**1.4 + t**1.4 - abs(t - s) ** 1.4)
@@ -235,39 +257,35 @@ class TestFbm:
 
 class TestFou:
     def test_shapes_and_determinism(self):
-        xa, ya = rt.gen_fou(100, 0.5, 0.3, 1.0, rng_of(15))
-        xb, yb = rt.gen_fou(100, 0.5, 0.3, 1.0, rng_of(15))
-        assert xa.shape == ya.shape == (100,)
-        assert np.array_equal(xa, xb) and np.array_equal(ya, yb)
+        x, y = flows(100, 0.5, (0.3,), 2, lambda k: rng_of(15))
+        assert x.shape == (2, 100) and y.shape == (1, 2, 100)
+        assert np.array_equal(x[0], x[1]) and np.array_equal(y[0, 0], y[0, 1])
 
     def test_stationary_variance(self):
         lam = 0.3
-        pooled = np.concatenate(
-            [rt.gen_fou(100, 0.5, lam, 1.0, rng_of(16, k))[1] for k in range(50000)]
-        )
-        assert pooled.var() == pytest.approx(1.0 / (2.0 * lam), rel=0.02)
+        _, y = flows(100, 0.5, (lam,), 50000, lambda k: rng_of(16, k))
+        assert y.var() == pytest.approx(1.0 / (2.0 * lam), rel=0.02)
 
     def test_lag_one_autocorrelation(self):
         lam = 0.3
-        paths = np.array([rt.gen_fou(100, 0.5, lam, 1.0, rng_of(17, k))[1] for k in range(2000)])
+        paths = flows(100, 0.5, (lam,), 2000, lambda k: rng_of(17, k))[1][0]
         acf = np.corrcoef(paths[:, :-1].ravel(), paths[:, 1:].ravel())[0, 1]
         assert acf == pytest.approx(np.exp(-lam / 100), abs=0.02)
 
     def test_fast_reversion_kills_autocorrelation(self):
         lam = 1000.0
-        paths = np.array([rt.gen_fou(100, 0.5, lam, 1.0, rng_of(18, k))[1] for k in range(2000)])
+        paths = flows(100, 0.5, (lam,), 2000, lambda k: rng_of(18, k))[1][0]
         acf = np.corrcoef(paths[:, :-1].ravel(), paths[:, 1:].ravel())[0, 1]
         assert acf == pytest.approx(np.exp(-lam / 100), abs=0.02)
 
     def test_parameter_guards(self):
-        with pytest.raises(InvalidInputError):
-            rt.gen_fou(100, 0.5, 0.0, 1.0, rng_of(19))
-        with pytest.raises(InvalidInputError):
-            rt.gen_fou(100, 0.5, 0.3, -1.0, rng_of(19))
+        for lam, sigma in ((0.0, 1.0), (0.3, -1.0)):
+            with pytest.raises(InvalidInputError, match=re.escape(f"; got lambda {lam}, sigma {sigma}")):
+                simulate.scenario_config("C4", 2, {"len": 100, "lambda": lam, "sigma": sigma})
 
     def test_long_memory_smoke(self):
-        x, y = rt.gen_fou(50, 0.7, 2.0, 1.0, rng_of(24))
-        assert x.shape == y.shape == (50,)
+        x, y = flows(50, 0.7, (2.0,), 1, lambda k: rng_of(24))
+        assert x.shape == (1, 50) and y.shape == (1, 1, 50)
         assert np.isfinite(x).all() and np.isfinite(y).all()
 
 
@@ -278,42 +296,43 @@ class TestFou2:
     def test_equal_rates_rejected(self):
         with pytest.raises(InvalidInputError):
             rt.fou_pair_weights(0.5, 0.5)
-        with pytest.raises(InvalidInputError):
-            rt.gen_fou2(50, 0.5, 0.5, 0.5, 1.0, rng_of(25))
+        with pytest.raises(InvalidInputError, match="^the two mean-reversion rates must differ$"):
+            simulate.scenario_config("C6", 2, {"len": 50, "lambda1": 0.5, "lambda2": 0.5})
 
     def test_linearity_exact(self):
-        # X-OU-Y-OU returns the two components that gen_fou2 combines
+        # C6 combines the two components that X-OU-Y-OU returns, and each
+        # component is the one-rate average of the same draws
         y1, y2 = rt.gen_scenario(ScenarioConfig(scenario="X-OU-Y-OU", n=3, length=100, seed=27))
+        _, combo = rt.gen_scenario(ScenarioConfig(scenario="C6", n=3, length=100, seed=27))
         w1, w2 = rt.fou_pair_weights(0.3, 0.8)
-        for k in range(3):
-            rng = streams.substream(27, streams.SCENARIO, k)
-            _, combo = rt.gen_fou2(100, 0.5, 0.3, 0.8, 1.0, rng)
-            assert np.abs(combo - (w1 * y1[k] + w2 * y2[k])).max() < 1e-12
+        assert np.abs(combo - (w1 * y1 + w2 * y2)).max() < 1e-12
+        for lam, want in ((0.3, y1), (0.8, y2)):
+            _, y = flows(100, 0.5, (lam,), 3, lambda k: streams.substream(27, streams.SCENARIO, k))
+            assert np.abs(y[0] - want).max() < 1e-12
 
     def test_deterministic(self):
-        a = rt.gen_fou2(60, 0.5, 0.3, 0.8, 1.0, rng_of(28))
-        b = rt.gen_fou2(60, 0.5, 0.3, 0.8, 1.0, rng_of(28))
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        x, y = flows(60, 0.5, (0.3, 0.8), 2, lambda k: rng_of(28))
+        assert np.array_equal(x[0], x[1]) and np.array_equal(y[:, 0], y[:, 1])
 
     def test_long_memory_smoke(self):
-        x, y = rt.gen_fou2(40, 0.7, 2.0, 4.0, 1.0, rng_of(29))
-        assert x.shape == y.shape == (40,)
+        x, y = flows(40, 0.7, (2.0, 4.0), 1, lambda k: rng_of(29))
+        assert x.shape == (1, 40) and y.shape == (2, 1, 40)
 
 
 @pytest.mark.parametrize(
     "draw, message",
     [
-        (lambda rng: rt.gen_ar_arma(0, (0.1,), 0.0, rng), "length must be >= 1, got 0"),
-        (lambda rng: rt.gen_fbm(0, 0.7, rng), "length must be >= 1, got 0"),
-        (lambda rng: rt.gen_fou(1, 0.5, 0.3, 1.0, rng), "length must be >= 2, got 1"),
-        (lambda rng: simulate.scenario_config("null", 0, {}), "replication count must be >= 1, got 0"),
-        (lambda rng: simulate.scenario_config("null", 2, {"len": 0}), "series length must be >= 1, got 0"),
+        (lambda: simulate.scenario_config("D1", 2, {"len": 0}), "series length must be >= 1, got 0"),
+        (lambda: simulate.scenario_config("C1", 2, {"len": 0}), "series length must be >= 1, got 0"),
+        (lambda: simulate.scenario_config("C4", 2, {"len": 1}), "length must be >= 2, got 1"),
+        (lambda: simulate.scenario_config("null", 0, {}), "replication count must be >= 1, got 0"),
+        (lambda: simulate.scenario_config("null", 2, {"len": 0}), "series length must be >= 1, got 0"),
     ],
     ids=["arma-len", "fbm-len", "fou-len", "config-n", "config-len"],
 )
 def test_too_short_rejected(draw, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
-        draw(rng_of(1))
+        draw()
 
 
 class TestScenarios:
@@ -427,18 +446,14 @@ class TestScenarios:
         assert sizes == [width] * (7 // width) + [7 % width] * (7 % width > 0)
         w1, w2 = rt.fou_pair_weights(2.0, 4.0)
         for k in range(7):
-            def rng():
-                return streams.substream(seed, streams.SCENARIO, k)
-
-            x, *flows = flows_one_replication(length, hurst, lams, 1.0, rng())
+            x, *ys_k = flows_one_replication(length, hurst, lams, 1.0, streams.substream(seed, streams.SCENARIO, k))
             if sid in ("C4", "C5"):
-                want = [(x, flows[0]), rt.gen_fou(length, hurst, 2.0, 1.0, rng())]
+                x_k, y_k = x, ys_k[0]
             elif sid in ("C6", "C7"):
-                want = [(x, w1 * flows[0] + w2 * flows[1]), rt.gen_fou2(length, hurst, 2.0, 4.0, 1.0, rng())]
+                x_k, y_k = x, w1 * ys_k[0] + w2 * ys_k[1]
             else:
-                want = [flows]
-            for x_k, y_k in want:
-                assert xs[k].tobytes() == x_k.tobytes() and ys[k].tobytes() == y_k.tobytes()
+                x_k, y_k = ys_k
+            assert xs[k].tobytes() == x_k.tobytes() and ys[k].tobytes() == y_k.tobytes()
 
     @pytest.mark.parametrize("sid", sorted(DRAW_DIGESTS))
     def test_replication_streams_are_stable(self, sid, monkeypatch):

@@ -347,6 +347,40 @@ class TestL2Evaluators:
                 assert abs(summed[row] - naive) <= tol
                 assert abs(closed[row] - naive) <= tol
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 300),
+        x_values=st.sampled_from([2, 5, 40, None]),
+        y_values=st.sampled_from([2, 5, 40, None]),
+    )
+    def test_closed_form_bits_do_not_depend_on_tied_records(self, seed, m, x_values, y_values):
+        # Distances drawn from few values (None: continuous).  Moving records
+        # within a class tied on X, on Y or on both gives the same values,
+        # so each move must give the bits of the pairing it came from.
+        rng = np.random.default_rng(seed)
+
+        def distances(values):
+            return rng.integers(1, values + 1, m).astype(float) if values else rng.exponential(size=m)
+
+        pd = PairedDistances(20, distances(x_values), distances(y_values))
+        assume(np.ptp(pd.z) > 0 and np.ptp(pd.t) > 0)
+
+        def within(classes):
+            # a permutation of 0..m-1 that moves each index within its class
+            perm = np.arange(m)
+            for value in np.unique(classes):
+                members = np.flatnonzero(classes == value)
+                perm[members] = rng.permutation(members)
+            return perm
+
+        evaluate = stats_core._l2_closed_form(stats_core._Cells(pd, *weights_for(pd)), pd)
+        for row in [np.arange(m)] + [rng.permutation(m) for _ in range(3)]:
+            on_x, on_y = within(pd.z), within(pd.t)
+            moved = np.array([row, row[on_x], on_y[row], on_y[row[on_x]]])
+            stats = evaluate(moved)
+            assert np.array_equal(stats, np.full(4, stats[0]))
+
     def test_both_sides_of_the_selection_are_covered(self):
         sides = set()
         for n, scale in ROUNDED_CASES:
