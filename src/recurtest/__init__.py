@@ -22,7 +22,6 @@ from .inference import (
 from .metrics import (
     Metric,
     PairedDistances,
-    distance,
     ensure_sample,
     paired_distances,
 )
@@ -35,11 +34,8 @@ from .simulate import (
 from .stats_core import (
     Functional,
     StatisticSpec,
-    l1_statistic,
-    l2_statistic,
     statistic,
     prepare,
-    sup_statistic,
 )
 from .weights import GaussianWeight, estimate_weight, weight_cdf
 
@@ -61,7 +57,6 @@ __all__ = [
     "permutation_test",
     "Metric",
     "PairedDistances",
-    "distance",
     "ensure_sample",
     "paired_distances",
     "ScenarioConfig",
@@ -70,11 +65,8 @@ __all__ = [
     "gen_scenario",
     "Functional",
     "StatisticSpec",
-    "l1_statistic",
-    "l2_statistic",
     "statistic",
     "prepare",
-    "sup_statistic",
     "GaussianWeight",
     "estimate_weight",
     "weight_cdf",

@@ -11,7 +11,7 @@ import numpy as np
 from . import streams
 from ._workers import run_units
 from .exceptions import InvalidInputError, positive_count
-from .inference import check_level, permutation_test
+from .inference import check_levels, permutation_test
 from .simulate import ScenarioConfig, gen_scenario
 from .stats_core import StatisticSpec
 
@@ -87,7 +87,7 @@ def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     """
     reps, m = positive_count(study.reps, "replication count"), positive_count(study.m, "permutation count")
     study = replace(study, reps=reps, m=m)
-    check_level(study.alpha, study.m)
+    check_levels([study.alpha], study.m)
     if not study.specs:
         raise InvalidInputError("at least one statistic spec is required")
 

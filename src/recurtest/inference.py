@@ -124,7 +124,7 @@ def permutation_test(
         observed=observed,
         p_value=p_value,
         m=m,
-        seed=seed,
+        seed=int(seed),  # an integer: permutation 1's stream checked it
         perm_stats=perm_stats,
         elapsed=time.perf_counter() - start,
     )
@@ -135,29 +135,23 @@ def min_permutations(alpha: float) -> int:
     return ceil(1.0 / alpha - 1e-9) - 1
 
 
-def check_level(alpha: float, m: int) -> None:
-    """Reject a level outside (0, 1), or one that ``m`` permutations cannot
-    resolve."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidInputError(f"level must be in (0, 1), got {alpha}")
-    if m < min_permutations(alpha):
-        raise InvalidInputError(
-            f"level {alpha} needs at least m = {min_permutations(alpha)} "
-            f"permutations, got {m}"
-        )
-
-
 def check_levels(levels, m) -> list[float]:
     """``levels`` as floats, checked for a test of ``m`` permutations: ``m``
-    must be a positive count, and each level in turn must pass
-    ``check_level`` and differ in its ``%g`` form, which names it in the
-    outputs, from the levels before it.  Raises ``InvalidInputError``
-    otherwise."""
+    must be a positive count, and each level in turn must lie in (0, 1), be
+    resolvable with ``m`` permutations (see ``min_permutations``) and differ
+    in its ``%g`` form, which names it in the outputs, from the levels
+    before it.  Raises ``InvalidInputError`` otherwise."""
     m = positive_count(m, "permutation count")
     levels = [float(a) for a in levels]
     names = [format(a, "g") for a in levels]
     for i, alpha in enumerate(levels):
-        check_level(alpha, m)
+        if not 0.0 < alpha < 1.0:
+            raise InvalidInputError(f"level must be in (0, 1), got {alpha}")
+        if m < min_permutations(alpha):
+            raise InvalidInputError(
+                f"level {alpha} needs at least m = {min_permutations(alpha)} "
+                f"permutations, got {m}"
+            )
         if names[i] in names[:i]:
             raise InvalidInputError(f"level {names[i]} is repeated")
     return levels
@@ -167,13 +161,13 @@ def critical_values(perm_stats, levels) -> list[float]:
     """Finite-sample permutation critical values at the requested levels.
 
     For level alpha the critical value is the ceil((1 - alpha) * (m + 1))-th
-    order statistic of the m permuted values.
+    order statistic of the m permuted values.  The levels are checked as
+    ``check_levels`` checks them.
     """
     stats = np.sort(np.asarray(perm_stats, dtype=float))
     m = stats.size
     out = []
-    for alpha in levels:
-        check_level(alpha, m)
+    for alpha in check_levels(levels, m):
         # Small epsilon keeps exact lattice points (e.g. 0.95 * 100) from
         # rounding up through floating noise; a level within it of 1 still
         # takes the first order statistic.

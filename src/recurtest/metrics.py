@@ -65,23 +65,6 @@ def ensure_sample(data, name: str = "sample") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def distance(a, b, kind: Metric) -> float:
-    """Distance between two observations under ``kind``."""
-    av = np.atleast_1d(np.asarray(a, dtype=float))
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
-    if av.ndim != 1 or bv.ndim != 1:
-        raise InvalidInputError("observations must be 1-D vectors")
-    if av.shape != bv.shape:
-        raise InvalidInputError(f"dimension mismatch: {av.shape[0]} vs {bv.shape[0]}")
-    if not (np.all(np.isfinite(av)) and np.all(np.isfinite(bv))):
-        raise InvalidInputError("observations contain non-finite entries")
-    with np.errstate(over="ignore"):
-        value = float(_norm(np.abs(av - bv), kind))
-    if not np.isfinite(value):
-        raise InvalidInputError("the distance is beyond the float range")
-    return value
-
-
 def _norm(diff: np.ndarray, kind: Metric):
     """Norm under ``kind`` of absolute coordinate differences, along the last axis."""
     if kind == Metric.L1:

@@ -4,11 +4,11 @@ All statistics measure the discrepancy between the joint recurrence rate of a
 coupled pair sample and the product of its marginal recurrence rates,
 aggregated three ways:
 
-* ``l2_statistic``  -- n * integral of the squared discrepancy against the
+* ``Functional.L2``  -- n * integral of the squared discrepancy against the
   calibrated Gaussian product weight (quadratic functional),
-* ``l1_statistic``  -- sqrt(n) * integral of the absolute discrepancy against
-  the same weight,
-* ``sup_statistic`` -- sqrt(n) * supremum of the absolute discrepancy over
+* ``Functional.L1``  -- sqrt(n) * integral of the absolute discrepancy
+  against the same weight,
+* ``Functional.SUP`` -- sqrt(n) * supremum of the absolute discrepancy over
   all radius pairs (weight-free).
 
 Each kernel has a closed form over the coupled distance list, evaluated in
@@ -18,9 +18,9 @@ the stops and columns, and a small integer code of each pair's Y distance)
 and the weight terms.  The evaluator it returns then takes a ``(P, m)`` block of
 pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
 of one permutation -- and evaluates every row at once with state of shape
-``(P, .)``.  The single-pairing kernels evaluate the identity row.  Each
-row's value is independent of the block it is evaluated in and of the
-block's memory layout.
+``(P, .)``.  The identity row is the pairing stored in the distance
+structure, which ``statistic`` evaluates.  Each row's value is independent
+of the block it is evaluated in and of the block's memory layout.
 
 The sweep (``_sweep``) gathers the codes of each row in z-order, walks the
 fixed z-order once and keeps the integer numerators m*C - h*cum of the
@@ -89,11 +89,6 @@ def _clamp_nonnegative(values, where: str):
             f"{where} produced {values.min()!r}, below the -{_NEGATIVE_TOL} round-off floor"
         )
     return np.maximum(values, 0.0)
-
-
-def _one(evaluate: Evaluator, pd: PairedDistances) -> float:
-    """The statistic of the pairing stored in ``pd``: the identity row."""
-    return float(evaluate(np.arange(pd.pair_count)[None, :])[0])
 
 
 def _min_row_sums(values: np.ndarray) -> np.ndarray:
@@ -304,7 +299,7 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
         cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
         joint_term = _min_kernel_sums(order, surv_z, surv_t_sorted) / (m * m)
         values = n * (joint_term + product_term - 2.0 * cross_term)
-        return _clamp_nonnegative(values, "l2_statistic")
+        return _clamp_nonnegative(values, "the quadratic closed form")
 
     return evaluate
 
@@ -407,11 +402,6 @@ def _min_kernel_sums(order: np.ndarray, surv_z: np.ndarray, surv_t: np.ndarray) 
     return _row_dots(z_by_rank, t) + 2.0 * (dense + straddle)
 
 
-def l2_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
-    """Quadratic functional of the pairing in ``pd`` (see ``_prepare_l2``)."""
-    return _one(_prepare_l2(pd, wx, wy), pd)
-
-
 # ---------------------------------------------------------------------------
 # Absolute (L1) functional
 
@@ -422,11 +412,6 @@ def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     cells = _Cells(pd, wx, wy)
     scale = np.sqrt(pd.n) / cells.m**2
     return lambda index: scale * cells.sum(index, squared=False)
-
-
-def l1_statistic(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> float:
-    """Absolute functional of the pairing in ``pd`` (see ``_prepare_l1``)."""
-    return _one(_prepare_l1(pd, wx, wy), pd)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +463,6 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     return evaluate
 
 
-def sup_statistic(pd: PairedDistances) -> float:
-    """Supremum functional of the pairing in ``pd`` (see ``_prepare_sup``)."""
-    return _one(_prepare_sup(pd), pd)
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 
@@ -511,4 +491,4 @@ def prepare(pd: PairedDistances, functional: Functional) -> Evaluator:
 def statistic(x, y, spec: StatisticSpec) -> float:
     """Compute the selected statistic between two samples end to end."""
     pd = paired_distances(x, y, spec.metric_x, spec.metric_y)
-    return _one(prepare(pd, spec.functional), pd)
+    return float(prepare(pd, spec.functional)(np.arange(pd.pair_count)[None, :])[0])

@@ -13,7 +13,10 @@ pair-index blocks keeps.  ``dominance_closed_form`` is the earlier closed
 form of the quadratic functional, built on the rank dominance sums of
 ``prefix_dominance``, and ``min_kernel_literal`` the literal double sum
 that replaced it; ``tile_min_sums_literal`` sums the within-tile pairs of
-``_min_kernel_sums`` one by one.  ``flows_one_replication`` is the earlier
+``_min_kernel_sums`` one by one.  ``sup_numerator_max`` is the integer
+maximum that the supremum scales, counted literally.  ``identity_statistic``
+is no oracle: it is the tests' one way to evaluate the kernel on the pairing
+a distance structure stores.  ``flows_one_replication`` is the earlier
 generator of one replication of the smoothed-driver scenarios, with its own
 eigenvalues and one scipy filter per rate, whose bits the blocks of
 replications keep.
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.stats import norm
 
-from recurtest import Functional, InvalidInputError, PairedDistances
+from recurtest import Functional, InvalidInputError, PairedDistances, prepare
 from recurtest.stats_core import (
     _Cells,
     _clamp_nonnegative,
@@ -39,6 +42,12 @@ from recurtest.stats_core import (
     _sweep,
 )
 from recurtest.weights import GaussianWeight, estimate_weight, weight_cdf
+
+
+def identity_statistic(pd: PairedDistances, functional: Functional) -> float:
+    """The statistic of the pairing stored in ``pd``: the identity row of
+    ``prepare(pd, functional)``, with the weights it calibrates from ``pd``."""
+    return float(prepare(pd, functional)(np.arange(pd.pair_count)[None, :])[0])
 
 
 def recurrence_rate(pd: PairedDistances, axis: str, radius: float) -> float:
@@ -299,6 +308,18 @@ def sup_statistic_naive(pd: PairedDistances) -> float:
     marg = np.outer(z_le.sum(axis=1), t_le.sum(axis=1)) / m
     best = float(np.abs(joint - marg).max())
     return float(np.sqrt(n) * best / m)
+
+
+def sup_numerator_max(pd: PairedDistances) -> int:
+    """The integer K = max |m C - h j| over the grid of distinct values, of
+    which the supremum is sqrt(n) K / m^2 (oracle): for each distinct X
+    distance a and Y distance b, h pairs have z <= a, j have t <= b, and C
+    have both."""
+    z_le = pd.z[None, :] <= np.unique(pd.z)[:, None]
+    t_le = pd.t[None, :] <= np.unique(pd.t)[:, None]
+    joint = z_le.astype(np.int64) @ t_le.T.astype(np.int64)
+    h, j = z_le.sum(axis=1), t_le.sum(axis=1)
+    return int(np.abs(pd.pair_count * joint - np.outer(h, j)).max())
 
 
 def _float_sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):

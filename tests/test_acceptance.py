@@ -21,6 +21,7 @@ from oracles import (
     exact_integral_l1,
     exact_integral_l2,
     exhaustive_sup,
+    identity_statistic,
     l1_statistic_naive,
     l2_statistic_naive,
     quadrature_l1,
@@ -61,7 +62,7 @@ def oracle_instances():
 def test_criterion_1_quadratic_oracle_equivalence():
     worst_naive = worst_exact = worst_grid = 0.0
     for pd, wx, wy in oracle_instances():
-        fast = rt.l2_statistic(pd, wx, wy)
+        fast = identity_statistic(pd, Functional.L2)
         naive = l2_statistic_naive(pd, wx, wy)
         exact = exact_integral_l2(pd, wx, wy)
         grid = quadrature_l2(pd, wx, wy)
@@ -84,13 +85,13 @@ def test_criterion_1_quadratic_oracle_equivalence():
 def test_criterion_2_absolute_and_sup_oracle_equivalence():
     worst_naive1 = worst_exact1 = worst_grid1 = worst_sup = worst_sup_naive = 0.0
     for pd, wx, wy in oracle_instances():
-        fast1 = rt.l1_statistic(pd, wx, wy)
+        fast1 = identity_statistic(pd, Functional.L1)
         worst_naive1 = max(
             worst_naive1, abs(fast1 - l1_statistic_naive(pd, wx, wy)) / fast1
         )
         worst_exact1 = max(worst_exact1, abs(fast1 - exact_integral_l1(pd, wx, wy)) / fast1)
         worst_grid1 = max(worst_grid1, abs(fast1 - quadrature_l1(pd, wx, wy)) / fast1)
-        sup = rt.sup_statistic(pd)
+        sup = identity_statistic(pd, Functional.SUP)
         worst_sup = max(worst_sup, abs(sup - exhaustive_sup(pd)))
         worst_sup_naive = max(worst_sup_naive, abs(sup - sup_statistic_naive(pd)))
     ok = (
@@ -142,13 +143,8 @@ def test_criterion_3_structural_identities():
         y = np.round(g.standard_normal((n, 2)), 1)
         pd = rt.paired_distances(x, y, Metric.L2, Metric.L1)
         dup = PairedDistances(n=n, z=np.tile(pd.z, 2), t=np.tile(pd.t, 2))
-        wx, wy = rt.estimate_weight(pd.z), rt.estimate_weight(pd.t)
-        for fast, args in (
-            (rt.l2_statistic, (wx, wy)),
-            (rt.l1_statistic, (wx, wy)),
-            (rt.sup_statistic, ()),
-        ):
-            a, b = fast(pd, *args), fast(dup, *args)
+        for functional in Functional:
+            a, b = identity_statistic(pd, functional), identity_statistic(dup, functional)
             worst_dup = max(worst_dup, abs(a - b) / max(abs(a), 1e-30))
 
     g = np.random.default_rng(9)

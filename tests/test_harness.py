@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,9 +99,16 @@ def test_counts_must_be_positive_integers(field, name, value, message):
 
 
 def test_numpy_integer_counts_accepted():
-    result = rt.run_power(tiny_study(reps=np.int64(12), m=np.int64(19)), jobs=1)
+    # A numpy integer seed draws the streams of the same Python integer.
+    result = rt.run_power(tiny_study(reps=np.int64(12), m=np.int64(19), seed=np.int64(5)), jobs=1)
     assert type(result.study.reps) is int and type(result.study.m) is int
-    assert np.array_equal(result.p_values, rt.run_power(tiny_study(), jobs=1).p_values)
+    assert result.p_values.tobytes() == rt.run_power(tiny_study(), jobs=1).p_values.tobytes()
+
+
+@pytest.mark.parametrize("seed", [5.5, "5", True], ids=["fraction", "text", "bool"])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(InvalidInputError, match=f"seed must be an integer, got {re.escape(repr(seed))}$"):
+        rt.run_power(tiny_study(seed=seed), jobs=1)
 
 
 def test_failed_replication_names_index():

@@ -10,6 +10,7 @@ from recurtest import fileio, inference, stats_core, streams
 from oracles import (
     l1_statistic_naive,
     l2_statistic_naive,
+    sup_numerator_max,
     sup_statistic_naive,
     value_block_evaluator,
 )
@@ -113,12 +114,26 @@ class TestPermutationTest:
                 call()
 
     def test_numpy_integer_m_accepted(self):
+        # A numpy integer seed draws the streams of the same Python integer.
         x, y = gaussian_pair(8)
-        rep = rt.permutation_test(x, y, SPEC22, m=np.int64(19), seed=1)
+        rep = rt.permutation_test(x, y, SPEC22, m=np.int64(19), seed=np.int64(1))
         assert type(rep.m) is int and rep.m == 19
-        assert rep.p_value == rt.permutation_test(x, y, SPEC22, m=19, seed=1).p_value
-        dep = rt.dependogram([x, y], SPEC22, m=np.int64(19), seed=1)
+        assert type(rep.seed) is int and rep.seed == 1  # the JSON report holds it
+        want = rt.permutation_test(x, y, SPEC22, m=19, seed=1)
+        assert rep.p_value == want.p_value and rep.perm_stats.tobytes() == want.perm_stats.tobytes()
+        dep = rt.dependogram([x, y], SPEC22, m=np.int64(19), seed=np.int64(1))
         assert dep == rt.dependogram([x, y], SPEC22, m=19, seed=1)
+
+    @pytest.mark.parametrize("seed", [1.5, "1", True], ids=["fraction", "text", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        # Each would otherwise draw some integer seed's streams.
+        x, y = gaussian_pair(8)
+        for call in (
+            lambda: rt.permutation_test(x, y, SPEC22, m=19, seed=seed),
+            lambda: rt.dependogram([x, y], SPEC22, m=19, seed=seed),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+                call()
 
     def test_needs_three_observations(self):
         rng = np.random.default_rng(0)
@@ -302,6 +317,48 @@ def test_swapping_identical_x_rows_gives_the_observed_statistic(
     assert_swaps_give_the_observed_statistic(monkeypatch, x, y, functional, metrics, rounded)
 
 
+SUP_LINF = StatisticSpec(Functional.SUP, Metric.LINF, Metric.LINF)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 2, 3, 4]
+    + [
+        pytest.param(
+            seed,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="sup reports a float that rounds differently for pairings of equal K, "
+                "so perm_stats >= observed misses permuted statistics tied with the observed one",
+            ),
+        )
+        for seed in (9, 15, 22, 55, 97)
+    ],
+)
+def test_sup_p_value_is_the_exact_lattice_p_value(seed):
+    # Integer data under Linf: few distinct distances, and many pairings
+    # share the observed maximum K = max |m C - h j|.  The p-value must
+    # count exactly the permutations whose K reaches the observed one.  At
+    # seeds 55 and 97 the reported p-value (0.04, 0.05) falls below the
+    # exact one (0.06, 0.08) and flips the decision at level 0.05.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.standard_normal((12, 3)))
+    y = np.round(x**2 + rng.standard_normal((12, 3)))
+    m = 99
+    rep = rt.permutation_test(x, y, SUP_LINF, m=m, seed=seed, jobs=1)
+    pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
+    perms = np.array(
+        [streams.substream(seed, streams.PERMUTATION, k).permutation(12) for k in range(1, m + 1)]
+    )
+    observed = sup_numerator_max(pd)
+    assert rep.observed == pytest.approx(np.sqrt(12) * observed / pd.pair_count**2, rel=1e-14)
+    reached = sum(
+        sup_numerator_max(rt.PairedDistances(pd.n, pd.z, pd.t[row])) >= observed
+        for row in pd.pair_index(perms)
+    )
+    assert rep.p_value == (1 + reached) / (m + 1)
+
+
 class TestCriticalValues:
     def test_spec_example_95th(self):
         assert rt.critical_values(np.arange(1.0, 100.0), [0.05]) == [95.0]
@@ -313,7 +370,7 @@ class TestCriticalValues:
         with pytest.raises(InvalidInputError, match="m = 19"):
             rt.critical_values([1.0, 2.0, 3.0], [0.05])
         # At the lattice boundary alpha = 1/(m + 1), and one ulp either side,
-        # check_level and critical_values accept or reject together, with m
+        # check_levels and critical_values accept or reject together, with m
         # permutations and with one fewer.
         for m in (1, 3, 19, 99, 999):
             edge = 1.0 / (m + 1)
@@ -321,7 +378,7 @@ class TestCriticalValues:
                 for size in (m - 1, m):
                     stats = np.arange(float(size))
                     try:
-                        inference.check_level(alpha, size)
+                        inference.check_levels([alpha], size)
                     except InvalidInputError as err:
                         message = f"^{re.escape(str(err))}$"
                         with pytest.raises(InvalidInputError, match=message):

@@ -12,6 +12,7 @@ from oracles import (
     exact_integral_l1,
     exact_integral_l2,
     exhaustive_sup,
+    identity_statistic,
     l2_statistic_exact,
     l2_statistic_naive,
     quadrature_l1,
@@ -34,7 +35,7 @@ def instance(i):
 @pytest.mark.parametrize("i", range(12))
 def test_l2_matches_exact_integral(i):
     pd, wx, wy = instance(i)
-    assert rt.l2_statistic(pd, wx, wy) == pytest.approx(
+    assert identity_statistic(pd, Functional.L2) == pytest.approx(
         exact_integral_l2(pd, wx, wy), rel=1e-11
     )
 
@@ -59,18 +60,20 @@ def test_l2_matches_exact_cell_sum_on_integer_data():
     x = np.round(x)
     pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
     wx, wy = rt.estimate_weight(pd.z), rt.estimate_weight(pd.t)
+    # The kernel keeps the weights of the unpermuted sample, as the oracle does.
+    evaluate = rt.prepare(pd, Functional.L2)
     for k in range(4):
         perm = np.arange(n) if k == 0 else rng.permutation(n)
         pdk = rt.paired_distances(x, y[perm], Metric.LINF, Metric.LINF)
         want = l2_statistic_exact(pdk, wx, wy)
-        got = Fraction(rt.l2_statistic(pdk, wx, wy))
+        got = Fraction(float(evaluate(pd.pair_index(perm[None]))[0]))
         assert abs(got - want) <= Fraction(1, 10**12) * want
 
 
 @pytest.mark.parametrize("i", range(12))
 def test_l1_matches_exact_integral(i):
     pd, wx, wy = instance(i)
-    assert rt.l1_statistic(pd, wx, wy) == pytest.approx(
+    assert identity_statistic(pd, Functional.L1) == pytest.approx(
         exact_integral_l1(pd, wx, wy), rel=1e-11
     )
 
@@ -78,7 +81,7 @@ def test_l1_matches_exact_integral(i):
 @pytest.mark.parametrize("i", range(12))
 def test_sup_matches_exhaustive_grid(i):
     pd, _, _ = instance(i)
-    assert rt.sup_statistic(pd) == pytest.approx(exhaustive_sup(pd), abs=1e-12)
+    assert identity_statistic(pd, Functional.SUP) == pytest.approx(exhaustive_sup(pd), abs=1e-12)
 
 
 def test_sup_spec_example_n6():
@@ -86,7 +89,7 @@ def test_sup_spec_example_n6():
     x = rng.standard_normal((6, 3))
     y = rng.standard_normal((6, 3))
     pd = rt.paired_distances(x, y, Metric.L2, Metric.L2)
-    assert rt.sup_statistic(pd) == pytest.approx(exhaustive_sup(pd), abs=1e-12)
+    assert identity_statistic(pd, Functional.SUP) == pytest.approx(exhaustive_sup(pd), abs=1e-12)
 
 
 @pytest.mark.parametrize("i", [0, 4, 8])
@@ -96,10 +99,10 @@ def test_midpoint_quadrature_resolution(i):
     # within that envelope of the grid value and essentially on top of the
     # exact integral (asserted above).
     pd, wx, wy = instance(i)
-    assert rt.l2_statistic(pd, wx, wy) == pytest.approx(
+    assert identity_statistic(pd, Functional.L2) == pytest.approx(
         quadrature_l2(pd, wx, wy), rel=2.5e-2
     )
-    assert rt.l1_statistic(pd, wx, wy) == pytest.approx(
+    assert identity_statistic(pd, Functional.L1) == pytest.approx(
         quadrature_l1(pd, wx, wy), rel=2.5e-2
     )
 

@@ -358,6 +358,17 @@ class TestScenarios:
         with pytest.raises(InvalidInputError):
             rt.gen_scenario(ScenarioConfig(scenario="nope", n=2))
 
+    @pytest.mark.parametrize("seed", [2.9, "2", True], ids=["fraction", "text", "bool"])
+    def test_seed_must_be_an_integer(self, seed):
+        # Each would otherwise draw some integer seed's data.
+        with pytest.raises(InvalidInputError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            rt.gen_scenario(ScenarioConfig(scenario="D1", n=2, seed=seed))
+
+    def test_numpy_integer_seed_keeps_its_streams(self):
+        xs, ys = rt.gen_scenario(ScenarioConfig(scenario="D1", n=3, seed=np.int64(7)))
+        want_x, want_y = rt.gen_scenario(ScenarioConfig(scenario="D1", n=3, seed=7))
+        assert xs.tobytes() == want_x.tobytes() and ys.tobytes() == want_y.tobytes()
+
     # SHA-256 of the bytes of gen_scenario's (xs, ys) at n = 3, over seeds
     # 0, 1, 7, 42, 901 and len 2, 25, 100 with default parameters: seeded
     # data must not change with the implementation of its filters or samplers.

@@ -25,6 +25,7 @@ from oracles import (
     dominance_closed_form,
     dominance_l2_evaluator,
     empirical_process,
+    identity_statistic,
     joint_recurrence_rate,
     l1_statistic_exact,
     l1_statistic_naive,
@@ -156,27 +157,28 @@ class TestStructuralIdentities:
 class TestKernelsSmall:
     def test_single_pair_all_zero(self):
         pd = PairedDistances(n=2, z=np.array([1.0]), t=np.array([2.0]))
-        w = GaussianWeight(1.0, 1.0)
-        assert rt.l2_statistic(pd, w, w) == 0.0
-        assert rt.l1_statistic(pd, w, w) == 0.0
-        assert rt.sup_statistic(pd) == 0.0
+        assert identity_statistic(pd, Functional.L2) == 0.0
+        assert identity_statistic(pd, Functional.L1) == 0.0
+        assert identity_statistic(pd, Functional.SUP) == 0.0
 
     def test_sup_monotone_pairing_example(self):
         pd = PairedDistances(n=3, z=np.array([1.0, 2.0, 3.0]), t=np.array([1.0, 2.0, 3.0]))
-        assert rt.sup_statistic(pd) == pytest.approx(np.sqrt(3) * (2 / 3) / 3, rel=1e-14)
+        assert identity_statistic(pd, Functional.SUP) == pytest.approx(
+            np.sqrt(3) * (2 / 3) / 3, rel=1e-14
+        )
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("ties", [False, True])
     def test_fast_matches_naive(self, seed, ties):
         pd = random_pairs((seed, ties), 4 + seed % 6, ties=ties)
         wx, wy = weights_for(pd)
-        assert rt.l2_statistic(pd, wx, wy) == pytest.approx(
+        assert identity_statistic(pd, Functional.L2) == pytest.approx(
             l2_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
         )
-        assert rt.l1_statistic(pd, wx, wy) == pytest.approx(
+        assert identity_statistic(pd, Functional.L1) == pytest.approx(
             l1_statistic_naive(pd, wx, wy), rel=1e-10, abs=1e-14
         )
-        assert rt.sup_statistic(pd) == pytest.approx(
+        assert identity_statistic(pd, Functional.SUP) == pytest.approx(
             sup_statistic_naive(pd), rel=1e-12, abs=1e-14
         )
 
@@ -184,42 +186,39 @@ class TestKernelsSmall:
     def test_tie_shuffling_invariance(self, seed):
         # reordering records permutes tie groups; every statistic is unchanged
         pd = random_pairs(seed, 7, ties=True)
-        wx, wy = weights_for(pd)
         rng = np.random.default_rng(seed + 1)
         perm = rng.permutation(pd.pair_count)
         shuffled = PairedDistances(n=pd.n, z=pd.z[perm], t=pd.t[perm])
-        assert rt.l2_statistic(shuffled, wx, wy) == pytest.approx(
-            rt.l2_statistic(pd, wx, wy), rel=1e-12, abs=1e-15
+        assert identity_statistic(shuffled, Functional.L2) == pytest.approx(
+            identity_statistic(pd, Functional.L2), rel=1e-12, abs=1e-15
         )
-        assert rt.l1_statistic(shuffled, wx, wy) == pytest.approx(
-            rt.l1_statistic(pd, wx, wy), rel=1e-12, abs=1e-15
+        assert identity_statistic(shuffled, Functional.L1) == pytest.approx(
+            identity_statistic(pd, Functional.L1), rel=1e-12, abs=1e-15
         )
-        assert rt.sup_statistic(shuffled) == pytest.approx(
-            rt.sup_statistic(pd), rel=1e-14, abs=1e-15
+        assert identity_statistic(shuffled, Functional.SUP) == pytest.approx(
+            identity_statistic(pd, Functional.SUP), rel=1e-14, abs=1e-15
         )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_ordered_pair_list_equivalence(self, seed):
         pd = random_pairs(seed, 6 + seed, ties=(seed % 2 == 0))
         dup = PairedDistances(n=pd.n, z=np.tile(pd.z, 2), t=np.tile(pd.t, 2))
-        wx, wy = weights_for(pd)
-        assert rt.l2_statistic(dup, wx, wy) == pytest.approx(
-            rt.l2_statistic(pd, wx, wy), rel=1e-12, abs=1e-15
+        assert identity_statistic(dup, Functional.L2) == pytest.approx(
+            identity_statistic(pd, Functional.L2), rel=1e-12, abs=1e-15
         )
-        assert rt.l1_statistic(dup, wx, wy) == pytest.approx(
-            rt.l1_statistic(pd, wx, wy), rel=1e-12, abs=1e-15
+        assert identity_statistic(dup, Functional.L1) == pytest.approx(
+            identity_statistic(pd, Functional.L1), rel=1e-12, abs=1e-15
         )
-        assert rt.sup_statistic(dup) == pytest.approx(
-            rt.sup_statistic(pd), rel=1e-12, abs=1e-15
+        assert identity_statistic(dup, Functional.SUP) == pytest.approx(
+            identity_statistic(pd, Functional.SUP), rel=1e-12, abs=1e-15
         )
 
     def test_nonnegative(self):
         for seed in range(12):
             pd = random_pairs(seed + 500, 5)
-            wx, wy = weights_for(pd)
-            assert rt.l2_statistic(pd, wx, wy) >= 0.0
-            assert rt.l1_statistic(pd, wx, wy) >= 0.0
-            assert rt.sup_statistic(pd) >= 0.0
+            assert identity_statistic(pd, Functional.L2) >= 0.0
+            assert identity_statistic(pd, Functional.L1) >= 0.0
+            assert identity_statistic(pd, Functional.SUP) >= 0.0
 
     def test_clamp_and_consistency_guard(self):
         assert _clamp_nonnegative(-5e-13, "test") == 0.0
