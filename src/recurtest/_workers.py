@@ -37,18 +37,22 @@ import threading
 from .exceptions import positive_count
 
 
+def check_jobs(jobs):
+    """``jobs`` as a process budget: ``None``, which asks for every usable
+    CPU, or a positive integer (see ``positive_count``)."""
+    return None if jobs is None else positive_count(jobs, "jobs")
+
+
 def worker_count(jobs, units: int) -> int:
     """Number of processes, this one included, that may share ``units``
     units.
 
-    ``jobs=None`` asks for every usable CPU; otherwise ``jobs`` must be a
-    positive integer.  The count is clamped to the CPUs this process may run
-    on and to ``units``.  It is 1 off Linux, in a daemonic process (such as
-    a ``multiprocessing.Pool`` worker, which may not start children) and
-    while other threads run.
+    ``jobs`` is checked by ``check_jobs``.  The count is clamped to the CPUs
+    this process may run on and to ``units``.  It is 1 off Linux, in a
+    daemonic process (such as a ``multiprocessing.Pool`` worker, which may
+    not start children) and while other threads run.
     """
-    if jobs is not None:
-        jobs = positive_count(jobs, "jobs")
+    jobs = check_jobs(jobs)
     # A process that never imported multiprocessing is no Pool worker.
     mp = sys.modules.get("multiprocessing")
     if sys.platform != "linux" or threading.active_count() > 1 or (

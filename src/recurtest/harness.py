@@ -9,7 +9,7 @@ from math import sqrt
 import numpy as np
 
 from . import streams
-from ._workers import run_units
+from ._workers import check_jobs, run_units
 from .exceptions import InvalidInputError, positive_count
 from .inference import check_levels, permutation_test
 from .simulate import ScenarioConfig, gen_scenario
@@ -85,6 +85,8 @@ def run_power(study: PowerStudySpec, *, jobs: int | None = None) -> PowerResult:
     and so is the error a failing replication raises: that of the lowest
     failing index.
     """
+    streams.check_seed(study.seed)
+    jobs = check_jobs(jobs)
     reps, m = positive_count(study.reps, "replication count"), positive_count(study.m, "permutation count")
     study = replace(study, reps=reps, m=m)
     check_levels([study.alpha], study.m)

@@ -9,10 +9,14 @@ blocks is permutation k, drawn from a stream that depends only on (seed, k),
 and row 0 is the identity, the observed pairing.  Each block maps its
 permutations to the pair indices of its rows, a ``(P, pairs)`` array
 (``PairedDistances.pair_index``), and the prepared statistic sweeps all of
-them at once.  The blocks are the units of ``_workers.run_units``, so they
-run over this process and forked workers.  Each row's statistic is
-independent of its block, so the result is identical for any block size and
-any number of processes.
+them at once.  The prepared statistic names the most rows a block should
+hold (``Evaluator.block_rows``); the m + 1 rows are cut into the fewest such
+blocks, raised to a multiple of the processes that share them, of sizes
+that differ by at most one row (``_block_bounds``).  The blocks are the
+units of ``_workers.run_units``, so they run over this process and forked
+workers, as many blocks in each.  Each row's statistic is independent of
+its block, so the result is identical for any block size and any number of
+processes.
 """
 
 from __future__ import annotations
@@ -25,14 +29,10 @@ from math import ceil
 import numpy as np
 
 from . import streams
-from ._workers import run_units
+from ._workers import check_jobs, run_units, worker_count
 from .exceptions import InvalidInputError, positive_count
 from .metrics import ensure_sample, paired_distances
 from .stats_core import StatisticSpec, prepare
-
-# Cap on the elements of each (pairings, pairs) buffer of a block; the
-# block holds max(1, _BLOCK_ELEMENTS // pairs) pairings.
-_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,19 @@ def permutation_test(
     zero; ties with the observed value count toward rejection.
 
     The observed pairing and the permutations are evaluated in blocks of
-    rows, the observed one first.  ``jobs`` bounds the processes, this one
-    and forked workers, that share the blocks (default: every usable CPU;
-    ``jobs=1`` starts none, and nor does a test of one block).  Each process
-    holds one block at a time.  The report, ``perm_stats`` included, is the
+    rows, the observed one first, and a block holds at most the rows the
+    prepared statistic names: 2^15 pairs' worth for the absolute and
+    supremum functionals on a large grid, 2^14 otherwise, and at least one
+    row.  ``jobs`` bounds the processes, this one and forked workers, that
+    share the blocks, as many in each (default: every usable CPU;
+    ``jobs=1`` starts none, and nor does a test whose rows fit one block).
+    Each process holds one block at a time.  The seed and ``jobs`` are
+    checked before any work.  The report, ``perm_stats`` included, is the
     same for every ``jobs``, but for ``elapsed``.
     """
     m = positive_count(m, "permutation count")
+    seed = streams.check_seed(seed)
+    jobs = check_jobs(jobs)
     start = time.perf_counter()
 
     pd0 = paired_distances(x, y, spec.metric_x, spec.metric_y)
@@ -100,20 +106,20 @@ def permutation_test(
 
     evaluate = prepare(pd0, spec.functional)
     identity = np.arange(n)
-    block = max(1, _BLOCK_ELEMENTS // pd0.pair_count)
+    bounds = _block_bounds(m + 1, evaluate.block_rows, jobs)
 
     def block_stats(b: int) -> np.ndarray:
-        """The statistics of rows b*block .. of the m + 1: row k pairs by
+        """The statistics of block b's rows of the m + 1: row k pairs by
         permutation k, and row 0 by the identity."""
         perms = np.array(
             [
                 identity if k == 0 else streams.substream(seed, streams.PERMUTATION, k).permutation(n)
-                for k in range(b * block, min((b + 1) * block, m + 1))
+                for k in range(bounds[b], bounds[b + 1])
             ]
         )
         return evaluate(pd0.pair_index(perms))
 
-    stats = np.concatenate(run_units(block_stats, (m + block) // block, jobs))
+    stats = np.concatenate(run_units(block_stats, len(bounds) - 1, jobs))
     observed = float(stats[0])
     perm_stats = stats[1:]
 
@@ -124,10 +130,25 @@ def permutation_test(
         observed=observed,
         p_value=p_value,
         m=m,
-        seed=int(seed),  # an integer: permutation 1's stream checked it
+        seed=seed,
         perm_stats=perm_stats,
         elapsed=time.perf_counter() - start,
     )
+
+
+def _block_bounds(rows: int, block_rows: int, jobs) -> list[int]:
+    """The bounds of the blocks in which ``rows`` rows are evaluated: block
+    b holds rows ``bounds[b] .. bounds[b + 1] - 1``.  The blocks are the
+    fewest of at most ``block_rows`` rows, raised to a multiple of the
+    processes that share them (``worker_count(jobs, ...)``) while there are
+    rows for each, so every process gets as many; their sizes differ by at
+    most one row, the larger first.  Rows that fit one block make one."""
+    blocks = -(-rows // block_rows)
+    if blocks > 1:
+        workers = worker_count(jobs, blocks)
+        blocks = min(rows, -(-blocks // workers) * workers)
+    size, larger = divmod(rows, blocks)
+    return [b * size + min(b, larger) for b in range(blocks + 1)]
 
 
 def min_permutations(alpha: float) -> int:
@@ -213,6 +234,8 @@ def dependogram(
     pair's test at a time, so peak memory grows with the process count.
     The entries are the same for every ``jobs``.
     """
+    streams.check_seed(seed)
+    jobs = check_jobs(jobs)
     samples = [ensure_sample(g, f"group {i}") for i, g in enumerate(groups)]
     if len(samples) < 2:
         raise InvalidInputError(f"need at least 2 groups, got {len(samples)}")

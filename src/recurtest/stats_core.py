@@ -20,7 +20,11 @@ pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
 of one permutation -- and evaluates every row at once with state of shape
 ``(P, .)``.  The identity row is the pairing stored in the distance
 structure, which ``statistic`` evaluates.  Each row's value is independent
-of the block it is evaluated in and of the block's memory layout.
+of the block it is evaluated in and of the block's memory layout.  The
+evaluator names the most rows a block should hold (``Evaluator.block_rows``):
+2^15 pairs' worth for the sweeps of the absolute and supremum functionals
+over a large grid, whose every stop pays a fixed cost for its numpy calls,
+and 2^14 pairs' worth for the quadratic closed form and small grids.
 
 The sweep (``_sweep``) gathers the codes of each row in z-order, walks the
 fixed z-order once and keeps the integer numerators m*C - h*cum of the
@@ -54,9 +58,31 @@ from .weights import GaussianWeight, estimate_weight, weight_cdf
 # and clamp to zero; anything more negative indicates a kernel bug.
 _NEGATIVE_TOL = 1e-12
 
-# Maps a (P, m) block of pair indices to the P statistics: row p pairs the X
-# distance of pair i with the Y distance of pair index[p, i].
-Evaluator = Callable[[np.ndarray], np.ndarray]
+# The pair indices of one block of rows: wide blocks for the sweeps over a
+# large grid, narrow ones otherwise (see the module docstring).
+_BLOCK_PAIRS = 1 << 14
+_WIDE_BLOCK_PAIRS = 1 << 15
+
+
+@dataclass(frozen=True)
+class Evaluator:
+    """A prepared statistic.  Calling it maps a ``(P, m)`` block of pair
+    indices to the P statistics: row p pairs the X distance of pair i with
+    the Y distance of pair ``index[p, i]``.  ``block_rows`` is the most rows
+    a block should hold, for speed and memory; any P gives the same value
+    per row."""
+
+    evaluate: Callable[[np.ndarray], np.ndarray]
+    block_rows: int
+
+    def __call__(self, index: np.ndarray) -> np.ndarray:
+        return self.evaluate(index)
+
+
+def _evaluator(evaluate, m: int, wide: bool = False) -> Evaluator:
+    """``evaluate`` over m pairs, in blocks of ``_WIDE_BLOCK_PAIRS`` pairs
+    if ``wide`` and ``_BLOCK_PAIRS`` otherwise, and at least one row."""
+    return Evaluator(evaluate, max(1, (_WIDE_BLOCK_PAIRS if wide else _BLOCK_PAIRS) // m))
 
 
 class Functional(Choice):
@@ -204,6 +230,11 @@ class _Cells:
         """The number of contributing cells."""
         return self.stops.size * self.col_j.size
 
+    @property
+    def large(self) -> bool:
+        """Whether the grid has more than ``_closed_form_work(m)`` cells."""
+        return self.size > _closed_form_work(self.m)
+
     def sweep(self, index: np.ndarray):
         """The codes of each row of the pair-index block ``index`` in z-order,
         and the sweep of their numerators over the grid (see ``_sweep``)."""
@@ -245,16 +276,16 @@ def _prepare_l2(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     it has at most ``_closed_form_work(m)`` cells.
     """
     cells = _Cells(pd, wx, wy)
-    if cells.size <= _closed_form_work(cells.m):
-        return _l2_cell_sum(cells, pd.n)
-    return _l2_closed_form(cells, pd)
+    if cells.large:
+        return _l2_closed_form(cells, pd)
+    return _l2_cell_sum(cells, pd.n)
 
 
 def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
     """The quadratic functional summed over the cells.  Every term is
     nonnegative, so the sum keeps full relative accuracy."""
     scale = n / cells.m**4
-    return lambda index: scale * cells.sum(index, squared=True)
+    return _evaluator(lambda index: scale * cells.sum(index, squared=True), cells.m)
 
 
 def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
@@ -301,7 +332,7 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
         values = n * (joint_term + product_term - 2.0 * cross_term)
         return _clamp_nonnegative(values, "the quadratic closed form")
 
-    return evaluate
+    return _evaluator(evaluate, m)
 
 
 def _tie_runs(values: np.ndarray):
@@ -411,7 +442,7 @@ def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     summed over the cells (see ``_Cells``)."""
     cells = _Cells(pd, wx, wy)
     scale = np.sqrt(pd.n) / cells.m**2
-    return lambda index: scale * cells.sum(index, squared=False)
+    return _evaluator(lambda index: scale * cells.sum(index, squared=False), cells.m, cells.large)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +491,7 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
             np.maximum.at(best, r, dev.max(axis=1))
         return np.sqrt(pd.n) * best / m
 
-    return evaluate
+    return _evaluator(evaluate, m, cells.large)
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +505,14 @@ def prepare(pd: PairedDistances, functional: Functional) -> Evaluator:
     the evaluator of ``functional``.  It maps a ``(P, m)`` block of pair
     indices, rows rearranging ``range(m)``, to the ``P`` statistics: row p
     pairs ``pd.z[i]`` with ``pd.t[index[p, i]]``; the identity row is ``pd``.
+    Its ``block_rows`` is the most rows a block should hold.
     """
     if functional == Functional.SUP:
         return _prepare_sup(pd)
     if pd.pair_count == 1:
         # A single pair carries no dependence information: both integral
         # statistics are identically zero and the weight is uncalibratable.
-        return lambda index: np.zeros(len(index))
+        return _evaluator(lambda index: np.zeros(len(index)), 1)
     wx = estimate_weight(pd.z)
     wy = estimate_weight(pd.t)
     if functional == Functional.L2:

@@ -24,12 +24,18 @@ GROUP_PAIR = 3
 POWER_REP = 4
 
 
-def _sequence(seed: int, path) -> np.random.SeedSequence:
-    """The seed sequence of the stream ``(seed, *path)``."""
+def check_seed(seed) -> int:
+    """``seed`` as an ``int`` if it is an integer (of any integral type but
+    ``bool``); otherwise raises ``InvalidInputError``."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
+
+
+def _sequence(seed: int, path) -> np.random.SeedSequence:
+    """The seed sequence of the stream ``(seed, *path)``."""
     key = tuple(int(p) % (1 << 32) for p in path)
-    return np.random.SeedSequence(int(seed) % (1 << 64), spawn_key=key)
+    return np.random.SeedSequence(check_seed(seed) % (1 << 64), spawn_key=key)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -107,8 +107,10 @@ def test_numpy_integer_counts_accepted():
 
 @pytest.mark.parametrize("seed", [5.5, "5", True], ids=["fraction", "text", "bool"])
 def test_seed_must_be_an_integer(seed):
-    with pytest.raises(InvalidInputError, match=f"seed must be an integer, got {re.escape(repr(seed))}$"):
-        rt.run_power(tiny_study(seed=seed), jobs=1)
+    # checked before any replication runs, or any worker starts
+    for jobs in (1, None):
+        with pytest.raises(InvalidInputError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            rt.run_power(tiny_study(seed=seed), jobs=jobs)
 
 
 def test_failed_replication_names_index():

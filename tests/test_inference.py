@@ -1,11 +1,12 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import recurtest as rt
 from recurtest import Functional, InvalidInputError, Metric, StatisticSpec
-from recurtest import fileio, inference, stats_core, streams
+from recurtest import _workers, fileio, inference, stats_core, streams
 
 from oracles import (
     l1_statistic_naive,
@@ -46,18 +47,32 @@ class TestPermutationTest:
 
     @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
     def test_block_size_does_not_change_result(self, functional, monkeypatch):
-        # more than 128 pairs, so row sums span several pairwise-summation blocks
-        x, y = gaussian_pair(4, n=24)
-        spec = StatisticSpec(functional, Metric.L2, Metric.L1)
-        m, pairs = 33, 24 * 23 // 2
-        runs = []
-        for block in (1, 7, m):
-            monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", block * pairs)
-            runs.append(rt.permutation_test(x, y, spec, m=m, seed=9))
-        for other in runs[1:]:
-            assert np.array_equal(runs[0].perm_stats, other.perm_stats)
-            assert runs[0].observed == other.observed
-            assert runs[0].p_value == other.p_value
+        # More than 128 pairs, so row sums span several pairwise-summation
+        # blocks.  Continuous data give large grids, whose sweeps take wide
+        # blocks, and rounded data small ones.
+        x, y = gaussian_pair(4, n=24, d=5)
+        y = x**2 + y
+        m = 33
+        real = inference.prepare
+        for ties in (False, True):
+            if ties:
+                x, y = np.round(x), np.round(y)
+            spec = StatisticSpec(functional, Metric.L1, Metric.L1)
+            pd = rt.paired_distances(x, y, Metric.L1, Metric.L1)
+            weights = () if functional == Functional.SUP else (rt.estimate_weight(pd.z), rt.estimate_weight(pd.t))
+            assert stats_core._Cells(pd, *weights).large != ties
+            # All m + 1 rows in one block, then each in its own, then the
+            # kernel's own plan and plans between.
+            runs = []
+            for block_rows in (m + 1, 1, None, 4, 7):
+                prepare = real if block_rows is None else (
+                    lambda pd, f, rows=block_rows: replace(real(pd, f), block_rows=rows))
+                monkeypatch.setattr(inference, "prepare", prepare)
+                runs += [rt.permutation_test(x, y, spec, m=m, seed=9, jobs=jobs) for jobs in (1, 2)]
+            for other in runs[1:]:
+                assert np.array_equal(runs[0].perm_stats, other.perm_stats)
+                assert runs[0].observed == other.observed
+                assert runs[0].p_value == other.p_value
 
     @pytest.mark.parametrize(
         "metric, ties",
@@ -134,6 +149,20 @@ class TestPermutationTest:
         ):
             with pytest.raises(InvalidInputError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
                 call()
+
+    def test_seed_and_jobs_are_checked_before_any_work(self):
+        # Two observations would fail the test itself, and two groups of
+        # different sizes the dependogram.
+        x, y = gaussian_pair(8, n=2)
+        for jobs in (1, None):
+            with pytest.raises(InvalidInputError, match="^seed must be an integer, got 1.5$"):
+                rt.permutation_test(x, y, SPEC22, m=19, seed=1.5, jobs=jobs)
+            with pytest.raises(InvalidInputError, match="^seed must be an integer, got 1.5$"):
+                rt.dependogram([x, y[:1]], SPEC22, m=19, seed=1.5, jobs=jobs)
+        with pytest.raises(InvalidInputError, match="^jobs must be >= 1, got 0$"):
+            rt.permutation_test(x, y, SPEC22, m=19, seed=1, jobs=0)
+        with pytest.raises(InvalidInputError, match="^jobs must be >= 1, got 0$"):
+            rt.dependogram([x, y[:1]], SPEC22, m=19, seed=1, jobs=0)
 
     def test_needs_three_observations(self):
         rng = np.random.default_rng(0)
@@ -238,6 +267,46 @@ SWAPS = ((2, 7), (11, 15))
 IDENTICAL_METRICS = [(Metric.L1, Metric.L1), (Metric.L2, Metric.LINF), (Metric.LINF, Metric.L2)]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_block_plan_deals_equal_blocks_to_the_processes(cpus, monkeypatch):
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for jobs in (1, 2, 3, None):
+        for rows in range(1, 40):
+            for block_rows in (1, 2, 3, 5, 13, 39, 40):
+                bounds = inference._block_bounds(rows, block_rows, jobs)
+                sizes = np.diff(bounds)
+                blocks = len(sizes)
+                assert bounds[0] == 0 and bounds[-1] == rows
+                assert sizes.min() >= 1 and sizes.max() <= block_rows
+                assert sizes[0] - sizes[-1] <= 1 and np.all(np.diff(sizes) <= 0)
+                if rows <= block_rows:
+                    assert blocks == 1
+                else:
+                    # a multiple of the processes while there are rows for
+                    # each, and no more blocks than that takes
+                    workers = _workers.worker_count(jobs, -(-rows // block_rows))
+                    assert blocks % workers == 0 or blocks == rows
+                    assert blocks < -(-rows // block_rows) + workers
+    # m = 100 at n = 30, in blocks of at most 37 rows: three full blocks
+    # would be 37, 37 and 27 rows, and two processes would do 74 and 27
+    expected = {1: [0, 34, 68, 101], 2: [0, 26, 51, 76, 101], 4: [0, 34, 68, 101]}
+    assert inference._block_bounds(101, 37, None) == expected[cpus]
+
+
+def test_sweeps_over_large_grids_take_wider_blocks():
+    x, y = gaussian_pair(4, n=40, d=5)
+    for ties in (False, True):
+        if ties:
+            x, y = np.round(x), np.round(y)
+        pd = rt.paired_distances(x, y + x**2, Metric.L1, Metric.L1)
+        rows = {f: stats_core.prepare(pd, f).block_rows for f in Functional}
+        assert rows[Functional.L2] == max(1, 2**14 // pd.pair_count)
+        if ties:
+            assert rows[Functional.L1] == rows[Functional.SUP] == rows[Functional.L2]
+        else:
+            assert rows[Functional.L1] == rows[Functional.SUP] > rows[Functional.L2]
+
+
 def with_identical_rows(rounded, both_sides):
     """X standard normal (20, 3), Y = X^2 + noise, rounded or not, with the
     rows of SWAPS made identical in X, and in Y too when ``both_sides``."""
@@ -268,7 +337,7 @@ def assert_swaps_give_the_observed_statistic(monkeypatch, x, y, functional, metr
     if functional == Functional.L2:
         # rounded data take the cell sum, continuous data the closed form
         cells = stats_core._Cells(pd, rt.estimate_weight(pd.z), rt.estimate_weight(pd.t))
-        assert (cells.size <= stats_core._closed_form_work(cells.m)) == rounded
+        assert cells.large != rounded
     perms = np.array([swapped(), swapped(SWAPS[0]), swapped(SWAPS[1]), swapped(*SWAPS)])
     stats = stats_core.prepare(pd, functional)(pd.pair_index(perms))
     assert np.array_equal(stats, np.full(4, stats[0]))

@@ -81,9 +81,10 @@ def sample_pair(ties, n=10):
 
 @pytest.fixture
 def blocks_of_4(monkeypatch):
-    """Permutation tests on 10 rows evaluate 4 of their m + 1 rows per
-    block, so a small m makes several units."""
-    monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", 4 * 45)
+    """Permutation tests take blocks of at most 4 of their m + 1 rows, so a
+    small m makes several units."""
+    real = inference.prepare
+    monkeypatch.setattr(inference, "prepare", lambda pd, f: replace(real(pd, f), block_rows=4))
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
@@ -92,7 +93,7 @@ def test_permutation_test_same_for_every_jobs(blocks_of_4, functional, ties):
     x, y = sample_pair(ties)
     spec = StatisticSpec(functional, Metric.L1, Metric.LINF)
     # one row of the observed pairing plus m: one part-filled block, one
-    # full block, then 3 full blocks, and 3 blocks and a part-filled one
+    # full block, then 12 and 14 rows dealt evenly to the processes
     for m in (1, 3, 11, 13):
         reports = [rt.permutation_test(x, y, spec, m, seed=6, jobs=jobs) for jobs in JOBS]
         for other in reports:
@@ -137,8 +138,8 @@ def test_nested_tests_never_fork(blocks_of_4, monkeypatch, tmp_path):
 
     monkeypatch.setattr(_workers.os, "fork", fork)
     # A test of 10 rows and m = 3 is one block, which runs here; with
-    # m = 19 it has 5 blocks, so on its own it forks for every share of
-    # them but the first.
+    # m = 19 its 20 rows need 5 blocks, so on its own it forks for every
+    # process but this one.
     x, y = sample_pair(ties=False)
     rt.permutation_test(x, y, SPECS[0], 3, seed=3)
     assert log.read_text() == ""
