@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 invalid input, 1 internal error.  Every command is a
 deterministic function of its flags and input file bytes, except for the
 wall-clock fields: elapsed_ms of test reports and the seconds column of power
-tables.
+tables.  A command imports the modules it runs when it runs, so ``simulate``
+loads none of the test, power or kernel modules.
 """
 
 from __future__ import annotations
@@ -12,12 +13,9 @@ import argparse
 import sys
 
 from . import __version__, fileio
+from .choices import Functional, Metric
 from .exceptions import InvalidInputError
-from .harness import run_power
-from .inference import check_levels, dependogram, permutation_test
-from .metrics import Metric
 from .simulate import SCENARIO_PARAMETERS, gen_scenario, scenario_config
-from .stats_core import Functional, StatisticSpec
 
 _METRIC_CHOICES = [m.value for m in Metric]
 _FUNCTIONAL_CHOICES = [f.value for f in Functional]
@@ -47,6 +45,9 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cmd_test(args) -> int:
+    from .inference import check_levels, permutation_test
+    from .stats_core import StatisticSpec
+
     spec = StatisticSpec.parse(args.functional, args.metric_x, args.metric_y)
     levels = check_levels(_parse_levels(args.levels), args.perms)
     x = fileio.read_dataset(args.x)
@@ -61,6 +62,8 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .harness import run_power
+
     study = fileio.read_power_config(args.config)
     result = run_power(study, jobs=args.jobs)
     _write_text(args.out, fileio.power_result_to_csv(result))
@@ -68,6 +71,9 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_dependogram(args) -> int:
+    from .inference import check_levels, dependogram
+    from .stats_core import StatisticSpec
+
     spec = StatisticSpec.parse(args.functional, args.metric, args.metric)
     levels = check_levels(_parse_levels(args.levels), args.perms)
     data = fileio.read_dataset(args.data)

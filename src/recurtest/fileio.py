@@ -8,16 +8,13 @@ digits so doubles round-trip exactly.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError, typed
-from .harness import PowerStudySpec
 from .simulate import scenario_config
-from .stats_core import StatisticSpec
 
 POWER_SCHEMA_VERSION = 1
 
@@ -105,6 +102,8 @@ def write_dataset(path: str, data: np.ndarray) -> None:
 
 def report_to_json(report, levels, tool_version: str) -> str:
     """Serialize a test report; key order is fixed for reproducible bytes."""
+    import json
+
     doc = {
         "statistic": {
             "functional": report.spec.functional.value,
@@ -185,6 +184,11 @@ def read_power_config(path: str):
       "reps": 200, "m": 100, "alpha": 0.05, "seed": 0
     }
     """
+    import json
+
+    from .harness import PowerStudySpec
+    from .stats_core import StatisticSpec
+
     try:
         with open_text(path) as fh:
             doc = json.load(fh)

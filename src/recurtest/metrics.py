@@ -12,36 +12,12 @@ order, and maps permutations of the observations to pair indices
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from .choices import Choice, Metric  # noqa: F401 - Choice re-exported
 from .exceptions import InvalidInputError
-
-
-class Choice(Enum):
-    """A named option; subclasses list the members."""
-
-    @classmethod
-    def parse(cls, text: str):
-        """The member named ``text``, ignoring case and surrounding blanks."""
-        try:
-            return cls(str(text).strip().lower())
-        except ValueError:
-            choices = ", ".join(c.value for c in cls)
-            raise InvalidInputError(
-                f"unknown {cls.__name__.lower()} {text!r} (choose from {choices})"
-            ) from None
-
-
-class Metric(Choice):
-    """Coordinate-wise distance: sum, root of sum of squares, or maximum of
-    absolute differences."""
-
-    L1 = "l1"
-    L2 = "l2"
-    LINF = "linf"
 
 
 def ensure_sample(data, name: str = "sample") -> np.ndarray:

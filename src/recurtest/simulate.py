@@ -30,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, islice
-from math import ceil, exp, isfinite, prod, sqrt
+from math import ceil, exp, expm1, isfinite, log, prod, sqrt
 from operator import methodcaller
 
 import numpy as np
 
 from . import streams
-from .exceptions import InvalidInputError, positive_count, typed
+from .exceptions import InternalConsistencyError, InvalidInputError, positive_count, typed
 
 _SCENARIOS = (
     "null",
@@ -59,11 +59,18 @@ _LONG_MEMORY_DEFAULT = 0.7
 
 # Most grid points the long-memory burn-in window may have.  One C5
 # replication at this cap (len 100, the smallest allowed lambda) peaks at
-# 703 MB RSS, 674 MB above the import: about 320 bytes per point, nearly all
-# of it numpy's FFT working memory for the eigenvalues of _fgn_scale, whose
-# 2**22 + 198 points have the prime factor 5563 (ru_maxrss in a fresh
-# interpreter).
+# 277 MB RSS, 248 MB above the import: about 120 bytes per point, nearly all
+# of it the draws and FFTs of its 4,199,040-point circulant (ru_maxrss in a
+# fresh interpreter).
 _MAX_BURN_IN = 2**21
+
+# Largest share of the largest fGn circulant eigenvalue that a computed
+# eigenvalue may fall below zero by and still count as round-off.  At the
+# burn-in cap the smallest computed eigenvalue is above zero for every H tried
+# from 0.001 to 0.9999, and -3.7e-13 of the largest at H = 0.9999999; the
+# autocovariance's textbook form, which cancels badly at large lags, gave
+# -3.4e-7 there at H = 0.95.
+_EIGEN_ROUND_OFF = 1e-10
 
 # Most values a scenario may draw into one (n, len) matrix.  The X and Y
 # matrices take 16 bytes per value, 256 MiB at the cap; generation peaks at
@@ -277,17 +284,64 @@ def arma_stationary_sd(phi, theta: float) -> float:
     return _stationary_sd(*_arma_coefficients(phi, theta))
 
 
-def _fgn_scale(hurst: float, steps: int) -> np.ndarray:
-    """Square roots of the circulant-embedding eigenvalues of ``steps``
-    unit-spaced fGn increments, over the root of their count (``2 * steps``
-    values): the scale ``_fbm_path`` gives its complex draws."""
-    lags = np.arange(steps + 1.0)
+def _smooth_length(steps: int) -> int:
+    """The smallest integer >= ``steps`` whose prime factors are all 2, 3 or 5."""
+    best = 1 << max(steps - 1, 0).bit_length()  # the smallest power of two >= steps
+    five = 1
+    while five < best:
+        three = five
+        while three < best:
+            two = three
+            while two < steps:
+                two *= 2
+            best = min(best, two)
+            three *= 3
+        five *= 5
+    return best
+
+
+def _fgn_autocovariance(hurst: float, count: int) -> np.ndarray:
+    """Autocovariance of unit-spaced fGn at lags 0, ..., count - 1 (count >= 2):
+    0.5 (|k+1|^2H - 2 |k|^2H + |k-1|^2H).
+
+    That sum cancels to H (2H - 1) k^(2H-2) from terms of size k^2H, so from
+    lag 2 on it is computed as 0.5 k^2H (expm1(2H log1p(1/k)) +
+    expm1(2H log1p(-1/k))): relative error about 1e-16 k, not 1e-16 k^2.
+    """
     h2 = 2.0 * hurst
-    acov = 0.5 * ((lags + 1.0) ** h2 - 2.0 * lags**h2 + np.abs(lags - 1.0) ** h2)
-    del lags
-    eig = np.fft.hfft(acov)  # spectrum of the circulant acov[0..steps], acov[steps-1..1]
-    del acov
-    # Clip round-off below zero; the exact eigenvalues are nonnegative.
+    acov = np.empty(count)
+    acov[0] = 1.0
+    acov[1] = expm1((h2 - 1.0) * log(2.0))
+    lags = np.arange(2.0, count)
+    inverse = 1.0 / lags
+    bracket = np.expm1(h2 * np.log1p(inverse))
+    bracket += np.expm1(h2 * np.log1p(-inverse))
+    del inverse
+    acov[2:] = 0.5 * lags**h2 * bracket
+    return acov
+
+
+def _fgn_eigenvalues(hurst: float, steps: int) -> np.ndarray:
+    """Eigenvalues, before any clipping, of the circulant of 2M points that
+    embeds M unit-spaced fGn increments, M = ``_smooth_length(steps)``: the
+    spectrum of the autocovariance at lags 0..M, M-1..1."""
+    return np.fft.hfft(_fgn_autocovariance(hurst, _smooth_length(steps) + 1))
+
+
+def _fgn_scale(hurst: float, steps: int) -> np.ndarray:
+    """Square roots of ``_fgn_eigenvalues(hurst, steps)`` over the root of
+    their count: the scale ``_fbm_path`` gives its complex draws.
+
+    The exact eigenvalues are nonnegative; computed ones below zero by at
+    most ``_EIGEN_ROUND_OFF`` of the largest are clipped to zero, and any
+    lower raises ``InternalConsistencyError``."""
+    eig = _fgn_eigenvalues(hurst, steps)
+    top = eig.max()
+    if eig.min() < -_EIGEN_ROUND_OFF * top:
+        raise InternalConsistencyError(
+            f"fGn circulant eigenvalue {eig.min()!r} at H {hurst} is below the round-off "
+            f"floor of -{_EIGEN_ROUND_OFF} times the largest, {top!r}"
+        )
     np.maximum(eig, 0.0, out=eig)
     eig /= eig.size
     return np.sqrt(eig, out=eig)
@@ -299,16 +353,19 @@ def _fbm_path(length: int, hurst: float, pre_steps: int, rng: np.random.Generato
     length - 1)``, computed once for every path of a call.
 
     The increments are fractional Gaussian noise, drawn exactly by circulant
-    embedding (Davies & Harte 1987): the autocovariance of the unit-spaced
-    increments is wrapped into a circulant of twice their count, whose
-    eigenvalues are nonnegative for every H in (0, 1) (Dietrich & Newsam
-    1997).  A complex Gaussian vector scaled by their square roots and
-    transformed by one FFT has that covariance in its real part.  fBm has
-    stationary increments, so the cumulative sum minus its value at t = 0 has
-    the fBm law on the whole grid.  O(N log N) time, O(N) memory; the draws
-    are scaled and transformed in place.
+    embedding (Davies & Harte 1987): the autocovariance of M >= steps
+    unit-spaced increments is wrapped into a circulant of 2M points, whose
+    eigenvalues are nonnegative for every H in (0, 1) and every M (Dietrich
+    & Newsam 1997; Wood & Chan 1994).  M is the smallest 5-smooth integer
+    >= steps, so the FFTs never fall back to a prime-length algorithm.  A
+    complex Gaussian vector scaled by their square roots and transformed by
+    one FFT has that covariance in its real part, whose first ``steps``
+    entries are the increments.  fBm has stationary increments, so the
+    cumulative sum minus its value at t = 0 has the fBm law on the whole
+    grid.  O(N log N) time, O(N) memory; the draws are scaled and
+    transformed in place.
     """
-    steps = scale.size // 2
+    steps = pre_steps + length - 1
     noise = rng.standard_normal(2 * scale.size).view(np.complex128)
     noise *= scale
     unit = np.fft.fft(noise, out=noise)[:steps].real

@@ -51,7 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import InternalConsistencyError
-from .metrics import Choice, Metric, PairedDistances, paired_distances
+from .choices import Functional, Metric
+from .metrics import PairedDistances, paired_distances
 from .weights import GaussianWeight, estimate_weight, weight_cdf
 
 # Computed values of the quadratic statistic below this are round-off noise
@@ -83,15 +84,6 @@ def _evaluator(evaluate, m: int, wide: bool = False) -> Evaluator:
     """``evaluate`` over m pairs, in blocks of ``_WIDE_BLOCK_PAIRS`` pairs
     if ``wide`` and ``_BLOCK_PAIRS`` otherwise, and at least one row."""
     return Evaluator(evaluate, max(1, (_WIDE_BLOCK_PAIRS if wide else _BLOCK_PAIRS) // m))
-
-
-class Functional(Choice):
-    """Aggregation of the discrepancy: absolute integral, squared integral,
-    or supremum."""
-
-    L1 = "l1"
-    L2 = "l2"
-    SUP = "sup"
 
 
 @dataclass(frozen=True)

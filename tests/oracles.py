@@ -18,12 +18,15 @@ maximum that the supremum scales, counted literally.  ``identity_statistic``
 is no oracle: it is the tests' one way to evaluate the kernel on the pairing
 a distance structure stores.  ``flows_one_replication`` is the earlier
 generator of one replication of the smoothed-driver scenarios, with its own
-eigenvalues and one scipy filter per rate, whose bits the blocks of
-replications keep.
+circulant length (``five_smooth_at_least``, by trial division), its own
+autocovariance and eigenvalues and one scipy filter per rate, whose bits the
+blocks of replications keep.  ``fgn_autocovariance_exact`` is the fGn
+autocovariance in 50-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import ceil, exp, fsum, sqrt
 
@@ -559,11 +562,41 @@ def value_block_evaluator(pd: PairedDistances, functional):
     return closed_form
 
 
+def five_smooth_at_least(steps: int) -> int:
+    """The first integer from ``steps`` on whose prime factors are all 2, 3
+    or 5, found by trial division."""
+    m = steps
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
+def fgn_autocovariance_exact(hurst: float, k: int) -> float:
+    """0.5 (|k+1|^2H - 2 |k|^2H + |k-1|^2H) in 50-digit decimal arithmetic,
+    rounded to a float at the end."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        h2 = Decimal(2.0 * hurst)
+        terms = [Decimal(abs(j)) ** h2 if j else Decimal(0) for j in (k + 1, k, k - 1)]
+        return float((terms[0] - 2 * terms[1] + terms[2]) / 2)
+
+
 def _fbm_path_one(length: int, hurst: float, pre_steps: int, rng) -> np.ndarray:
+    """One fBm path as ``simulate._fbm_path`` draws it: the fGn increments
+    are the first ``steps`` real parts of a circulant of 2M points, M the
+    first 5-smooth integer >= steps, with the autocovariance from lag 2 on in
+    its expm1/log1p form (the same float operations, so the same bits)."""
     steps = pre_steps + length - 1
-    lags = np.arange(steps + 1.0)
+    m = five_smooth_at_least(steps)
     h2 = 2.0 * hurst
-    acov = 0.5 * ((lags + 1.0) ** h2 - 2.0 * lags**h2 + np.abs(lags - 1.0) ** h2)
+    k = np.arange(2.0, m + 1)
+    tail = 0.5 * k**h2 * (np.expm1(h2 * np.log1p(1.0 / k)) + np.expm1(h2 * np.log1p(-1.0 / k)))
+    acov = np.concatenate(([1.0, np.expm1((h2 - 1.0) * np.log(2.0))], tail))
     eig = np.fft.hfft(acov)
     noise = rng.standard_normal(2 * eig.size).view(np.complex128)
     unit = np.fft.fft(np.sqrt(np.maximum(eig, 0.0) / eig.size) * noise)[:steps].real

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import recurtest as rt
-from recurtest import cli
+from recurtest import cli, inference
 from recurtest.cli import main
 from recurtest.fileio import read_dataset, read_power_config, write_dataset
 from recurtest.simulate import SCENARIO_PARAMETERS
@@ -488,7 +488,7 @@ def test_unexpected_exception_exits1(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "permutation_test", fail)
+    monkeypatch.setattr(inference, "permutation_test", fail)
     assert run(_test_argv(tmp_path)) == 1
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
@@ -534,16 +534,14 @@ def test_simulate_help_lists_the_schema_flags(capsys):
     assert flags - fixed == {f"--{key}" for key in SCENARIO_PARAMETERS}
 
 
-def test_cli_loads_no_scipy(tmp_path):
-    # numpy is the only runtime dependency, and the worker-pool modules are
-    # imported only when a pool starts: a fresh interpreter that imports the
-    # package and runs a long-memory simulation must load none of them.
+def _modules_after_simulate(tmp_path) -> list[str]:
+    """Every module loaded in a fresh interpreter that imports the package
+    and runs a long-memory simulation."""
     code = (
         "import sys, recurtest, recurtest.cli\n"
         "code = recurtest.cli.main(sys.argv[1:])\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
-        "                or m == 'concurrent.futures' or m.startswith('concurrent.futures.'))\n"
-        "sys.exit(f'modules loaded: {loaded}' if loaded else code)\n"
+        "print(*sorted(sys.modules))\n"
+        "sys.exit(code)\n"
     )
     src = str(Path(rt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -553,6 +551,25 @@ def test_cli_loads_no_scipy(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert read_dataset(str(tmp_path / "x.csv")).shape == (2, 10)
+    return proc.stdout.split()
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency, and the worker-pool modules are
+    # imported only when a pool starts.
+    loaded = [m for m in _modules_after_simulate(tmp_path)
+              if m.split(".")[0] in ("scipy", "multiprocessing")
+              or m == "concurrent.futures" or m.startswith("concurrent.futures.")]
+    assert loaded == []
+
+
+def test_simulate_loads_no_test_machinery(tmp_path):
+    # The package, the command line and the file readers import the modules
+    # of tests and power studies only when a command runs them.
+    modules = set(_modules_after_simulate(tmp_path))
+    assert "recurtest.simulate" in modules
+    unused = ("inference", "harness", "_workers", "stats_core", "weights", "metrics")
+    assert modules.isdisjoint(f"recurtest.{name}" for name in unused)
 
 
 def test_size_cap_allocates_nothing(tmp_path, capsys):

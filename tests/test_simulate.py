@@ -7,10 +7,21 @@ import pytest
 from scipy.signal import lfilter
 
 import recurtest as rt
-from recurtest import InvalidInputError, ScenarioConfig, simulate, streams
-from recurtest.simulate import _arma, _blocks, _fbm_path, _fbm_sampler, _fgn_scale, _flows, _lfilter
+from recurtest import InternalConsistencyError, InvalidInputError, ScenarioConfig, simulate, streams
+from recurtest.simulate import (
+    _arma,
+    _blocks,
+    _fbm_path,
+    _fbm_sampler,
+    _fgn_autocovariance,
+    _fgn_eigenvalues,
+    _fgn_scale,
+    _flows,
+    _lfilter,
+    _smooth_length,
+)
 
-from oracles import flows_one_replication
+from oracles import fgn_autocovariance_exact, five_smooth_at_least, flows_one_replication
 
 
 def rng_of(*key):
@@ -212,20 +223,58 @@ class TestFbm:
             with pytest.raises(InvalidInputError, match=re.escape(f"Hurst exponent must be in (0, 1), got {h}")):
                 simulate.scenario_config("C1", 2, {"len": 10, "hurst": h})
 
+    # Lengths 8, 12, 14 and 98 have 7, 11, 13 and 97 steps, none 5-smooth:
+    # their circulants are longer than twice the steps.
     @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
-    @pytest.mark.parametrize("length", [2, 3, 7, 16])
+    @pytest.mark.parametrize("length", [2, 3, 7, 8, 12, 14, 16, 98])
     def test_exact_covariance(self, hurst, length):
         a = linear_map(_fbm_sampler(length, hurst))
         times = np.arange(length) / length
         assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
 
     @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.95])
-    @pytest.mark.parametrize("length, pre_steps", [(2, 1), (5, 3), (6, 11)])
+    @pytest.mark.parametrize("length, pre_steps", [(2, 1), (5, 3), (6, 11), (2, 10), (4, 10), (10, 88)])
     def test_exact_covariance_with_negative_times(self, hurst, length, pre_steps):
         scale = _fgn_scale(hurst, pre_steps + length - 1)
         a = linear_map(lambda rng: _fbm_path(length, hurst, pre_steps, rng, scale))
         times = (np.arange(pre_steps + length) - pre_steps) / length
         assert np.abs(a @ a.T - fbm_cov(times, hurst)).max() < 1e-12
+
+    def test_smooth_length_is_the_first_five_smooth_count(self):
+        assert [_smooth_length(steps) for steps in range(1, 10_001)] == [
+            five_smooth_at_least(steps) for steps in range(1, 10_001)
+        ]
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.7, 0.95, 0.99])
+    def test_autocovariance_is_accurate_at_large_lags(self, hurst):
+        count = 2**21 + 101
+        acov = _fgn_autocovariance(hurst, count)
+        for k in (0, 1, 2, 3, 10, 1000, 10**5, 10**6, 2 * 10**6, count - 1):
+            want = fgn_autocovariance_exact(hurst, k)
+            assert abs(acov[k] - want) <= 1e-8 * abs(want), k
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.95, 0.99])
+    def test_eigenvalues_at_the_burn_in_cap_are_nonnegative(self, hurst):
+        # len 100 at the smallest lambda: a burn-in of _MAX_BURN_IN grid points
+        eig = _fgn_eigenvalues(hurst, simulate._MAX_BURN_IN + 100 - 1)
+        assert eig.size == 2 * 2_099_520
+        assert eig.min() >= 0.0
+
+    def test_negative_eigenvalues_beyond_round_off_raise(self, monkeypatch):
+        # the 2M-point circulant's row is 1, 1, 0, ..., 0, 1: eigenvalues 1 + 2 cos(pi j / M)
+        def covariance(hurst, count):
+            return np.array([1.0, 1.0, *[0.0] * (count - 2)])
+
+        monkeypatch.setattr(simulate, "_fgn_autocovariance", covariance)
+        with pytest.raises(InternalConsistencyError, match="below the round-off floor of -1e-10 times"):
+            _fgn_scale(0.7, 16)
+
+    def test_eigenvalues_within_round_off_are_clipped(self, monkeypatch):
+        def eigenvalues(hurst, steps):
+            return np.array([4.0, -1e-11, 1.0, 0.0])
+
+        monkeypatch.setattr(simulate, "_fgn_eigenvalues", eigenvalues)
+        assert _fgn_scale(0.7, 2).tolist() == [1.0, 0.0, 0.5, 0.0]
 
     def test_brownian_variance_near_end(self):
         draw = _fbm_sampler(100, 0.5)
@@ -372,20 +421,23 @@ class TestScenarios:
     # SHA-256 of the bytes of gen_scenario's (xs, ys) at n = 3, over seeds
     # 0, 1, 7, 42, 901 and len 2, 25, 100 with default parameters: seeded
     # data must not change with the implementation of its filters or samplers.
+    # The fBm scenarios (C1-C3, C5, C7, X-FOU-Y-FOU) were re-recorded once,
+    # when the fBm circulant took its 5-smooth length and the autocovariance
+    # its expm1/log1p form.
     DRAW_DIGESTS = {
         "null": "e6dcc9391bb26f246424706db0b8134fb7adc4f5631d44589b9ff1e21830722b",
         "D1": "46e1446b8c46e183b5a9471f39c3809426079fca78ba01c4404f250f64e4f4eb",
         "D2": "20fbaff5874e1e2e9e18143933184e79ddc536eec74063d57915a0ee3ab96c8d",
         "D3": "1546d24f210cc23d73a4cb39c7d6ad048dafd6a968460dfec0435c97e43ed3ff",
-        "C1": "cbcb4df362fa8066ae3905fc103a728f88c3961b3714c3a124ce15da918878d0",
-        "C2": "7cb3956151f0a9920259364b326cc6929db92661ecc7621330a867972f52eff4",
-        "C3": "0857bf2d0542d2b11e898a24d9a0b59f82f8ccd1db62f6e8b19fbf98dbd2e92b",
+        "C1": "db2d4c796f65f155f5aff37abe1106b91c150c2b14c5c67e6924ec745aaa028a",
+        "C2": "1b996e3ca4ed84dd427dcb7dbf495e2e2fa044fcde01046c23a7d76d226df126",
+        "C3": "520cf035adab28151b23150966d13db0a96a2f7dc2af154adfc132514f5abf82",
         "C4": "5b407191a71fda4b1447b6d5bba7611c46f3ccbf60648a0f64a6ea08ccc15c9f",
-        "C5": "2abe3538afd892b5a2a630988ef283ccb741b17e96cfd32e23e5fa02a70ae05a",
+        "C5": "b698e2f0ab99a7735b4beec6d08ea09b53943226c99c6d5dc10000ff680f062b",
         "C6": "37574f3030c739978e4b5ef37e77363e3263e429cf1ccdd68cb6dbe826097bce",
-        "C7": "bca8454d11fa55e3b6d30073e307e95301be5b70b66d2d11961046d003bfc05d",
+        "C7": "c73281dda44256151d653c4fe5f5697b3ab81434974347c8946ef4327c5e69ec",
         "X-OU-Y-OU": "635caa476a8fa10700f433845ba5fbfb19dd62ba891497643b8b83e92494b494",
-        "X-FOU-Y-FOU": "8d3e038173adb5aa81334f008db9bfea08808c614990dd6ce884fcff348fe0a8",
+        "X-FOU-Y-FOU": "61118314f5bea1d11369541595be4ef72ae3ab18ea6ea57e5a4f5d3cdb443dad",
     }
 
     @pytest.mark.parametrize("sid", sorted(DRAW_DIGESTS))
@@ -403,21 +455,21 @@ class TestScenarios:
     # enough to step as numpy rows.  The smoothed-driver digests were recorded
     # when each replication ran its own recursion, the others when null and
     # C1-C3 were generated one replication at a time and D1-D3 as whole
-    # matrices.
+    # matrices; the fBm ones were re-recorded with DRAW_DIGESTS'.
     WIDE_DIGESTS = {
         "null": "909a2c7628c1dbdfccfbc8a71352ca8ab60d0c7bbb476f9939a32a479cf45882",
         "D1": "8ae18d92e44d9fb630b4f20e89a379aaa96023f02856f56d006ddf71b311efab",
         "D2": "d24412c51954a51684ada3194b53166cdbca69c65a65b5ea6778a868383e0fa5",
         "D3": "fb07f4334a2f696cbdb149783171af3e180a24f3e0780984cdc491217c4e6a2f",
-        "C1": "1d94e335c4c254017da49d50542905650097941f1e8cdf006141d3fce297d532",
-        "C2": "636a5b680fce9cf35c787ff66f2d011ea09eba342d38165ffde3130a7cf1cfef",
-        "C3": "56576dce6870a375ac7cd765c48d1d2762882ce1da2cd42303d4ba0c4f07b870",
+        "C1": "a3d47cf96ef611ea244e52cb60b36c485de6c8247916a2b8645bec06c38045ac",
+        "C2": "20b9033d0ca8f6edec783cb9f031d52fff7e758f68ca3f05108d2f05acec6a1d",
+        "C3": "5f956048f484f3338f5a16f7d099b1c6792bee52cd7c567af87ca74312c09243",
         "C4": "fce1a01bcc94caac6cd0e1e6a07d25a10ee78d7a7958691827d5a663bb1d45d9",
-        "C5": "67c803616ce99591957d1c948c176e058b7d0007bc16b5ca8391fdbd5aefa481",
+        "C5": "ddf7977cdced21c23711d7a964c7117861954fc772a3d75563846a8b61e3a46b",
         "C6": "4016bafdb7e729314b5e0806bdd44a414ccd015e39a6c819fa09b2a1c7af163f",
-        "C7": "fe45693ad49d34bba5217d1f3f83b0f41a40af5c71200de86b6fc3b1cdf7b3f5",
+        "C7": "67a2b05a251ed476e28ef6fe2bf3a2d9548704d70e5a210d1cc426d814027839",
         "X-OU-Y-OU": "51eee2a278db8ed601088114b1ce0ce2d07a16b61fd38e9b1fced90b45190bc7",
-        "X-FOU-Y-FOU": "343981cec4130f3af603b92f161c65d37a0b55122b7cfdbd0f859fdb9c8e93f5",
+        "X-FOU-Y-FOU": "bd1c77ac518dd7c3343b0b7ae18f989faf7307e07d1001afdb79dda260e762fa",
     }
 
     @pytest.mark.parametrize("sid", sorted(WIDE_DIGESTS))
