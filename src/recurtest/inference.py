@@ -6,17 +6,19 @@ permuting rows leaves the X side and the Y-side distance multiset unchanged,
 so only the pairing between the two coupled lists differs between
 permutations.  The pairings are then evaluated in blocks: row k of the
 blocks is permutation k, drawn from a stream that depends only on (seed, k),
-and row 0 is the identity, the observed pairing.  Each block maps its
-permutations to the pair indices of its rows, a ``(P, pairs)`` array
-(``PairedDistances.pair_index``), and the prepared statistic sweeps all of
-them at once.  The prepared statistic names the most rows a block should
-hold (``Evaluator.block_rows``); the m + 1 rows are cut into the fewest such
-blocks, raised to a multiple of the processes that share them, of sizes
-that differ by at most one row (``_block_bounds``).  The blocks are the
-units of ``_workers.run_units``, so they run over this process and forked
-workers, as many blocks in each.  Each row's statistic is independent of
-its block, so the result is identical for any block size and any number of
-processes.
+and row 0 is the identity, the observed pairing.  The prepared statistic
+evaluates each block of permutations at once (``Evaluator.permuted``), and
+names the most rows a block should hold (``Evaluator.block_rows``) and the
+predicted time of one row (``Evaluator.row_seconds``).  The m + 1 rows are
+shared by as many processes as their predicted work, draws included, pays
+for (``_block_bounds``): a fork costs a few milliseconds, more than a test
+on small or tied samples takes.  They are cut into the fewest blocks,
+raised to a multiple of those processes, of sizes that differ by at most
+one row.  The blocks are the units of ``_workers.run_units``, so they run
+over this process and forked workers, as many blocks in each.  Each row's
+statistic is independent of its block, so the result is identical for any
+block size and any number of processes.  The plan depends only on the
+input sizes and the constants in the source.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from . import streams
 from ._workers import check_jobs, run_units, worker_count
 from .exceptions import InvalidInputError, positive_count
 from .metrics import ensure_sample, paired_distances
-from .stats_core import StatisticSpec, prepare
+from .stats_core import Evaluator, StatisticSpec, prepare
+
+# The predicted time of drawing one permutation of the observations: its
+# stream's generator, which costs about the same at every n up to a few
+# hundred (16-17 us at n = 30-100 on a 2-core x86-64 VM).
+_DRAW_SECONDS = 16e-6
 
 
 @dataclass(frozen=True)
@@ -89,10 +96,11 @@ def permutation_test(
     supremum functionals on a large grid, 2^14 otherwise, and at least one
     row.  ``jobs`` bounds the processes, this one and forked workers, that
     share the blocks, as many in each (default: every usable CPU;
-    ``jobs=1`` starts none, and nor does a test whose rows fit one block).
-    Each process holds one block at a time.  The seed and ``jobs`` are
-    checked before any work.  The report, ``perm_stats`` included, is the
-    same for every ``jobs``, but for ``elapsed``.
+    ``jobs=1`` starts none).  A test forks only as many workers as its
+    predicted work pays for, and none while its rows fit one block.  Each
+    process holds one block at a time.  The seed and ``jobs`` are checked
+    before any work.  The report, ``perm_stats`` included, is the same for
+    every ``jobs``, but for ``elapsed``.
     """
     m = positive_count(m, "permutation count")
     seed = streams.check_seed(seed)
@@ -106,7 +114,7 @@ def permutation_test(
 
     evaluate = prepare(pd0, spec.functional)
     identity = np.arange(n)
-    bounds = _block_bounds(m + 1, evaluate.block_rows, jobs)
+    bounds, processes = _block_bounds(m + 1, evaluate, jobs)
 
     def block_stats(b: int) -> np.ndarray:
         """The statistics of block b's rows of the m + 1: row k pairs by
@@ -117,9 +125,9 @@ def permutation_test(
                 for k in range(bounds[b], bounds[b + 1])
             ]
         )
-        return evaluate(pd0.pair_index(perms))
+        return evaluate.permuted(perms)
 
-    stats = np.concatenate(run_units(block_stats, len(bounds) - 1, jobs))
+    stats = np.concatenate(run_units(block_stats, len(bounds) - 1, processes))
     observed = float(stats[0])
     perm_stats = stats[1:]
 
@@ -136,19 +144,23 @@ def permutation_test(
     )
 
 
-def _block_bounds(rows: int, block_rows: int, jobs) -> list[int]:
-    """The bounds of the blocks in which ``rows`` rows are evaluated: block
-    b holds rows ``bounds[b] .. bounds[b + 1] - 1``.  The blocks are the
-    fewest of at most ``block_rows`` rows, raised to a multiple of the
-    processes that share them (``worker_count(jobs, ...)``) while there are
-    rows for each, so every process gets as many; their sizes differ by at
-    most one row, the larger first.  Rows that fit one block make one."""
-    blocks = -(-rows // block_rows)
+def _block_bounds(rows: int, evaluate: Evaluator, jobs) -> tuple[list[int], int]:
+    """The bounds of the blocks in which ``rows`` rows are evaluated, and the
+    processes that share them: block b holds rows ``bounds[b] .. bounds[b +
+    1] - 1``.  The processes are as many as the rows' predicted work pays
+    for (``worker_count(jobs, blocks, seconds)``, with ``_DRAW_SECONDS``
+    added to ``evaluate.row_seconds`` per row).  The blocks are the fewest
+    of at most ``evaluate.block_rows`` rows, raised to a multiple of the
+    processes while there are rows for each, so every process gets as many;
+    their sizes differ by at most one row, the larger first.  Rows that fit
+    one block make one."""
+    blocks = -(-rows // evaluate.block_rows)
+    workers = 1
     if blocks > 1:
-        workers = worker_count(jobs, blocks)
+        workers = worker_count(jobs, blocks, rows * (evaluate.row_seconds + _DRAW_SECONDS))
         blocks = min(rows, -(-blocks // workers) * workers)
     size, larger = divmod(rows, blocks)
-    return [b * size + min(b, larger) for b in range(blocks + 1)]
+    return [b * size + min(b, larger) for b in range(blocks + 1)], workers
 
 
 def min_permutations(alpha: float) -> int:

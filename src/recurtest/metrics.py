@@ -4,15 +4,14 @@ Observations are rows of an ``(n, d)`` matrix; a discretized curve is just a
 row with many columns (an equispaced time step only rescales all distances by
 a common factor, which every downstream statistic is invariant to).
 
-``PairedDistances`` owns the pair layout, the pairs i < j in lexicographic
-order, and maps permutations of the observations to pair indices
-(``pair_index``).  Distances beyond the float range are rejected.
+``PairedDistances`` holds the coupled distances in the pair layout, the
+pairs i < j in lexicographic order.  Distances beyond the float range are
+rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -99,30 +98,6 @@ class PairedDistances:
     def pair_count(self) -> int:
         """Number of stored (unordered) pairs."""
         return self.z.size
-
-    @cached_property
-    def _layout(self):
-        """The observations (i, j) of each stored pair, and ``offset``: pair
-        (i, j), i < j, is at ``offset[i] + j`` (the row-major upper triangle)."""
-        rows, cols = np.triu_indices(self.n, 1)
-        i = np.arange(self.n)
-        return rows, cols, i * self.n - i * (i + 1) // 2 - i - 1
-
-    def pair_index(self, perms: np.ndarray) -> np.ndarray:
-        """The ``(P, m)`` pair indices of a ``(P, n)`` block of permutations:
-        pair (i, j) of row p takes pair (perms[p, i], perms[p, j]).  The
-        identity permutation gives the identity row.
-
-        ``take`` and the in-place steps beat fancy indexing here, and the
-        other temporaries are gone before the caller's kernel runs.
-        """
-        rows, cols, offset = self._layout
-        index = perms.take(rows, axis=1)
-        other = perms.take(cols, axis=1)
-        low = np.minimum(index, other)
-        np.maximum(index, other, out=index)
-        index += np.take(offset, low, out=other)
-        return index
 
 
 def paired_distances(x, y, metric_x: Metric, metric_y: Metric) -> PairedDistances:

@@ -15,24 +15,34 @@ Each kernel has a closed form over the coupled distance list, evaluated in
 two steps.  ``prepare`` computes once everything that re-pairing the Y-side
 distances leaves unchanged: the cell grid (``_Cells``: the X and Y orders,
 the stops and columns, and a small integer code of each pair's Y distance)
-and the weight terms.  The evaluator it returns then takes a ``(P, m)`` block of
-pair indices -- each row a rearrangement of ``range(m)``, such as the pairing
-of one permutation -- and evaluates every row at once with state of shape
-``(P, .)``.  The identity row is the pairing stored in the distance
-structure, which ``statistic`` evaluates.  Each row's value is independent
-of the block it is evaluated in and of the block's memory layout.  The
-evaluator names the most rows a block should hold (``Evaluator.block_rows``):
-2^15 pairs' worth for the sweeps of the absolute and supremum functionals
-over a large grid, whose every stop pays a fixed cost for its numpy calls,
-and 2^14 pairs' worth for the quadratic closed form and small grids.
+and the weight terms.  The weight CDF is evaluated once per distinct
+distance.  The evaluator it returns (``Evaluator``) holds a kernel that
+takes a ``(P, m)`` block of per-pair values, each row in z-order, and
+evaluates every row at once with state of shape ``(P, .)``, and two entries
+that gather those values: a block of pair indices -- each row a
+rearrangement of ``range(m)`` -- for any re-pairing, and a ``(P, n)`` block
+of permutations of the observations, read through an (n, n) table of the
+values.  The identity row is the pairing stored in the distance structure,
+which ``statistic`` evaluates.  Each row's value is independent of the
+entry, of the block it is evaluated in and of the block's memory layout.
+The evaluator names the most rows a block should hold
+(``Evaluator.block_rows``): 2^15 pairs' worth for the sweeps of the
+absolute and supremum functionals over a large grid, whose every stop pays
+a fixed cost for its numpy calls, and 2^14 pairs' worth for the quadratic
+closed form and small grids.  It also predicts the time of one row
+(``Evaluator.row_seconds``) from the prepared sizes and per-element
+constants fixed in the source, so that a caller can plan its processes
+before any work; nothing is timed at run time.
 
-The sweep (``_sweep``) gathers the codes of each row in z-order, walks the
-fixed z-order once and keeps the integer numerators m*C - h*cum of the
-discrepancy, exact in int32 or int64.  The absolute functional sums them
+The sweep (``_sweep``) walks the fixed z-order once over each row's codes
+and keeps the integer numerators m*C - h*cum of the discrepancy, exact in
+int32 or int64; what it shares between blocks is prepared once per grid
+(``_Cells.sweep_setup``).  The absolute functional sums the numerators
 over the weighted grid, and the supremum takes their largest magnitude over
 the unweighted grid.  The quadratic functional sums their squares on a
 small grid, as on tied data, and otherwise evaluates the expanded square in
-closed form: a double sum of products of two minima (``_min_kernel_sums``).
+closed form from each row's Y ranks: a double sum of products of two
+minima (``_min_kernel_sums``).
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -45,12 +55,13 @@ pair count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import InternalConsistencyError
+from .exceptions import InternalConsistencyError, InvalidInputError
 from .choices import Functional, Metric
 from .metrics import PairedDistances, paired_distances
 from .weights import GaussianWeight, estimate_weight, weight_cdf
@@ -64,26 +75,86 @@ _NEGATIVE_TOL = 1e-12
 _BLOCK_PAIRS = 1 << 14
 _WIDE_BLOCK_PAIRS = 1 << 15
 
+# The predicted time of one row (``Evaluator.row_seconds``), per element of
+# the prepared sizes, measured in one process on a 2-core x86-64 VM (numpy
+# 2.4): gathering each pair's value by ``Evaluator.permuted`` (2.6-2.7 ns
+# at n = 50 and 100), each cell of a sweep (l1 1.1-1.8 ns and sup
+# 0.8-1.3 ns at n = 30-150 on continuous data), and each m^1.5 of the
+# quadratic closed form (7.8 ns at n = 30, 5.9 at 50, 3.2-3.4 at 100-150).
+# A sweep over tied data also pays about 15-25 ns per pair for its runs'
+# histograms, which the prediction leaves out.
+_PAIR_SECONDS = 2.7e-9
+_CELL_SECONDS = 1.2e-9
+_CLOSED_FORM_SECONDS = 5e-9
+
 
 @dataclass(frozen=True)
 class Evaluator:
-    """A prepared statistic.  Calling it maps a ``(P, m)`` block of pair
-    indices to the P statistics: row p pairs the X distance of pair i with
-    the Y distance of pair ``index[p, i]``.  ``block_rows`` is the most rows
-    a block should hold, for speed and memory; any P gives the same value
-    per row."""
+    """A prepared statistic: a kernel that maps a ``(P, m)`` block of
+    per-pair values, each row in z-order, to the P statistics, and the two
+    entries that feed it.
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    * Calling it maps a ``(P, m)`` block of pair indices: row p pairs the X
+      distance of pair i with the Y distance of pair ``index[p, i]``.  It
+      takes any re-pairing of any ``PairedDistances``.
+    * ``permuted`` maps a ``(P, n)`` block of permutations of the
+      observations: pair (i, j) of row p takes the Y distance of the pair
+      of observations (perm[i], perm[j]).  It needs the layout of
+      ``paired_distances``, every pair i < j once in lexicographic order.
+
+    ``values`` holds the value of each pair that the kernel reads (see
+    ``_Cells``).  ``block_rows`` is the most rows a block should hold, for
+    speed and memory, and ``row_seconds`` the predicted time of one row
+    (see ``_evaluator``); any P gives the same value per row.
+    """
+
+    kernel: Callable[[np.ndarray], np.ndarray]
+    cells: _Cells
+    values: np.ndarray
     block_rows: int
+    row_seconds: float
 
     def __call__(self, index: np.ndarray) -> np.ndarray:
-        return self.evaluate(index)
+        return self.kernel(self.values[index.take(self.cells.z_order, axis=1)])
+
+    def permuted(self, perms: np.ndarray) -> np.ndarray:
+        """The statistics of a ``(P, n)`` block of permutations of the
+        observations.  Row p's values in z-order are
+        ``table[perm[rows_z] * n + perm[cols_z]]``, the same values the pair
+        index of that pairing gathers, in four passes over the block.  The
+        flat indices are freed before the kernel runs, whose peak memory is
+        then the block's values and its own state."""
+        rows_z, cols_z, table = self._table
+        flat = (perms * self.cells.n).take(rows_z, axis=1)
+        flat += perms.take(cols_z, axis=1)
+        values = table.take(flat)
+        del flat
+        return self.kernel(values)
+
+    @cached_property
+    def _table(self):
+        """The observations (i, j) of the pair at each z-position, and the
+        flat (n, n) table of ``values``: entries (i, j) and (j, i) hold
+        pair (i, j)'s.  Built on the first call of ``permuted``."""
+        cells, n = self.cells, self.cells.n
+        if cells.m != n * (n - 1) // 2:
+            raise InvalidInputError(
+                f"permutations of {n} observations need their {n * (n - 1) // 2} pairs, got {cells.m}"
+            )
+        rows, cols = np.triu_indices(n, 1)
+        table = np.zeros((n, n), dtype=self.values.dtype)
+        table[rows, cols] = table[cols, rows] = self.values
+        return rows[cells.z_order], cols[cells.z_order], table.ravel()
 
 
-def _evaluator(evaluate, m: int, wide: bool = False) -> Evaluator:
-    """``evaluate`` over m pairs, in blocks of ``_WIDE_BLOCK_PAIRS`` pairs
-    if ``wide`` and ``_BLOCK_PAIRS`` otherwise, and at least one row."""
-    return Evaluator(evaluate, max(1, (_WIDE_BLOCK_PAIRS if wide else _BLOCK_PAIRS) // m))
+def _evaluator(kernel, cells: _Cells, values: np.ndarray, kernel_seconds: float,
+               wide: bool = False) -> Evaluator:
+    """The evaluator of ``kernel`` on the per-pair ``values`` of ``cells``,
+    in blocks of ``_WIDE_BLOCK_PAIRS`` pairs if ``wide`` and
+    ``_BLOCK_PAIRS`` otherwise, and at least one row.  A row is predicted
+    to take ``kernel_seconds`` plus the gather of its m pairs."""
+    block_rows = max(1, (_WIDE_BLOCK_PAIRS if wide else _BLOCK_PAIRS) // cells.m)
+    return Evaluator(kernel, cells, values, block_rows, _PAIR_SECONDS * cells.m + kernel_seconds)
 
 
 @dataclass(frozen=True)
@@ -115,31 +186,24 @@ def _min_row_sums(values: np.ndarray) -> np.ndarray:
     return np.arange(1, values.size + 1) * values + suffix
 
 
-def _sweep(codes: np.ndarray, ends: np.ndarray, cum: np.ndarray, m: int):
-    """Walk the records in z-order and stop after each position in ``ends``.
+def _sweep(codes: np.ndarray, cells: _Cells):
+    """Walk the records in z-order and stop after each of ``cells.stops``.
 
     ``codes[p, i]`` is the first column that record i of row p counts toward
-    (a code equal to ``cum.size`` counts toward none).  At end position e the
-    generator yields the ``(P, cols)`` integer numerators
-    ``D[p, k] = m * C[p, k] - h * cum[k]``, h = e + 1, where ``C[p, k]``
-    counts the first h records of row p with code <= k: the deviation
-    ``C - (h / m) * cum`` times m, exactly.  No value or partial sum exceeds m^2 in size, so D is
-    int32 while m^2 < 2^31 and int64 above.  The yielded array is updated in
-    place by the next step.
+    (a code equal to the column count counts toward none).  At end position
+    e the generator yields the ``(P, cols)`` integer numerators
+    ``D[p, k] = m * C[p, k] - h * cum[k]``, h = e + 1 and cum =
+    ``cells.col_j``, where ``C[p, k]`` counts the first h records of row p
+    with code <= k: the deviation ``C - (h / m) * cum`` times m, exactly.
+    The yielded array is updated in place by the next step.
     """
-    dtype = np.int32 if m * m < 2**31 else np.int64
-    rows, cols = len(codes), cum.size
-    cum = cum.astype(dtype)
-    # suffix[cols - c] is m in the columns k >= c and 0 in the others: what
-    # one record of code c adds to the numerators.
-    ramp = np.zeros(2 * cols, dtype=dtype)
-    ramp[cols:] = m
-    suffix = np.lib.stride_tricks.sliding_window_view(ramp, cols)
+    dtype, cum, suffix = cells.sweep_setup
+    rows, cols, m = len(codes), cum.size, cells.m
     shifts = np.ascontiguousarray((cols - codes).T)  # record by record
     num = np.zeros((rows, cols), dtype=dtype)
     bins = np.arange(rows)[:, None] * (cols + 1)
     start = 0
-    for end in ends:
+    for end in cells.stops:
         if end == start:
             num += suffix[shifts[start]]
             num -= cum
@@ -177,6 +241,26 @@ def _row_dots(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np
 # The cell grid
 
 
+def _runs(edges: np.ndarray, weight: GaussianWeight | None):
+    """The first position of each run of equal sorted ``edges``, and each
+    run's level: its edge, or with a weight its weight CDF, evaluated once
+    per run.  Equal edges have equal levels, so this is the levels of all
+    the edges with each run's repeats left out.  Distinct edges are their
+    own levels' edges, uncopied."""
+    firsts = np.flatnonzero(np.concatenate(([True], edges[1:] != edges[:-1])))
+    levels = edges if firsts.size == edges.size else edges[firsts]
+    return firsts, levels if weight is None else weight_cdf(weight, levels)
+
+
+def _steps(firsts: np.ndarray, levels: np.ndarray):
+    """The positions p - 1 of the sorted edges p after which the level of
+    ``_runs`` steps, and the size of each step: the nonzero entries of the
+    difference of the levels of all the edges, without expanding them."""
+    steps = np.diff(levels)
+    kept = steps != 0.0
+    return firsts[1:][kept] - 1, steps[kept]
+
+
 class _Cells:
     """The grid of cells over which every functional aggregates.
 
@@ -194,28 +278,35 @@ class _Cells:
     than on tie-breaking: c(h, j) is the number of the first h records with
     t <= t_(j).  With weights the cell's mass is dG1(h) dG2(j).  Memory stays
     O(P m).
+
+    The value of each pair that the sweeps read is its code (``codes``):
+    the first kept column at or above its Y distance.
     """
 
     def __init__(self, pd: PairedDistances, wx: GaussianWeight | None = None,
                  wy: GaussianWeight | None = None):
-        self.m = pd.pair_count
+        self.n, self.m = pd.n, pd.pair_count
         self.z_order = np.argsort(pd.z, kind="stable")
         self.t_order = np.argsort(pd.t, kind="stable")
         self.t_sorted = pd.t[self.t_order]
-        edges_x, edges_y = pd.z[self.z_order], self.t_sorted
-        if wx is not None:
-            self.g1 = edges_x = weight_cdf(wx, edges_x)  # in z-sorted order
-            self.g2 = edges_y = weight_cdf(wy, edges_y)
-        dg1 = np.diff(edges_x)  # h = 1..m-1
-        dg2 = np.diff(edges_y)  # j = 1..m-1
-        self.stops = np.flatnonzero(dg1 != 0.0)  # end position h - 1 of each stop
-        self.stop_dg1 = dg1[self.stops]
-        cols = np.flatnonzero(dg2 != 0.0)  # j - 1 of each kept column
+        self._x_runs = _runs(pd.z[self.z_order], wx)
+        self._y_runs = _runs(self.t_sorted, wy)
+        self.stops, self.stop_dg1 = _steps(*self._x_runs)  # end position h - 1 of each stop
+        cols, self.col_dg2 = _steps(*self._y_runs)  # j - 1 of each kept column
         # Each pair's first kept column at or above its Y distance (cols.size:
         # none), in the narrowest unsigned dtype that holds cols.size.
         self.codes = np.searchsorted(self.t_sorted[cols], pd.t).astype(np.min_scalar_type(cols.size))
         self.col_j = cols + 1
-        self.col_dg2 = dg2[cols]
+
+    @cached_property
+    def g1(self) -> np.ndarray:
+        """G1 of the X distances, in z-sorted order (weighted grids only)."""
+        return _expand(*self._x_runs, self.m)
+
+    @cached_property
+    def g2(self) -> np.ndarray:
+        """G2 of the Y distances, in sorted order (weighted grids only)."""
+        return _expand(*self._y_runs, self.m)
 
     @property
     def size(self) -> int:
@@ -227,26 +318,40 @@ class _Cells:
         """Whether the grid has more than ``_closed_form_work(m)`` cells."""
         return self.size > _closed_form_work(self.m)
 
-    def sweep(self, index: np.ndarray):
-        """The codes of each row of the pair-index block ``index`` in z-order,
-        and the sweep of their numerators over the grid (see ``_sweep``)."""
-        codes = self.codes[index.take(self.z_order, axis=1)]
-        return codes, _sweep(codes, self.stops, self.col_j, self.m)
+    @cached_property
+    def sweep_setup(self):
+        """What every block's sweep (``_sweep``) shares: the dtype of the
+        numerators, ``col_j`` in it, and ``suffix``, where
+        ``suffix[cols - c]`` is m in the columns k >= c and 0 in the others,
+        what one record of code c adds to the numerators.  No value or
+        partial sum exceeds m^2 in size, so the numerators are int32 while
+        m^2 < 2^31 and int64 above."""
+        dtype = np.int32 if self.m * self.m < 2**31 else np.int64
+        cols = self.col_j.size
+        ramp = np.zeros(2 * cols, dtype=dtype)
+        ramp[cols:] = self.m
+        return dtype, self.col_j.astype(dtype), np.lib.stride_tricks.sliding_window_view(ramp, cols)
 
-    def sum(self, index: np.ndarray, squared: bool) -> np.ndarray:
+    def sum(self, codes: np.ndarray, squared: bool) -> np.ndarray:
         """``sum_{h,j} dG1(h) dG2(j) |D(h, j)|``, or with D^2, per row of
-        the pair-index block ``index``.
+        the ``(P, m)`` block of codes in z-order.
 
         Each stop reduces its numerators over the columns, and one sum
         weighted by dG1 finishes.  |D| is exact, and D^2 is taken in
         float64.
         """
-        _, sweep = self.sweep(index)
-        at_stop = np.empty((len(index), self.stops.size))  # sum over j of dG2(j) |D|
-        for s, num in enumerate(sweep):
+        at_stop = np.empty((len(codes), self.stops.size))  # sum over j of dG2(j) |D|
+        for s, num in enumerate(_sweep(codes, self)):
             dev = np.square(num, dtype=float) if squared else np.abs(num)
             _row_dots(dev, self.col_dg2, out=at_stop[:, s])
         return _row_dots(at_stop, self.stop_dg1)
+
+
+def _expand(firsts: np.ndarray, levels: np.ndarray, m: int) -> np.ndarray:
+    """The levels of ``_runs`` at all m sorted edges."""
+    if firsts.size == m:
+        return levels
+    return np.repeat(levels, np.diff(np.append(firsts, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +382,8 @@ def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
     """The quadratic functional summed over the cells.  Every term is
     nonnegative, so the sum keeps full relative accuracy."""
     scale = n / cells.m**4
-    return _evaluator(lambda index: scale * cells.sum(index, squared=True), cells.m)
+    return _evaluator(lambda codes: scale * cells.sum(codes, squared=True), cells, cells.codes,
+                      _CELL_SECONDS * cells.size)
 
 
 def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
@@ -295,7 +401,7 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     whatever pairing put them there.  The terms cancel to about six digits
     on tied data, which the cell sum avoids.
     """
-    m, n, z_order = cells.m, pd.n, cells.z_order
+    m, n = cells.m, pd.n
     surv_z = 1.0 - cells.g1  # in z-sorted order
     surv_t_sorted = 1.0 - cells.g2
     positions = np.arange(m, dtype=np.int32)
@@ -311,12 +417,11 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     t_bracket_sorted = _min_row_sums(surv_t_sorted)
     product_term = z_bracket.sum() * t_bracket_sorted.sum() / m**4
 
-    def evaluate(index: np.ndarray) -> np.ndarray:
+    def evaluate(ranks: np.ndarray) -> np.ndarray:
         # ranks[p, i]: the Y rank of row p's record at z-position i, and
         # order[p, r]: the z-position of its record of Y rank r.
-        ranks = t_rank[index.take(z_order, axis=1)]
         _sort_runs(ranks, z_tied, z_tie_keys)
-        order = np.empty(index.shape, dtype=np.int32)
+        order = np.empty(ranks.shape, dtype=np.int32)
         np.put_along_axis(order, ranks, positions, axis=1)
         _sort_runs(order, t_tied, t_tie_keys)
         cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
@@ -324,7 +429,7 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
         values = n * (joint_term + product_term - 2.0 * cross_term)
         return _clamp_nonnegative(values, "the quadratic closed form")
 
-    return _evaluator(evaluate, m)
+    return _evaluator(evaluate, cells, t_rank, _CLOSED_FORM_SECONDS * m**1.5)
 
 
 def _tie_runs(values: np.ndarray):
@@ -434,7 +539,8 @@ def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     summed over the cells (see ``_Cells``)."""
     cells = _Cells(pd, wx, wy)
     scale = np.sqrt(pd.n) / cells.m**2
-    return _evaluator(lambda index: scale * cells.sum(index, squared=False), cells.m, cells.large)
+    return _evaluator(lambda codes: scale * cells.sum(codes, squared=False), cells, cells.codes,
+                      _CELL_SECONDS * cells.size, cells.large)
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +569,11 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     cells = _Cells(pd)
     m, h = cells.m, cells.stops + 1
 
-    def evaluate(index: np.ndarray) -> np.ndarray:
-        best = np.zeros(len(index))
+    def evaluate(codes: np.ndarray) -> np.ndarray:
+        best = np.zeros(len(codes))
         if cells.size == 0:
             return best
-        codes, sweep = cells.sweep(index)
+        sweep = _sweep(codes, cells)
         peak = np.abs(next(sweep))
         magnitude = np.empty_like(peak)
         for num in sweep:
@@ -476,14 +582,14 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
         rows, cols = np.nonzero((peak == k) & (k > 0))
         # The float deviations of those columns at every stop, a block's
         # worth of columns at a time.
-        for lo in range(0, rows.size, len(index)):
-            r, c = rows[lo : lo + len(index)], cols[lo : lo + len(index), None]
+        for lo in range(0, rows.size, len(codes)):
+            r, c = rows[lo : lo + len(codes)], cols[lo : lo + len(codes), None]
             counts = np.cumsum(codes[r] <= c, axis=1)[:, cells.stops]
             dev = np.abs(counts - (h / m) * cells.col_j[c])
             np.maximum.at(best, r, dev.max(axis=1))
         return np.sqrt(pd.n) * best / m
 
-    return _evaluator(evaluate, m, cells.large)
+    return _evaluator(evaluate, cells, cells.codes, _CELL_SECONDS * cells.size, cells.large)
 
 
 # ---------------------------------------------------------------------------
@@ -497,14 +603,18 @@ def prepare(pd: PairedDistances, functional: Functional) -> Evaluator:
     the evaluator of ``functional``.  It maps a ``(P, m)`` block of pair
     indices, rows rearranging ``range(m)``, to the ``P`` statistics: row p
     pairs ``pd.z[i]`` with ``pd.t[index[p, i]]``; the identity row is ``pd``.
-    Its ``block_rows`` is the most rows a block should hold.
+    Its ``permuted`` maps a ``(P, n)`` block of permutations of the
+    observations to the same statistics (see ``Evaluator``).  Its
+    ``block_rows`` is the most rows a block should hold, and
+    ``row_seconds`` the predicted time of one row.
     """
     if functional == Functional.SUP:
         return _prepare_sup(pd)
     if pd.pair_count == 1:
         # A single pair carries no dependence information: both integral
         # statistics are identically zero and the weight is uncalibratable.
-        return _evaluator(lambda index: np.zeros(len(index)), 1)
+        cells = _Cells(pd)
+        return _evaluator(lambda codes: np.zeros(len(codes)), cells, cells.codes, 0.0)
     wx = estimate_weight(pd.z)
     wy = estimate_weight(pd.t)
     if functional == Functional.L2:

@@ -16,7 +16,8 @@ that replaced it; ``tile_min_sums_literal`` sums the within-tile pairs of
 ``_min_kernel_sums`` one by one.  ``sup_numerator_max`` is the integer
 maximum that the supremum scales, counted literally.  ``identity_statistic``
 is no oracle: it is the tests' one way to evaluate the kernel on the pairing
-a distance structure stores.  ``flows_one_replication`` is the earlier
+a distance structure stores, and ``pair_index`` maps permutations of the
+observations to the pair indices of their pairings.  ``flows_one_replication`` is the earlier
 generator of one replication of the smoothed-driver scenarios, with its own
 circulant length (``five_smooth_at_least``, by trial division), its own
 autocovariance and eigenvalues and one scipy filter per rate, whose bits the
@@ -51,6 +52,24 @@ def identity_statistic(pd: PairedDistances, functional: Functional) -> float:
     """The statistic of the pairing stored in ``pd``: the identity row of
     ``prepare(pd, functional)``, with the weights it calibrates from ``pd``."""
     return float(prepare(pd, functional)(np.arange(pd.pair_count)[None, :])[0])
+
+
+def pair_index(n: int, perms: np.ndarray) -> np.ndarray:
+    """The ``(P, m)`` pair indices of a ``(P, n)`` block of permutations of
+    n observations: pair (i, j), i < j, of row p takes pair (perms[p, i],
+    perms[p, j]), stored at ``offset[i] + j`` in the row-major upper
+    triangle.  The identity permutation gives the identity row.  This is
+    how ``permutation_test`` once gathered its rows; the evaluators'
+    ``permuted`` entry must give the bits of their pair-index entry on it."""
+    rows, cols = np.triu_indices(n, 1)
+    i = np.arange(n)
+    offset = i * n - i * (i + 1) // 2 - i - 1
+    index = perms.take(rows, axis=1)
+    other = perms.take(cols, axis=1)
+    low = np.minimum(index, other)
+    np.maximum(index, other, out=index)
+    index += np.take(offset, low, out=other)
+    return index
 
 
 def recurrence_rate(pd: PairedDistances, axis: str, radius: float) -> float:
@@ -534,7 +553,7 @@ def value_block_evaluator(pd: PairedDistances, functional):
     def cell_sum(t_block, squared):
         codes = np.searchsorted(col_values, t_block[:, z_order], side="left")
         at_stop = np.empty((len(t_block), cells.stops.size))
-        for s, num in enumerate(_sweep(codes, cells.stops, cells.col_j, m)):
+        for s, num in enumerate(_sweep(codes, cells)):
             dev = np.square(num, dtype=float) if squared else np.abs(num)
             _row_dots(dev, cells.col_dg2, out=at_stop[:, s])
         return _row_dots(at_stop, cells.stop_dg1)

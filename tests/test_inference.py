@@ -1,5 +1,6 @@
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from recurtest import _workers, fileio, inference, stats_core, streams
 from oracles import (
     l1_statistic_naive,
     l2_statistic_naive,
+    pair_index,
     sup_numerator_max,
     sup_statistic_naive,
     value_block_evaluator,
@@ -62,11 +64,12 @@ class TestPermutationTest:
             weights = () if functional == Functional.SUP else (rt.estimate_weight(pd.z), rt.estimate_weight(pd.t))
             assert stats_core._Cells(pd, *weights).large != ties
             # All m + 1 rows in one block, then each in its own, then the
-            # kernel's own plan and plans between.
+            # kernel's own plan and plans between, whose work pays for
+            # every process.
             runs = []
             for block_rows in (m + 1, 1, None, 4, 7):
                 prepare = real if block_rows is None else (
-                    lambda pd, f, rows=block_rows: replace(real(pd, f), block_rows=rows))
+                    lambda pd, f, rows=block_rows: replace(real(pd, f), block_rows=rows, row_seconds=1.0))
                 monkeypatch.setattr(inference, "prepare", prepare)
                 runs += [rt.permutation_test(x, y, spec, m=m, seed=9, jobs=jobs) for jobs in (1, 2)]
             for other in runs[1:]:
@@ -273,24 +276,108 @@ def test_block_plan_deals_equal_blocks_to_the_processes(cpus, monkeypatch):
     for jobs in (1, 2, 3, None):
         for rows in range(1, 40):
             for block_rows in (1, 2, 3, 5, 13, 39, 40):
-                bounds = inference._block_bounds(rows, block_rows, jobs)
+                # a second per row pays for every process
+                plan = SimpleNamespace(block_rows=block_rows, row_seconds=1.0)
+                bounds, workers = inference._block_bounds(rows, plan, jobs)
                 sizes = np.diff(bounds)
                 blocks = len(sizes)
                 assert bounds[0] == 0 and bounds[-1] == rows
                 assert sizes.min() >= 1 and sizes.max() <= block_rows
                 assert sizes[0] - sizes[-1] <= 1 and np.all(np.diff(sizes) <= 0)
                 if rows <= block_rows:
-                    assert blocks == 1
+                    assert blocks == 1 and workers == 1
                 else:
                     # a multiple of the processes while there are rows for
                     # each, and no more blocks than that takes
-                    workers = _workers.worker_count(jobs, -(-rows // block_rows))
+                    assert workers == _workers.worker_count(jobs, -(-rows // block_rows))
                     assert blocks % workers == 0 or blocks == rows
                     assert blocks < -(-rows // block_rows) + workers
     # m = 100 at n = 30, in blocks of at most 37 rows: three full blocks
     # would be 37, 37 and 27 rows, and two processes would do 74 and 27
     expected = {1: [0, 34, 68, 101], 2: [0, 26, 51, 76, 101], 4: [0, 34, 68, 101]}
-    assert inference._block_bounds(101, 37, None) == expected[cpus]
+    plan = SimpleNamespace(block_rows=37, row_seconds=1.0)
+    assert inference._block_bounds(101, plan, None) == (expected[cpus], min(cpus, 3))
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_block_plan_uses_the_processes_its_work_pays_for(cpus, monkeypatch):
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    fork = _workers._FORK_SECONDS
+    draw = inference._DRAW_SECONDS
+    for k in range(1, cpus + 1):
+        # k processes pay while k (k - 1) forks cost less than the work:
+        # 101 rows of work just above and at that cost.
+        work = k * (k - 1) * fork
+        above = SimpleNamespace(block_rows=1, row_seconds=work * 1.01 / 101 - draw)
+        at = SimpleNamespace(block_rows=1, row_seconds=work / 101 - draw)
+        assert inference._block_bounds(101, above, None)[1] == k
+        if k > 1:
+            assert inference._block_bounds(101, at, None)[1] == k - 1
+    # Blocks are not raised to a multiple of one process.
+    tiny = SimpleNamespace(block_rows=13, row_seconds=0.0)
+    assert inference._block_bounds(101, tiny, None) == ([0, 13, 26, 39, 52, 65, 77, 89, 101], 1)
+
+
+def benchmark_pair(n, ties, seed=0):
+    """X standard normal (n, 100) and Y = X^2 + 3 noise, rounded to
+    integers when ``ties``: the inputs of the test benchmarks."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 100))
+    y = x**2 + 3.0 * rng.standard_normal((n, 100))
+    return (np.round(x), np.round(y)) if ties else (x, y)
+
+
+def plan_of(x, y, metric, functional, jobs=None):
+    pd = rt.paired_distances(x, y, metric, metric)
+    return inference._block_bounds(101, stats_core.prepare(pd, functional), jobs)
+
+
+@pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+def test_block_plan_depends_only_on_the_sizes(functional):
+    # Permuting and rescaling Y keeps the pair count, the stops and the
+    # columns, and so the plan; other data of the same shape change them.
+    for n, ties, metric in ((12, True, Metric.LINF), (30, False, Metric.L1), (50, True, Metric.LINF)):
+        x, y = benchmark_pair(n, ties)
+        perm = np.random.default_rng(n).permutation(n)
+        evaluate = stats_core.prepare(rt.paired_distances(x, y, metric, metric), functional)
+        again = stats_core.prepare(rt.paired_distances(x, 3 * y[perm], metric, metric), functional)
+        assert (again.block_rows, again.row_seconds) == (evaluate.block_rows, evaluate.row_seconds)
+        for jobs in (1, 2, None):
+            assert plan_of(x, 3 * y[perm], metric, functional, jobs) == plan_of(x, y, metric, functional, jobs)
+
+
+@pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+def test_tied_benchmark_tests_fork_no_worker(functional, monkeypatch):
+    # The tied tests at n = 50 and 100 take a few milliseconds, less than
+    # forking a worker saves.
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(_workers.os, "fork", fork)
+    spec = StatisticSpec(functional, Metric.LINF, Metric.LINF)
+    samples = [benchmark_pair(n, ties=True) for n in (50, 100)]
+    for x, y in samples:
+        rt.permutation_test(x, y, spec, m=100, seed=1)
+    for cpus in (2, 4):
+        monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+        for x, y in samples:
+            assert plan_of(x, y, Metric.LINF, functional)[1] == 1
+
+
+def test_paper_benchmark_tests_keep_two_processes(monkeypatch):
+    # The continuous tests at the paper's sizes keep their blocks and share
+    # them between two processes.
+    monkeypatch.setattr(_workers.os, "sched_getaffinity", lambda pid: {0, 1})
+    expected = {
+        (30, Functional.L1): [51, 50], (30, Functional.SUP): [51, 50],
+        (30, Functional.L2): [26, 25, 25, 25],
+        (50, Functional.L1): [26, 25, 25, 25], (50, Functional.SUP): [26, 25, 25, 25],
+        (50, Functional.L2): [13] * 5 + [12] * 3,
+    }
+    for (n, functional), sizes in expected.items():
+        x, y = benchmark_pair(n, ties=False)
+        bounds, workers = plan_of(x, y, Metric.L1, functional)
+        assert (np.diff(bounds).tolist(), workers) == (sizes, 2)
 
 
 def test_sweeps_over_large_grids_take_wider_blocks():
@@ -339,7 +426,7 @@ def assert_swaps_give_the_observed_statistic(monkeypatch, x, y, functional, metr
         cells = stats_core._Cells(pd, rt.estimate_weight(pd.z), rt.estimate_weight(pd.t))
         assert cells.large != rounded
     perms = np.array([swapped(), swapped(SWAPS[0]), swapped(SWAPS[1]), swapped(*SWAPS)])
-    stats = stats_core.prepare(pd, functional)(pd.pair_index(perms))
+    stats = stats_core.prepare(pd, functional)(pair_index(pd.n, perms))
     assert np.array_equal(stats, np.full(4, stats[0]))
 
     class Drawn:  # stands in for the generator of permutation k
@@ -423,7 +510,7 @@ def test_sup_p_value_is_the_exact_lattice_p_value(seed):
     assert rep.observed == pytest.approx(np.sqrt(12) * observed / pd.pair_count**2, rel=1e-14)
     reached = sum(
         sup_numerator_max(rt.PairedDistances(pd.n, pd.z, pd.t[row])) >= observed
-        for row in pd.pair_index(perms)
+        for row in pair_index(pd.n, perms)
     )
     assert rep.p_value == (1 + reached) / (m + 1)
 

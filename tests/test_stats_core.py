@@ -561,7 +561,8 @@ class TestSupIntegerSweep:
         y = np.minimum(x + rng.integers(0, 2, (n, 2)), 4)
         pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
         assert pd.pair_count**2 > 2**31
-        num = next(stats_core._sweep(np.zeros((1, 1), int), [0], np.array([1]), pd.pair_count))
+        cells = stats_core._Cells(pd)
+        num = next(stats_core._sweep(cells.codes[None, cells.z_order], cells))
         assert num.dtype == np.int64
         m = pd.pair_count
         block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(2)])
@@ -649,6 +650,50 @@ class TestIndexBlocks:
             for layout in layouts:
                 assert np.array_equal(layout, block)
                 assert np.array_equal(evaluate(layout), want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 60),
+        scale=st.sampled_from([None, 1, 16, 1000, 0]),
+    )
+    def test_permutations_give_the_bits_of_pair_indices(self, seed, n, scale):
+        # Continuous data under L1, data rounded at ``scale`` under Linf, or
+        # (scale 0) a constant Y side; blocks of every size and a
+        # C-ordered, Fortran-ordered, strided and reversed layout.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        y = x**2 + rng.standard_normal((n, 3))
+        metric = Metric.L1
+        if scale == 0:
+            y = np.ones_like(y)
+        elif scale is not None:
+            x, y, metric = np.round(scale * x), np.round(scale * y), Metric.LINF
+        pd = rt.paired_distances(x, y, metric, metric)
+        perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(6)])
+        index = np.array([pair_index(n, p) for p in perms])
+        wide = np.zeros((14, 2 * n), dtype=perms.dtype)
+        wide[::2, ::2] = perms
+        layouts = [np.asfortranarray(perms), wide[::2, ::2], np.flipud(perms[::-1].copy())]
+        # A constant side has no weight; only the supremum is defined there.
+        weighted = np.ptp(pd.z) > 0 and np.ptp(pd.t) > 0
+        for functional in list(Functional) if weighted else [Functional.SUP]:
+            evaluate = stats_core.prepare(pd, functional)
+            want = evaluate(index)
+            for size in (1, 3, len(perms)):
+                assert np.array_equal(in_blocks(evaluate.permuted, perms, size), want)
+            for layout in layouts:
+                assert np.array_equal(evaluate.permuted(layout), want)
+
+    def test_permutations_need_every_pair_once(self):
+        # Doubled pairs have no table of the observations; their pair
+        # indices still evaluate.
+        pd = random_pairs(3, 8)
+        dup = PairedDistances(n=8, z=np.tile(pd.z, 2), t=np.tile(pd.t, 2))
+        evaluate = stats_core.prepare(dup, Functional.SUP)
+        assert evaluate(np.arange(dup.pair_count)[None, :]).shape == (1,)
+        with pytest.raises(rt.InvalidInputError, match="^permutations of 8 observations need their 28 pairs, got 56$"):
+            evaluate.permuted(np.arange(8)[None, :])
 
 
 def probe_data(seed, n, scale, metric, noise=1.0):

@@ -82,9 +82,11 @@ def sample_pair(ties, n=10):
 @pytest.fixture
 def blocks_of_4(monkeypatch):
     """Permutation tests take blocks of at most 4 of their m + 1 rows, so a
-    small m makes several units."""
+    small m makes several units, and a second per row, so that their work
+    pays for every process."""
     real = inference.prepare
-    monkeypatch.setattr(inference, "prepare", lambda pd, f: replace(real(pd, f), block_rows=4))
+    monkeypatch.setattr(
+        inference, "prepare", lambda pd, f: replace(real(pd, f), block_rows=4, row_seconds=1.0))
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
