@@ -5,11 +5,14 @@ pairwise distances are computed once, and the statistic is prepared once:
 permuting rows leaves the X side and the Y-side distance multiset unchanged,
 so only the pairing between the two coupled lists differs between
 permutations.  The pairings are then evaluated in blocks: row k of the
-blocks is permutation k, drawn from a stream that depends only on (seed, k),
-and row 0 is the identity, the observed pairing.  The prepared statistic
-evaluates each block of permutations at once (``Evaluator.permuted``), and
-names the most rows a block should hold (``Evaluator.block_rows``) and the
-predicted time of one row (``Evaluator.row_seconds``).  The m + 1 rows are
+blocks is permutation k, drawn from the stream (seed, k), and row 0 is the
+identity, the observed pairing.  The state words of the m streams are
+derived at once (``streams.Substreams``, 32 bytes a row) before the blocks
+are shared out, and each block draws its rows' permutations from them.
+The prepared statistic evaluates each block of permutations at once
+(``Evaluator.permuted``), and names the most rows a block should hold
+(``Evaluator.block_rows``) and the predicted time of one row
+(``Evaluator.row_seconds``).  The m + 1 rows are
 shared by as many processes as their predicted work, draws included, pays
 for (``_block_bounds``): a fork costs a few milliseconds, more than a test
 on small or tied samples takes.  They are cut into the fewest blocks,
@@ -37,9 +40,9 @@ from .metrics import ensure_sample, paired_distances
 from .stats_core import Evaluator, StatisticSpec, prepare
 
 # The predicted time of drawing one permutation of the observations: its
-# stream's generator, which costs about the same at every n up to a few
-# hundred (16-17 us at n = 30-100 on a 2-core x86-64 VM).
-_DRAW_SECONDS = 16e-6
+# stream's generator, from words derived with the test's others, and the
+# draw (4.3-5.5 us at n = 30-100 on a 2-core x86-64 VM).
+_DRAW_SECONDS = 5e-6
 
 
 @dataclass(frozen=True)
@@ -115,13 +118,14 @@ def permutation_test(
     evaluate = prepare(pd0, spec.functional)
     identity = np.arange(n)
     bounds, processes = _block_bounds(m + 1, evaluate, jobs)
+    draws = streams.Substreams(seed, streams.PERMUTATION, ks=range(1, m + 1))
 
     def block_stats(b: int) -> np.ndarray:
         """The statistics of block b's rows of the m + 1: row k pairs by
         permutation k, and row 0 by the identity."""
         perms = np.array(
             [
-                identity if k == 0 else streams.substream(seed, streams.PERMUTATION, k).permutation(n)
+                identity if k == 0 else draws.generator(k).permutation(n)
                 for k in range(bounds[b], bounds[b + 1])
             ]
         )

@@ -630,7 +630,7 @@ def gen_scenario(cfg: ScenarioConfig):
     ys = np.empty((cfg.n, cfg.length))
     # Each block is written into the matrices before the next is drawn.
     for block in _blocks(cfg.n, values):
-        rngs = (streams.substream(cfg.seed, streams.SCENARIO, k) for k in block)
+        rngs = map(streams.Substreams(cfg.seed, streams.SCENARIO, ks=block).generator, block)
         xs[block.start : block.stop], ys[block.start : block.stop] = step(len(block), rngs)
     if cfg.scenario in ("D2", "C2"):
         # ys = root + root.std() * ys for root = sqrt(|xs|), in one more

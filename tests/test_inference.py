@@ -436,7 +436,7 @@ def assert_swaps_give_the_observed_statistic(monkeypatch, x, y, functional, metr
         def permutation(self, n):
             return perms[1 + self.k % 3]
 
-    monkeypatch.setattr(streams, "substream", lambda seed, kind, k: Drawn(k))
+    monkeypatch.setattr(streams.Substreams, "generator", lambda draws, k: Drawn(k))
     rep = rt.permutation_test(x, y, spec, m=19, seed=1, jobs=1)
     assert rep.observed == stats[0] and rep.p_value == 1.0
 

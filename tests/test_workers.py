@@ -114,14 +114,14 @@ class PermutationFailure(Exception):
 @pytest.mark.parametrize("ks", [(5, 9), (9, 13)], ids=["caller-first", "worker-only"])
 @pytest.mark.parametrize("jobs", JOBS)
 def test_lowest_failing_block_raises(monkeypatch, blocks_of_4, jobs, ks):
-    real = streams.substream
+    real = streams.Substreams.generator
 
-    def substream(seed, *path):
-        if path[0] == streams.PERMUTATION and path[1] in ks:
-            raise PermutationFailure(f"permutation {path[1]} broke")
-        return real(seed, *path)
+    def generator(draws, k):
+        if k in ks:
+            raise PermutationFailure(f"permutation {k} broke")
+        return real(draws, k)
 
-    monkeypatch.setattr(streams, "substream", substream)
+    monkeypatch.setattr(streams.Substreams, "generator", generator)
     x, y = sample_pair(ties=False)
     with pytest.raises(PermutationFailure, match=f"^permutation {ks[0]} broke$"):
         rt.permutation_test(x, y, SPECS[0], 13, seed=2, jobs=jobs)
