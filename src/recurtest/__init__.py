@@ -34,6 +34,7 @@ _EXPORTS = {
     "arma_stationary_sd": "simulate",
     "fou_pair_weights": "simulate",
     "gen_scenario": "simulate",
+    "gen_scenarios": "simulate",
     "Functional": "choices",
     "StatisticSpec": "stats_core",
     "statistic": "stats_core",

@@ -23,10 +23,16 @@ memory.
 
 Units that run tests of their own pass them a process budget as an
 argument: the caller's ``jobs`` when there is one unit, and ``jobs=1`` when
-there are several, which already use the processes.
+there are several, which already use the processes.  A power study's units
+are per-process shares: ``run_power`` cuts its replications into
+``worker_count(jobs, reps)`` contiguous chunks (``chunk_bounds``), and each
+process draws its share in generation blocks of replications and tests
+them one at a time.
 
 Every process holds one unit's working memory at a time, so the peak memory
-of a call grows with the number of processes; ``jobs`` bounds it.
+of a call grows with the number of processes; ``jobs`` bounds it.  For a
+power study that is one generation block of replications, at most
+``simulate._BLOCK_VALUES`` counted values, plus one replication's test.
 """
 
 from __future__ import annotations
@@ -80,6 +86,13 @@ def worker_count(jobs, units: int, seconds: float = math.inf) -> int:
     return workers
 
 
+def chunk_bounds(count: int, chunks: int) -> list[int]:
+    """The bounds of ``count`` units cut into ``chunks`` contiguous chunks,
+    larger ones first: chunk c holds units ``bounds[c] .. bounds[c + 1] -
+    1``, and the sizes differ by at most one."""
+    return [-(-count * c // chunks) for c in range(chunks + 1)]
+
+
 def run_units(fn, count: int, jobs) -> list:
     """``[fn(i) for i in range(count)]``, over up to ``jobs`` processes.
 
@@ -93,8 +106,7 @@ def run_units(fn, count: int, jobs) -> list:
     the very exception a serial run raises, and no exception object has to
     survive pickling.
     """
-    workers = worker_count(jobs, count)
-    bounds = [-(-count * w // workers) for w in range(workers + 1)]
+    bounds = chunk_bounds(count, worker_count(jobs, count))
     (lo, hi), *chunks = zip(bounds, bounds[1:])
     children = []
     try:

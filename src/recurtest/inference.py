@@ -116,20 +116,12 @@ def permutation_test(
         raise InvalidInputError(f"permutation test needs n >= 3 observations, got {n}")
 
     evaluate = prepare(pd0, spec.functional)
-    identity = np.arange(n)
     bounds, processes = _block_bounds(m + 1, evaluate, jobs)
     draws = streams.Substreams(seed, streams.PERMUTATION, ks=range(1, m + 1))
 
     def block_stats(b: int) -> np.ndarray:
-        """The statistics of block b's rows of the m + 1: row k pairs by
-        permutation k, and row 0 by the identity."""
-        perms = np.array(
-            [
-                identity if k == 0 else draws.generator(k).permutation(n)
-                for k in range(bounds[b], bounds[b + 1])
-            ]
-        )
-        return evaluate.permuted(perms)
+        """The statistics of block b's rows of the m + 1."""
+        return evaluate.permuted(_permutations(draws, range(bounds[b], bounds[b + 1]), n))
 
     stats = np.concatenate(run_units(block_stats, len(bounds) - 1, processes))
     observed = float(stats[0])
@@ -146,6 +138,19 @@ def permutation_test(
         perm_stats=perm_stats,
         elapsed=time.perf_counter() - start,
     )
+
+
+def _permutations(draws: streams.Substreams, ks: range, n: int) -> np.ndarray:
+    """The ``(len(ks), n)`` block of the permutations of rows ``ks``: row k
+    is ``draws.generator(k).permutation(n)``, and row 0 the identity.  Each
+    row starts as the identity and is shuffled in place, which draws the
+    very bits ``permutation(n)`` draws."""
+    perms = np.empty((len(ks), n), dtype=np.int64)
+    perms[:] = np.arange(n)
+    for row, k in zip(perms, ks):
+        if k:
+            draws.generator(k).shuffle(row)
+    return perms
 
 
 def _block_bounds(rows: int, evaluate: Evaluator, jobs) -> tuple[list[int], int]:

@@ -549,16 +549,16 @@ def _check_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
 def _response_block(cfg: ScenarioConfig, size: int, signal, to_x, width: int, rngs):
     """``(x, y)`` of null, D1-D3 or C1-C3 for a block of ``width``
     replications drawing from ``rngs``.  Each replication draws ``size``
-    values with ``signal(rng)``, then its noise (a second one for C3), all
-    as columns; ``to_x`` turns the block's signal columns into those of x.
-    Y is the noise for null and for D2/C2, which scale it over the whole
-    batch later, and the alternative of x and the noise otherwise."""
-    draws = np.empty((size, width))
-    eps = np.empty((1 + (cfg.scenario == "C3"), cfg.length, width))
-    for column, rng in enumerate(rngs):
-        draws[:, column] = signal(rng)
+    values with ``signal(rng)``, then its noise (a second one for C3), each
+    into a row, so that its draws are contiguous; ``to_x`` turns the block's
+    signal rows into those of x.  Y is the noise for null and for D2/C2,
+    which scale it later, and the alternative of x and the noise otherwise."""
+    draws = np.empty((width, size))
+    eps = np.empty((1 + (cfg.scenario == "C3"), width, cfg.length))
+    for row, rng in enumerate(rngs):
+        draws[row] = signal(rng)
         for noise in eps:
-            noise[:, column] = rng.standard_normal(cfg.length)
+            noise[row] = rng.standard_normal(cfg.length)
     x = to_x(draws)
     y = eps[0]
     if cfg.scenario in ("D1", "C1"):
@@ -567,7 +567,7 @@ def _response_block(cfg: ScenarioConfig, size: int, signal, to_x, width: int, rn
         y = y * x
         for noise in eps[1:]:  # C3's second noise
             y += 3.0 * noise
-    return x.T, y.T
+    return x, y
 
 
 def _scenario_step(cfg: ScenarioConfig):
@@ -583,7 +583,8 @@ def _scenario_step(cfg: ScenarioConfig):
         sd = _stationary_sd(cfg.phi, cfg.theta)
 
         def arma(noise):
-            return _arma(cfg.phi, cfg.theta, noise, _ARMA_BURN_IN) / sd
+            # The rows' transpose steps the block's replications together.
+            return (_arma(cfg.phi, cfg.theta, noise.T, _ARMA_BURN_IN) / sd).T
 
         # Only the burn-in rows count: numpy rows beat the float loop only
         # when wide, so a block stays wide however long the series; its
@@ -622,24 +623,60 @@ def gen_scenario(cfg: ScenarioConfig):
     A scenario may draw at most 2**24 values (n * len) per matrix.  The two
     matrices then take 256 MiB, and generation peaks at about 0.3 GB, or
     0.43 GB for D2/C2.  A larger config raises ``InvalidInputError`` before
-    anything is allocated.
+    anything is allocated.  This is the one-seed case of ``gen_scenarios``.
+    """
+    (scenario,) = gen_scenarios(cfg, [cfg.seed])
+    return scenario
+
+
+def gen_scenarios(cfg: ScenarioConfig, seeds):
+    """Yield ``gen_scenario``'s matrices of ``cfg`` at each of ``seeds`` in
+    turn, as if ``cfg.seed`` were that seed; ``cfg.seed`` itself is unused.
+
+    The series of consecutive seeds share the blocks of ``_blocks``, so a
+    few short series step together as numpy rows; series k of seed s still
+    draws only from the stream (s, k), and D2/C2 scale a seed's noise once
+    its matrices are complete, so every seed's matrices have the bits
+    ``gen_scenario`` gives them alone.  A seed's matrices are yielded as
+    soon as its last series is drawn: the generator then holds one block
+    and the matrices of the seeds the block spans.  The config is checked
+    on the first ``next``, before anything is drawn.
     """
     cfg = _check_scenario(cfg)
     values, step = _scenario_step(cfg)
-    xs = np.empty((cfg.n, cfg.length))
-    ys = np.empty((cfg.n, cfg.length))
-    # Each block is written into the matrices before the next is drawn.
-    for block in _blocks(cfg.n, values):
-        rngs = map(streams.Substreams(cfg.seed, streams.SCENARIO, ks=block).generator, block)
-        xs[block.start : block.stop], ys[block.start : block.stop] = step(len(block), rngs)
-    if cfg.scenario in ("D2", "C2"):
-        # ys = root + root.std() * ys for root = sqrt(|xs|), in one more
-        # matrix: the deviations from the pooled mean and their squares
-        # overwrite the root, summed over the whole batch as np.std sums
-        # them (the same bits), and the root is then taken again.
-        buf = np.abs(xs)
-        np.sqrt(buf, out=buf)
-        buf -= np.add.reduce(buf, axis=None) / buf.size
-        ys *= np.sqrt(np.add.reduce(np.square(buf, out=buf), axis=None) / buf.size)
-        ys += np.sqrt(np.abs(xs, out=buf), out=buf)
-    return xs, ys
+    seeds, n = list(seeds), cfg.n
+    for block in _blocks(len(seeds) * n, values):
+        # The seeds the block spans, with the range of each one's series in it.
+        spans = [
+            (seeds[s], range(max(block.start - s * n, 0), min(block.stop - s * n, n)))
+            for s in range(block.start // n, -(-block.stop // n))
+        ]
+        rngs = chain.from_iterable(
+            map(streams.Substreams(seed, streams.SCENARIO, ks=ks).generator, ks) for seed, ks in spans
+        )
+        x, y = step(len(block), rngs)
+        row = 0
+        for _, ks in spans:
+            if ks.start == 0:
+                xs, ys = np.empty((n, cfg.length)), np.empty((n, cfg.length))
+            xs[ks.start : ks.stop] = x[row : row + len(ks)]
+            ys[ks.start : ks.stop] = y[row : row + len(ks)]
+            row += len(ks)
+            if ks.stop == n:
+                if cfg.scenario in ("D2", "C2"):
+                    _pool_noise(xs, ys)
+                yield xs, ys
+        del x, y  # freed before the next block is drawn
+
+
+def _pool_noise(xs: np.ndarray, ys: np.ndarray) -> None:
+    """D2/C2's response: ``ys = root + root.std() * ys`` for root =
+    sqrt(|xs|), in place, in one more matrix: the deviations from the
+    pooled mean and their squares overwrite the root, summed over the whole
+    batch as np.std sums them (the same bits), and the root is then taken
+    again."""
+    buf = np.abs(xs)
+    np.sqrt(buf, out=buf)
+    buf -= np.add.reduce(buf, axis=None) / buf.size
+    ys *= np.sqrt(np.add.reduce(np.square(buf, out=buf), axis=None) / buf.size)
+    ys += np.sqrt(np.abs(xs, out=buf), out=buf)

@@ -42,7 +42,7 @@ over the weighted grid, and the supremum takes their largest magnitude over
 the unweighted grid.  The quadratic functional sums their squares on a
 small grid, as on tied data, and otherwise evaluates the expanded square in
 closed form from each row's Y ranks: a double sum of products of two
-minima (``_min_kernel_sums``).
+minima (``_min_kernel``).
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -153,8 +153,13 @@ def _evaluator(kernel, cells: _Cells, values: np.ndarray, kernel_seconds: float,
     in blocks of ``_WIDE_BLOCK_PAIRS`` pairs if ``wide`` and
     ``_BLOCK_PAIRS`` otherwise, and at least one row.  A row is predicted
     to take ``kernel_seconds`` plus the gather of its m pairs."""
-    block_rows = max(1, (_WIDE_BLOCK_PAIRS if wide else _BLOCK_PAIRS) // cells.m)
+    block_rows = _block_rows(cells.m, wide)
     return Evaluator(kernel, cells, values, block_rows, _PAIR_SECONDS * cells.m + kernel_seconds)
+
+
+def _block_rows(m: int, wide: bool = False) -> int:
+    """The most rows of m pairs a block holds (see ``_evaluator``)."""
+    return max(1, (_WIDE_BLOCK_PAIRS if wide else _BLOCK_PAIRS) // m)
 
 
 @dataclass(frozen=True)
@@ -392,7 +397,7 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     With Z = 1 - G1 and s = 1 - G2 of each record's distances, the survival
     weights of a pair's larger distances are min(Z_i, Z_j) and min(s_i, s_j).
     Expanding the square gives three means over pairs of records: the joint
-    term of their product (``_min_kernel_sums``), and the product and cross
+    term of their product (``_min_kernel``), and the product and cross
     terms, which factorize into per-record brackets prepared once.  A row
     gathers the Y rank of each z-position and scatters the z-positions into
     Y order.  So that the bits depend on the values alone, runs of equal Z
@@ -416,16 +421,26 @@ def _l2_closed_form(cells: _Cells, pd: PairedDistances) -> Evaluator:
     z_bracket = _min_row_sums(surv_z)
     t_bracket_sorted = _min_row_sums(surv_t_sorted)
     product_term = z_bracket.sum() * t_bracket_sorted.sum() / m**4
+    block_rows = _block_rows(m)
+    joint_sums = _min_kernel(surv_z, surv_t_sorted, block_rows)
+    orders = np.empty((block_rows, m), dtype=np.int32)
+    row_index = np.arange(block_rows)[:, None]
 
     def evaluate(ranks: np.ndarray) -> np.ndarray:
+        # At most block_rows rows at a time, the buffers' size; each row's
+        # value is its own.
+        chunks = range(0, len(ranks), block_rows)
+        return np.concatenate([evaluate_rows(ranks[lo : lo + block_rows]) for lo in chunks])
+
+    def evaluate_rows(ranks: np.ndarray) -> np.ndarray:
         # ranks[p, i]: the Y rank of row p's record at z-position i, and
         # order[p, r]: the z-position of its record of Y rank r.
         _sort_runs(ranks, z_tied, z_tie_keys)
-        order = np.empty(ranks.shape, dtype=np.int32)
-        np.put_along_axis(order, ranks, positions, axis=1)
+        order = orders[: len(ranks)]
+        order[row_index[: len(ranks)], ranks] = positions
         _sort_runs(order, t_tied, t_tie_keys)
         cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
-        joint_term = _min_kernel_sums(order, surv_z, surv_t_sorted) / (m * m)
+        joint_term = joint_sums(order) / (m * m)
         values = n * (joint_term + product_term - 2.0 * cross_term)
         return _clamp_nonnegative(values, "the quadratic closed form")
 
@@ -463,71 +478,88 @@ def _tile_min_sums(values: np.ndarray, weights: np.ndarray, groups=None) -> np.n
         groups = groups.reshape(tiles.shape)
         group_ring = np.concatenate([groups, groups], axis=2)
     out = np.zeros(tiles.shape[:2])
+    w = np.empty_like(weights)  # each step's weights
     for d in range(1, size // 2 + 1):
         mins = np.minimum(tiles, ring[..., d : d + size])
         if groups is not None:
             mins *= groups != group_ring[..., d : d + size]
         # Each pair takes its later position's weight: i + d, or i once wrapped.
-        w = np.concatenate([weights[:, d:], weights[:, size - d :]], axis=1)
+        w[:, : size - d] = weights[:, d:]
+        w[:, size - d :] = weights[:, size - d :]
         out += np.vecdot(mins, w / 2 if 2 * d == size else w)
     return out.sum(axis=1)
 
 
-def _min_kernel_sums(order: np.ndarray, surv_z: np.ndarray, surv_t: np.ndarray) -> np.ndarray:
-    """sum_{i,j} min(Z_i, Z_j) min(s_i, s_j) over the records of each row:
-    Z = ``surv_z`` in z-order and s = ``surv_t`` in Y order, both
-    nonincreasing, and ``order[p, r]`` is the z-position of the record of
-    Y rank r.  Blocks of B = isqrt(m) consecutive z-positions and buckets of
-    B consecutive Y ranks split the pairs three ways.  Pairs within a block,
+def _min_kernel(surv_z: np.ndarray, surv_t: np.ndarray, block_rows: int):
+    """``sums(order)``: per row of a block of at most ``block_rows`` rows,
+    sum_{i,j} min(Z_i, Z_j) min(s_i, s_j) over its records.  Z = ``surv_z``
+    in z-order and s = ``surv_t`` in Y order are both nonincreasing, and
+    ``order[p, r]`` is the z-position of the record of Y rank r.
+
+    Blocks of B = isqrt(m) consecutive z-positions and buckets of B
+    consecutive Y ranks split the pairs three ways.  Pairs within a block,
     and pairs within a bucket but across blocks, are summed by diagonals of
-    tiles of B records (``_tile_min_sums``).  The other pairs take the Z
-    of their later block and the s of their higher bucket, so tables of the
+    tiles of B records (``_tile_min_sums``).  The other pairs take the Z of
+    their later block and the s of their higher bucket, so tables of the
     count, Z, Z*s and s per (block, bucket), two exclusive 2-D prefix sums
     and two dot products sum them: O(m^1.5) work and O(m) memory per row.
-    Padding records have Z = s = 0.
+    Padding records have Z = s = 0.  What no row changes -- the padded Z
+    and s, the bucket keys, the tiled s weights -- and the buffers a block
+    is written into are made once.
     """
-    rows, m = order.shape
+    m = surv_z.size
     size = isqrt(m)
     count = -(-m // size)
     padded = count * size
-    z = np.pad(surv_z, (0, padded + 1 - m))
-    t = np.pad(surv_t, (0, padded - m))
-    s = np.zeros((rows, padded))  # in z-order
-    np.put_along_axis(s, order, surv_t, axis=1)
-    dense = _tile_min_sums(s, z[:padded].reshape(count, size))
-    del s
-    z_rank = np.pad(order, ((0, 0), (0, padded - m)), constant_values=m)
-    z_by_rank = z[z_rank]
-    block = np.floor_divide(z_rank, size, out=z_rank)
-    dense += _tile_min_sums(z_by_rank, t.reshape(count, size),
-                            block.astype(np.min_scalar_type(count)))
-
+    z = np.zeros(padded + 1)
+    z[:m] = surv_z
+    t = np.zeros(padded)
+    t[:m] = surv_t
+    z_tiles, t_tiles = z[:padded].reshape(count, size), t.reshape(count, size)
     # Tables of (count + 1)^2 cells per row.  The exclusive prefix over lower
     # blocks and lower buckets of cell (k, c) is cell (k, c) of the inclusive
     # prefix sums of a table whose records sit one cell further on both
     # axes; buckets counted down turn lower buckets into higher ones.
     width = count + 1
-    cell = block * np.int64(width) + (np.arange(rows) * width * width)[:, None]
-    del block, z_rank
     up = np.arange(padded, dtype=np.int32) // size
-    shift = width + 1
-
-    def table(keys, weights=None, prefix=False):
-        out = np.bincount(keys.ravel(), weights, rows * width * width).reshape(rows, width, width)
-        if prefix:
-            np.cumsum(out, axis=1, out=out)
-            np.cumsum(out, axis=2, out=out)
-        return out.reshape(rows, -1)
-
-    # A record's pairs with records of lower blocks weigh its Z*s each if
-    # they have lower buckets, and its Z times their s if higher ones.
-    lower = table(cell + (up + shift), prefix=True)
-    straddle = _row_dots(lower, table(cell + up, (z_by_rank * t).ravel()))
-    del lower
     down = count - 1 - up
-    higher = table(cell + (down + shift), np.broadcast_to(t, (rows, padded)).ravel(), True)
-    straddle += _row_dots(higher, table(cell + down, z_by_rank.ravel()))
-    return _row_dots(z_by_rank, t) + 2.0 * (dense + straddle)
+    up_shifted, down_shifted = up + (width + 1), down + (width + 1)
+    row_cells = (np.arange(block_rows) * width * width)[:, None]
+    row_index = np.arange(block_rows)[:, None]
+    t_rows = np.tile(t, block_rows)  # the s of each record of a block, row by row
+    s_block = np.zeros((block_rows, padded))  # in z-order; the padding stays 0
+    z_rank = np.empty((block_rows, padded), dtype=np.int32)
+
+    def sums(order: np.ndarray) -> np.ndarray:
+        rows = len(order)
+        s = s_block[:rows]
+        s[row_index[:rows], order] = surv_t
+        dense = _tile_min_sums(s, z_tiles)
+        ranks = z_rank[:rows]
+        ranks[:, :m] = order
+        ranks[:, m:] = m
+        z_by_rank = z[ranks]
+        block = np.floor_divide(ranks, size, out=ranks)
+        dense += _tile_min_sums(z_by_rank, t_tiles, block.astype(np.min_scalar_type(count)))
+        cell = block * np.int64(width) + row_cells[:rows]
+
+        def table(keys, weights=None, prefix=False):
+            out = np.bincount(keys.ravel(), weights, rows * width * width).reshape(rows, width, width)
+            if prefix:
+                np.cumsum(out, axis=1, out=out)
+                np.cumsum(out, axis=2, out=out)
+            return out.reshape(rows, -1)
+
+        # A record's pairs with records of lower blocks weigh its Z*s each if
+        # they have lower buckets, and its Z times their s if higher ones.
+        lower = table(cell + up_shifted, prefix=True)
+        straddle = _row_dots(lower, table(cell + up, (z_by_rank * t).ravel()))
+        del lower
+        higher = table(cell + down_shifted, t_rows[: rows * padded], True)
+        straddle += _row_dots(higher, table(cell + down, z_by_rank.ravel()))
+        return _row_dots(z_by_rank, t) + 2.0 * (dense + straddle)
+
+    return sums
 
 
 # ---------------------------------------------------------------------------

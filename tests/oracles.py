@@ -13,7 +13,7 @@ pair-index blocks keeps.  ``dominance_closed_form`` is the earlier closed
 form of the quadratic functional, built on the rank dominance sums of
 ``prefix_dominance``, and ``min_kernel_literal`` the literal double sum
 that replaced it; ``tile_min_sums_literal`` sums the within-tile pairs of
-``_min_kernel_sums`` one by one.  ``sup_numerator_max`` is the integer
+``_min_kernel`` one by one.  ``sup_numerator_max`` is the integer
 maximum that the supremum scales, counted literally.  ``identity_statistic``
 is no oracle: it is the tests' one way to evaluate the kernel on the pairing
 a distance structure stores, and ``pair_index`` maps permutations of the
@@ -40,7 +40,7 @@ from recurtest.stats_core import (
     _Cells,
     _clamp_nonnegative,
     _closed_form_work,
-    _min_kernel_sums,
+    _min_kernel,
     _min_row_sums,
     _row_dots,
     _sweep,
@@ -574,7 +574,7 @@ def value_block_evaluator(pd: PairedDistances, functional):
         for run in z_runs:
             t_by_z[:, run] = np.sort(t_by_z[:, run], axis=1)
         order = np.argsort(t_by_z, axis=1, kind="stable")
-        joint_term = _min_kernel_sums(order, surv_z, 1.0 - cells.g2) / (m * m)
+        joint_term = _min_kernel(surv_z, 1.0 - cells.g2, len(order))(order) / (m * m)
         cross_term = _row_dots(z_bracket[order], t_bracket_sorted) / (m * m * m)
         return _clamp_nonnegative(n * (joint_term + product_term - 2.0 * cross_term), "l2")
 

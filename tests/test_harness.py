@@ -126,10 +126,10 @@ def test_failed_replication_keeps_exception_type(monkeypatch):
             super().__init__(code, detail)
             self.code = code
 
-    def fail(cfg):
+    def fail(cfg, seeds):
         raise TwoArgumentError(7, "generator broke")
 
-    monkeypatch.setattr(harness, "gen_scenario", fail)
+    monkeypatch.setattr(harness, "gen_scenarios", fail)
     with pytest.raises(TwoArgumentError) as info:
         rt.run_power(tiny_study())
     assert "replication 0" in str(info.value)

@@ -394,6 +394,15 @@ def test_sweeps_over_large_grids_take_wider_blocks():
             assert rows[Functional.L1] == rows[Functional.SUP] > rows[Functional.L2]
 
 
+@pytest.mark.parametrize("n", [3, 30, 100])
+def test_rows_shuffled_in_place_are_the_drawn_permutations(n):
+    # the rows of a block, row 0 included, as each block of rows 0-4 and 5-9 draws them
+    draws = streams.Substreams(11, streams.PERMUTATION, ks=range(1, 10))
+    got = np.concatenate([inference._permutations(draws, ks, n) for ks in (range(0, 5), range(5, 10))])
+    want = [np.arange(n)] + [streams.substream(11, streams.PERMUTATION, k).permutation(n) for k in range(1, 10)]
+    assert got.dtype == np.int64 and np.array_equal(got, np.array(want))
+
+
 def with_identical_rows(rounded, both_sides):
     """X standard normal (20, 3), Y = X^2 + noise, rounded or not, with the
     rows of SWAPS made identical in X, and in Y too when ``both_sides``."""
@@ -433,8 +442,8 @@ def assert_swaps_give_the_observed_statistic(monkeypatch, x, y, functional, metr
         def __init__(self, k):
             self.k = k
 
-        def permutation(self, n):
-            return perms[1 + self.k % 3]
+        def shuffle(self, row):
+            row[:] = perms[1 + self.k % 3]
 
     monkeypatch.setattr(streams.Substreams, "generator", lambda draws, k: Drawn(k))
     rep = rt.permutation_test(x, y, spec, m=19, seed=1, jobs=1)

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -534,6 +535,23 @@ class TestScenarios:
         assert ys.tobytes() == single_ys.tobytes()
         if sid not in ("D2", "C2"):  # whose noise scale is pooled over the batch
             assert ys[:5].tobytes() == small_ys.tobytes()
+
+    @pytest.mark.parametrize("sid", sorted(DRAW_DIGESTS))
+    @pytest.mark.parametrize("width", [None, 5], ids=["one-block", "blocks-of-5"])
+    def test_seeds_drawn_together_are_drawn_alone(self, sid, width, monkeypatch):
+        # 7 seeds of 3 series: alone a seed's block steps as floats (fewer
+        # than _ROW_COLUMNS positions), together its series step as numpy
+        # rows, in one block or in blocks of 5 that split seeds and span them
+        cfg = ScenarioConfig(scenario=sid, n=3, length=25, lam=2.0, lam1=2.0, lam2=4.0)
+        seeds = [0, 5, 2**64 - 1, 7, -3, 12, 99]
+        alone = [rt.gen_scenario(replace(cfg, seed=seed)) for seed in seeds]
+        if width is not None:
+            values, _ = simulate._scenario_step(simulate._check_scenario(cfg))
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", width * values)
+        together = list(rt.gen_scenarios(cfg, seeds))
+        assert len(together) == len(seeds)
+        for (xs, ys), (want_xs, want_ys) in zip(together, alone):
+            assert xs.tobytes() == want_xs.tobytes() and ys.tobytes() == want_ys.tobytes()
 
     @pytest.mark.parametrize("sid", ["C1", "C2", "C3", "C5", "C7", "X-FOU-Y-FOU"])
     def test_eigenvalues_computed_once_per_call(self, sid, monkeypatch):

@@ -712,7 +712,7 @@ P_VALUE_PROBE = [(n, scale, metric) for n in (12, 20, 30, 50) for scale in (None
 
 class TestMinKernel:
     """The closed form's joint term as a sum of products of two minima
-    (``stats_core._min_kernel_sums``), against the rank dominance sums it
+    (``stats_core._min_kernel``), against the rank dominance sums it
     replaced (``oracles.dominance_closed_form``) and the literal double sum
     (``oracles.min_kernel_literal``)."""
 
@@ -721,7 +721,7 @@ class TestMinKernel:
         """The min-kernel sums of the rows of ``t_block``, ordered by their
         values (equal ones in z-order), over m^2."""
         order = np.argsort(t_block[:, cells.z_order], axis=1, kind="stable")
-        return stats_core._min_kernel_sums(order, 1.0 - cells.g1, 1.0 - cells.g2) / cells.m**2
+        return stats_core._min_kernel(1.0 - cells.g1, 1.0 - cells.g2, len(order))(order) / cells.m**2
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -771,7 +771,7 @@ class TestMinKernel:
     )
     def test_tile_sums_match_literal_sum(self, seed, rows, count, size, pad, groups):
         # Tiles of B = size records, the last ``pad`` of them padding zeros
-        # (value and weight) as in ``_min_kernel_sums``; values rounded to
+        # (value and weight) as in ``_min_kernel``; values rounded to
         # one digit tie.
         rng = np.random.default_rng(seed)
         padded, pad = count * size, pad % size

@@ -45,8 +45,9 @@ def assert_no_child_left():
 
 
 def test_run_power_same_for_every_jobs():
-    # 12 replications make 12 units; one makes one, whose tests get the jobs
-    for reps in (12, 1):
+    # 12 or 7 replications make a share per process; one makes one, whose
+    # tests get the jobs
+    for reps in (12, 7, 1):
         results = [rt.run_power(small_study(reps=reps), jobs=jobs) for jobs in JOBS]
         first = results[0]
         for other in results[1:]:
@@ -55,6 +56,20 @@ def test_run_power_same_for_every_jobs():
             assert [replace(r, seconds=0.0) for r in first.rows] == [
                 replace(r, seconds=0.0) for r in other.rows
             ]
+
+
+@pytest.mark.parametrize("jobs", JOBS)
+def test_replications_are_their_draws_and_tests_alone(jobs):
+    # each replication's p-values are those of its own gen_scenario call and
+    # tests, however the shares draw their data
+    study = small_study(reps=7, scenario=ScenarioConfig(scenario="D2", n=10, length=6, seed=0))
+    got = rt.run_power(study, jobs=jobs).p_values
+    for k in range(study.reps):
+        data_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 0)
+        xs, ys = rt.gen_scenario(replace(study.scenario, seed=data_seed))
+        for j, spec in enumerate(study.specs):
+            test_seed = streams.derive_seed(study.seed, streams.POWER_REP, k, 1 + j)
+            assert got[k, j] == rt.permutation_test(xs, ys, spec, study.m, test_seed, jobs=1).p_value
 
 
 def test_dependogram_same_for_every_jobs():
@@ -191,14 +206,15 @@ class RepFailure(Exception):
 def test_lowest_failing_replication_raises(monkeypatch, jobs, reps):
     study = small_study()
     failing = {streams.derive_seed(study.seed, streams.POWER_REP, k, 0): k for k in reps}
-    real = harness.gen_scenario
+    real = harness.gen_scenarios
 
-    def gen_scenario(cfg):
-        if cfg.seed in failing:
-            raise RepFailure(failing[cfg.seed], "generator broke")
-        return real(cfg)
+    def gen_scenarios(cfg, seeds):
+        for seed, scenario in zip(seeds, real(cfg, seeds)):
+            if seed in failing:
+                raise RepFailure(failing[seed], "generator broke")
+            yield scenario
 
-    monkeypatch.setattr(harness, "gen_scenario", gen_scenario)
+    monkeypatch.setattr(harness, "gen_scenarios", gen_scenarios)
     with pytest.raises(RepFailure) as info:
         rt.run_power(study, jobs=jobs)
     assert str(info.value).startswith(f"power replication {reps[0]} failed: ")
