@@ -37,12 +37,18 @@ before any work; nothing is timed at run time.
 The sweep (``_sweep``) walks the fixed z-order once over each row's codes
 and keeps the integer numerators m*C - h*cum of the discrepancy, exact in
 int32 or int64; what it shares between blocks is prepared once per grid
-(``_Cells.sweep_setup``).  The absolute functional sums the numerators
-over the weighted grid, and the supremum takes their largest magnitude over
-the unweighted grid.  The quadratic functional sums their squares on a
-small grid, as on tied data, and otherwise evaluates the expanded square in
-closed form from each row's Y ranks: a double sum of products of two
-minima (``_min_kernel``).
+(``_Cells.sweep_setup``).  Every numpy call costs a fixed time whatever its
+size.  On a large grid the sweep stops after each record and adds that
+record's column ramp.  On a small grid, as on tied data, it advances
+``_Cells.span`` stops a step: one table of the step's records counted by
+(row, stop, code), summed along the codes and the stops, gives the
+numerators at all of its stops, so the fixed costs are paid per step
+rather than per stop.  The absolute functional sums the numerators over the
+weighted grid, one dot product per row and stop, and the supremum takes
+their largest magnitude over the unweighted grid.  The quadratic functional
+sums their squares on a small grid, and otherwise evaluates the expanded
+square in closed form from each row's Y ranks: a double sum of products of
+two minima (``_min_kernel``).
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -81,8 +87,10 @@ _WIDE_BLOCK_PAIRS = 1 << 15
 # at n = 50 and 100), each cell of a sweep (l1 1.1-1.8 ns and sup
 # 0.8-1.3 ns at n = 30-150 on continuous data), and each m^1.5 of the
 # quadratic closed form (7.8 ns at n = 30, 5.9 at 50, 3.2-3.4 at 100-150).
-# A sweep over tied data also pays about 15-25 ns per pair for its runs'
-# histograms, which the prediction leaves out.
+# A sweep over tied data also pays about 5-9 ns per pair for its count
+# tables and its blocks' fixed costs, which the prediction leaves out: on
+# integer data under Linf at n = 50-200 a row takes 2.7-4.1 times the
+# prediction.
 _PAIR_SECONDS = 2.7e-9
 _CELL_SECONDS = 1.2e-9
 _CLOSED_FORM_SECONDS = 5e-9
@@ -102,10 +110,11 @@ class Evaluator:
       of observations (perm[i], perm[j]).  It needs the layout of
       ``paired_distances``, every pair i < j once in lexicographic order.
 
-    ``values`` holds the value of each pair that the kernel reads (see
-    ``_Cells``).  ``block_rows`` is the most rows a block should hold, for
-    speed and memory, and ``row_seconds`` the predicted time of one row
-    (see ``_evaluator``); any P gives the same value per row.
+    Both map a block of no rows to an empty array.  ``values`` holds the
+    value of each pair that the kernel reads (see ``_Cells``).
+    ``block_rows`` is the most rows a block should hold, for speed and
+    memory, and ``row_seconds`` the predicted time of one row (see
+    ``_evaluator``); any P gives the same value per row.
     """
 
     kernel: Callable[[np.ndarray], np.ndarray]
@@ -115,7 +124,7 @@ class Evaluator:
     row_seconds: float
 
     def __call__(self, index: np.ndarray) -> np.ndarray:
-        return self.kernel(self.values[index.take(self.cells.z_order, axis=1)])
+        return self._evaluate(self.values[index.take(self.cells.z_order, axis=1)])
 
     def permuted(self, perms: np.ndarray) -> np.ndarray:
         """The statistics of a ``(P, n)`` block of permutations of the
@@ -129,7 +138,12 @@ class Evaluator:
         flat += perms.take(cols_z, axis=1)
         values = table.take(flat)
         del flat
-        return self.kernel(values)
+        return self._evaluate(values)
+
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        """The kernel's statistics of a block of values; a block of no rows
+        has none."""
+        return self.kernel(values) if len(values) else np.zeros(0)
 
     @cached_property
     def _table(self):
@@ -191,38 +205,64 @@ def _min_row_sums(values: np.ndarray) -> np.ndarray:
     return np.arange(1, values.size + 1) * values + suffix
 
 
-def _sweep(codes: np.ndarray, cells: _Cells):
-    """Walk the records in z-order and stop after each of ``cells.stops``.
+def _sweep(codes: np.ndarray, cells: _Cells, span: int | None = None):
+    """Walk the records in z-order, ``span`` of ``cells.stops`` a step
+    (by default ``cells.span``).
 
     ``codes[p, i]`` is the first column that record i of row p counts toward
-    (a code equal to the column count counts toward none).  At end position
-    e the generator yields the ``(P, cols)`` integer numerators
-    ``D[p, k] = m * C[p, k] - h * cum[k]``, h = e + 1 and cum =
-    ``cells.col_j``, where ``C[p, k]`` counts the first h records of row p
-    with code <= k: the deviation ``C - (h / m) * cum`` times m, exactly.
-    The yielded array is updated in place by the next step.
+    (a code equal to the column count counts toward none).  For the step of
+    stops s..s+t-1 the generator yields s and the ``(P, t, cols)`` integer
+    numerators ``D[p, u, k] = m * C[p, k] - h * cum[k]`` at those stops: at
+    end position e, h = e + 1 and cum = ``cells.col_j``, where ``C[p, k]``
+    counts the first h records of row p with code <= k -- the deviation
+    ``C - (h / m) * cum`` times m, exactly.
+
+    A stop of one record in a step of its own adds that record's column
+    ramp to the last numerators, in place.  Any other step counts its
+    records in one table keyed by (row, stop, code), no larger than the
+    block's codes at the default span; its cumulative sums along the codes
+    and then the stops, added to the last numerators, give a new array.
+    What a step yields is valid until the next step, which may overwrite it.
     """
-    dtype, cum, suffix = cells.sweep_setup
+    dtype, cum, suffix, runs, stop_keys = cells.sweep_setup
     rows, cols, m = len(codes), cum.size, cells.m
-    shifts = np.ascontiguousarray((cols - codes).T)  # record by record
-    num = np.zeros((rows, cols), dtype=dtype)
-    bins = np.arange(rows)[:, None] * (cols + 1)
-    start = 0
-    for end in cells.stops:
+    num = np.zeros((rows, cols), dtype=dtype)  # at the last stop of the last step
+    at_last = num[:, None]  # what a step of one stop yields
+    shifts = cum_rows = None
+    for s, t, start, end in cells.steps if span is None else _sweep_steps(cells.stops, span):
         if end == start:
+            if shifts is None:
+                shifts = np.ascontiguousarray((cols - codes).T)  # record by record
+                cum_rows = np.tile(cum, (rows, 1))
             num += suffix[shifts[start]]
-            num -= cum
+            num -= cum_rows
+            yield s, at_last
         else:
-            # Several records (tied z-values): add their histogram's
-            # cumulative counts at once.
-            run = codes[:, start : end + 1]
-            hist = np.bincount((bins + run).ravel(), minlength=rows * (cols + 1))
-            counts = np.cumsum(hist.reshape(rows, -1)[:, :-1], axis=1, dtype=dtype)
-            counts *= m
-            counts -= run.shape[1] * cum
-            num += counts
-        start = end + 1
-        yield num
+            row_keys = np.arange(rows) * (t * (cols + 1)) - s * (cols + 1)
+            keys = row_keys[:, None] + stop_keys[start : end + 1]
+            keys += codes[:, start : end + 1]
+            hist = np.bincount(keys.ravel(), minlength=rows * t * (cols + 1)).reshape(rows, t, cols + 1)
+            table = np.cumsum(hist[:, :, :-1], axis=2, dtype=dtype)
+            table *= m
+            table -= np.multiply.outer(runs[s : s + t], cum)  # what each stop adds
+            table[:, 0] += num
+            for u in range(1, t):
+                table[:, u] += table[:, u - 1]
+            num, at_last = table[:, -1], table[:, -1:]
+            yield s, table
+
+
+def _sweep_steps(stops: np.ndarray, span: int) -> list[tuple[int, int, int, int]]:
+    """The steps of a sweep (``_sweep``) of ``span`` of the ``stops`` each:
+    the first stop, the stop count and the first and last records of each,
+    in Python ints."""
+    ends = stops.tolist()
+    steps, start = [], 0
+    for s in range(0, len(ends), span):
+        t = min(span, len(ends) - s)
+        steps.append((s, t, start, ends[s + t - 1]))
+        start = ends[s + t - 1] + 1
+    return steps
 
 
 # OpenBLAS shares a dot product of more than 10,000 elements among its
@@ -232,13 +272,14 @@ _DOT_SPAN = 8192
 
 
 def _row_dots(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ w`` for a ``(P, k)`` array and a ``(k,)`` or ``(P, k)`` one:
-    one dot product per row, in pieces of ``_DOT_SPAN`` columns, so that
-    each row's bits depend on that row alone (a matrix-vector product does
-    not promise that)."""
-    out = np.vecdot(a[:, :_DOT_SPAN], w[..., :_DOT_SPAN], out=out)
-    for lo in range(_DOT_SPAN, a.shape[1], _DOT_SPAN):
-        out += np.vecdot(a[:, lo : lo + _DOT_SPAN], w[..., lo : lo + _DOT_SPAN])
+    """``a @ w`` for a ``(P, k)`` or ``(P, t, k)`` array and a ``(k,)`` or
+    ``(P, k)`` one: one dot product per row (or row and stop) over the last
+    axis, in pieces of ``_DOT_SPAN`` columns, so that each one's bits depend
+    on its own values alone (a matrix-vector product does not promise
+    that)."""
+    out = np.vecdot(a[..., :_DOT_SPAN], w[..., :_DOT_SPAN], out=out)
+    for lo in range(_DOT_SPAN, a.shape[-1], _DOT_SPAN):
+        out += np.vecdot(a[..., lo : lo + _DOT_SPAN], w[..., lo : lo + _DOT_SPAN])
     return out
 
 
@@ -326,29 +367,56 @@ class _Cells:
     @cached_property
     def sweep_setup(self):
         """What every block's sweep (``_sweep``) shares: the dtype of the
-        numerators, ``col_j`` in it, and ``suffix``, where
-        ``suffix[cols - c]`` is m in the columns k >= c and 0 in the others,
-        what one record of code c adds to the numerators.  No value or
-        partial sum exceeds m^2 in size, so the numerators are int32 while
-        m^2 < 2^31 and int64 above."""
+        numerators, ``col_j`` in it, ``suffix``, where ``suffix[cols - c]``
+        is m in the columns k >= c and 0 in the others, what one record of
+        code c adds to the numerators, the records of each stop, and each
+        record's stop times cols + 1, up to the last stop: its part of a
+        count table's key.  No value or partial sum exceeds m^2 in size, so
+        the numerators are int32 while m^2 < 2^31 and int64 above."""
         dtype = np.int32 if self.m * self.m < 2**31 else np.int64
         cols = self.col_j.size
         ramp = np.zeros(2 * cols, dtype=dtype)
         ramp[cols:] = self.m
-        return dtype, self.col_j.astype(dtype), np.lib.stride_tricks.sliding_window_view(ramp, cols)
+        runs = np.diff(self.stops, prepend=-1)
+        stop_keys = np.repeat(np.arange(self.stops.size) * (cols + 1), runs)
+        suffix = np.lib.stride_tricks.sliding_window_view(ramp, cols)
+        return dtype, self.col_j.astype(dtype), suffix, runs, stop_keys
 
-    def sum(self, codes: np.ndarray, squared: bool) -> np.ndarray:
+    @cached_property
+    def span(self) -> int:
+        """The stops a sweep advances per step (``_sweep``): the most whose
+        count table of ``(span, cols + 1)`` cells a row holds at most m, so
+        that a step's table has no more cells than the block has codes, and
+        one on a large grid, where a step of several stops was slower."""
+        if self.large:
+            return 1
+        return max(1, min(self.stops.size, self.m // (self.col_j.size + 1)))
+
+    @cached_property
+    def steps(self) -> list[tuple[int, int, int, int]]:
+        """The steps of a sweep of ``span`` stops each (``_sweep_steps``)."""
+        return _sweep_steps(self.stops, self.span)
+
+    def sum(self, codes: np.ndarray, squared: bool, span: int | None = None) -> np.ndarray:
         """``sum_{h,j} dG1(h) dG2(j) |D(h, j)|``, or with D^2, per row of
-        the ``(P, m)`` block of codes in z-order.
+        the ``(P, m)`` block of codes in z-order, sweeping ``span`` stops a
+        step (``_sweep``).
 
-        Each stop reduces its numerators over the columns, and one sum
-        weighted by dG1 finishes.  |D| is exact, and D^2 is taken in
-        float64.
+        Each (row, stop) reduces its numerators over the columns in one dot
+        product, and one sum weighted by dG1 finishes.  |D| is exact, and
+        D^2 is taken in float64; both are written into one buffer.
         """
         at_stop = np.empty((len(codes), self.stops.size))  # sum over j of dG2(j) |D|
-        for s, num in enumerate(_sweep(codes, self)):
-            dev = np.square(num, dtype=float) if squared else np.abs(num)
-            _row_dots(dev, self.col_dg2, out=at_stop[:, s])
+        dev = None
+        for s, num in _sweep(codes, self, span):
+            if dev is None:  # the first step is the widest
+                dev = np.empty(num.shape, float if squared else num.dtype)
+            out = dev[:, : num.shape[1]]
+            if squared:
+                np.square(num, out=out, dtype=float)
+            else:
+                np.abs(num, out=out)
+            _row_dots(out, self.col_dg2, out=at_stop[:, s : s + out.shape[1]])
         return _row_dots(at_stop, self.stop_dg1)
 
 
@@ -387,7 +455,7 @@ def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
     """The quadratic functional summed over the cells.  Every term is
     nonnegative, so the sum keeps full relative accuracy."""
     scale = n / cells.m**4
-    return _evaluator(lambda codes: scale * cells.sum(codes, squared=True), cells, cells.codes,
+    return _evaluator(lambda codes, span=None: scale * cells.sum(codes, True, span), cells, cells.codes,
                       _CELL_SECONDS * cells.size)
 
 
@@ -571,7 +639,7 @@ def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     summed over the cells (see ``_Cells``)."""
     cells = _Cells(pd, wx, wy)
     scale = np.sqrt(pd.n) / cells.m**2
-    return _evaluator(lambda codes: scale * cells.sum(codes, squared=False), cells, cells.codes,
+    return _evaluator(lambda codes, span=None: scale * cells.sum(codes, False, span), cells, cells.codes,
                       _CELL_SECONDS * cells.size, cells.large)
 
 
@@ -593,30 +661,41 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     constant side) is exactly 0.  Otherwise the value reported is the
     largest float deviation |C - (h/m)*cum|, rounded as a float sweep rounds
     it, and it is evaluated only in the columns where |D| reaches K (one per
-    row, as a rule).  Its rounding error is below 3*m*2^-53, and distinct
-    values of |D| differ by at least 1/m in deviation, so while
-    6*m^2 < 2^53 (m below about 3.9e7 pairs) no smaller |D| rounds above
-    the largest: the value is bit for bit the float sweep's maximum.
+    row, as a rule), from counts C = (D + h*cum) / m read off the sweep's
+    table when one step spans every stop, and otherwise counted again.  Its
+    rounding error is below 3*m*2^-53, and distinct values of |D| differ by
+    at least 1/m in deviation, so while 6*m^2 < 2^53 (m below about 3.9e7
+    pairs) no smaller |D| rounds above the largest: the value is bit for
+    bit the float sweep's maximum.
     """
     cells = _Cells(pd)
     m, h = cells.m, cells.stops + 1
 
-    def evaluate(codes: np.ndarray) -> np.ndarray:
+    def evaluate(codes: np.ndarray, span: int | None = None) -> np.ndarray:
         best = np.zeros(len(codes))
         if cells.size == 0:
             return best
-        sweep = _sweep(codes, cells)
-        peak = np.abs(next(sweep))
+        peak = np.zeros((len(codes), cells.col_j.size), cells.sweep_setup[0])
         magnitude = np.empty_like(peak)
-        for num in sweep:
-            np.maximum(peak, np.abs(num, out=magnitude), out=peak)
+        table = None  # the numerators at every stop, when one step spans them
+        for _, num in _sweep(codes, cells, span):
+            if num.shape[1] == 1:
+                np.maximum(peak, np.abs(num[:, 0], out=magnitude), out=peak)
+            else:
+                np.maximum(peak, np.abs(num).max(axis=1), out=peak)
+            if num.shape[1] == cells.stops.size:
+                table = num
         k = peak.max(axis=1)[:, None]
         rows, cols = np.nonzero((peak == k) & (k > 0))
         # The float deviations of those columns at every stop, a block's
-        # worth of columns at a time.
+        # worth of columns at a time, from counts read off the one table or
+        # counted again.
         for lo in range(0, rows.size, len(codes)):
             r, c = rows[lo : lo + len(codes)], cols[lo : lo + len(codes), None]
-            counts = np.cumsum(codes[r] <= c, axis=1)[:, cells.stops]
+            if table is None:
+                counts = np.cumsum(codes[r] <= c, axis=1)[:, cells.stops]
+            else:
+                counts = (table[r, :, c[:, 0]] + h * cells.col_j[c]) // m
             dev = np.abs(counts - (h / m) * cells.col_j[c])
             np.maximum.at(best, r, dev.max(axis=1))
         return np.sqrt(pd.n) * best / m

@@ -9,7 +9,9 @@ rationals.  The recurrence rates restate the paper's definitions, and
 ``sup_float_sweep`` is the earlier float sweep of the supremum kernel, whose
 bits the integer sweep keeps; ``value_block_evaluator`` is the earlier
 evaluation of blocks of re-paired Y distances, whose bits the evaluation of
-pair-index blocks keeps.  ``dominance_closed_form`` is the earlier closed
+pair-index blocks keeps, and ``per_stop_sweep`` the sweep of its cell sums,
+one stop at a time, whose numerators the sweep of several stops a step
+keeps.  ``dominance_closed_form`` is the earlier closed
 form of the quadratic functional, built on the rank dominance sums of
 ``prefix_dominance``, and ``min_kernel_literal`` the literal double sum
 that replaced it; ``tile_min_sums_literal`` sums the within-tile pairs of
@@ -43,7 +45,6 @@ from recurtest.stats_core import (
     _min_kernel,
     _min_row_sums,
     _row_dots,
-    _sweep,
 )
 from recurtest.weights import GaussianWeight, estimate_weight, weight_cdf
 
@@ -534,6 +535,39 @@ def tile_min_sums_literal(values: np.ndarray, weights: np.ndarray, groups=None) 
     return np.array(out)
 
 
+def per_stop_sweep(codes: np.ndarray, cells: _Cells):
+    """The sweep of the cell sums as it was before it took several stops a
+    step (oracle): it yields the ``(P, cols)`` integer numerators
+    ``m * C - h * cells.col_j`` after each of ``cells.stops``, one stop at a
+    time, and updates the yielded array in place.  A stop of one record
+    adds that record's column ramp; a run of several records (tied X
+    distances) adds its histogram's cumulative counts."""
+    m, cols = cells.m, cells.col_j.size
+    dtype = np.int32 if m * m < 2**31 else np.int64
+    cum = cells.col_j.astype(dtype)
+    ramp = np.zeros(2 * cols, dtype=dtype)
+    ramp[cols:] = m
+    suffix = np.lib.stride_tricks.sliding_window_view(ramp, cols)
+    rows = len(codes)
+    shifts = np.ascontiguousarray((cols - codes).T)  # record by record
+    num = np.zeros((rows, cols), dtype=dtype)
+    bins = np.arange(rows)[:, None] * (cols + 1)
+    start = 0
+    for end in cells.stops:
+        if end == start:
+            num += suffix[shifts[start]]
+            num -= cum
+        else:
+            run = codes[:, start : end + 1]
+            hist = np.bincount((bins + run).ravel(), minlength=rows * (cols + 1))
+            counts = np.cumsum(hist.reshape(rows, cols + 1)[:, :-1], axis=1, dtype=dtype)
+            counts *= m
+            counts -= run.shape[1] * cum
+            num += counts
+        start = end + 1
+        yield num
+
+
 def value_block_evaluator(pd: PairedDistances, functional):
     """``stats_core.prepare`` as it was when its evaluators took a ``(P, m)``
     block of re-paired Y distances instead of pair indices (oracle).  Each
@@ -553,7 +587,7 @@ def value_block_evaluator(pd: PairedDistances, functional):
     def cell_sum(t_block, squared):
         codes = np.searchsorted(col_values, t_block[:, z_order], side="left")
         at_stop = np.empty((len(t_block), cells.stops.size))
-        for s, num in enumerate(_sweep(codes, cells)):
+        for s, num in enumerate(per_stop_sweep(codes, cells)):
             dev = np.square(num, dtype=float) if squared else np.abs(num)
             _row_dots(dev, cells.col_dg2, out=at_stop[:, s])
         return _row_dots(at_stop, cells.stop_dg1)

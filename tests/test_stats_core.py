@@ -32,6 +32,7 @@ from oracles import (
     l2_statistic_exact,
     l2_statistic_naive,
     min_kernel_literal,
+    per_stop_sweep,
     recurrence_rate,
     sup_float_sweep,
     sup_statistic_naive,
@@ -562,7 +563,7 @@ class TestSupIntegerSweep:
         pd = rt.paired_distances(x, y, Metric.LINF, Metric.LINF)
         assert pd.pair_count**2 > 2**31
         cells = stats_core._Cells(pd)
-        num = next(stats_core._sweep(cells.codes[None, cells.z_order], cells))
+        _, num = next(stats_core._sweep(cells.codes[None, cells.z_order], cells))  # the first step
         assert num.dtype == np.int64
         m = pd.pair_count
         block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(2)])
@@ -571,6 +572,107 @@ class TestSupIntegerSweep:
         evaluate = stats_core.prepare(pd, Functional.SUP)
         for size in (1, len(block)):
             assert np.array_equal(in_blocks(evaluate, block, size), want)
+
+
+def sweep_data(seed, n, kind):
+    """Y = X^2 + eps in 3 dimensions: continuous under L1, rounded to 0 or
+    1 decimals under L1, integers under Linf, or with a constant Y side."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3))
+    y = x**2 + rng.standard_normal((n, 3))
+    metric = Metric.L1
+    if kind == "round0":
+        x, y = np.round(x), np.round(y)
+    elif kind == "round1":
+        x, y = np.round(x, 1), np.round(y, 1)
+    elif kind == "tied-linf":
+        x, y, metric = np.round(x), np.round(y), Metric.LINF
+    elif kind == "constant":
+        y = np.ones_like(y)
+    return rt.paired_distances(x, y, metric, metric)
+
+
+class TestChunkedSweep:
+    """The sweep advances several stops a step (``stats_core._sweep``) and
+    must give at every stop the numerators of the sweep one stop at a time
+    (``oracles.per_stop_sweep``), and every functional the bits of the
+    evaluators that sweep (``oracles.value_block_evaluator``), whatever the
+    span: one stop, two, three or all of them."""
+
+    @staticmethod
+    def spans(cells):
+        return sorted({1, 2, 3, max(1, cells.stops.size)})
+
+    @staticmethod
+    def assert_per_stop_numerators(cells, codes, span):
+        want = [num.copy() for num in per_stop_sweep(codes, cells)]
+        got = []
+        for s, num in stats_core._sweep(codes, cells, span):
+            assert s == len(got) and num.shape[1] == min(span, cells.stops.size - s)
+            got += [num[:, u].copy() for u in range(num.shape[1])]
+        assert len(got) == len(want) == cells.stops.size
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        kind=st.sampled_from(["continuous", "round0", "round1", "tied-linf", "constant"]),
+    )
+    def test_every_span_gives_the_per_stop_sweep(self, seed, n, kind):
+        pd = sweep_data(seed, n, kind)
+        rng = np.random.default_rng(seed)
+        m = pd.pair_count
+        block = np.array([np.arange(m)] + [rng.permutation(m) for _ in range(4)])
+        # A constant side has no weight; only the supremum is defined there.
+        weighted = np.ptp(pd.z) > 0 and np.ptp(pd.t) > 0
+        grids = [stats_core._Cells(pd)] + ([stats_core._Cells(pd, *weights_for(pd))] if weighted else [])
+        for cells in grids:
+            codes = cells.codes[block[:, cells.z_order]]
+            for span in self.spans(cells):
+                self.assert_per_stop_numerators(cells, codes, span)
+        for functional in list(Functional) if weighted else [Functional.SUP]:
+            evaluate = stats_core.prepare(pd, functional)
+            if functional == Functional.L2 and evaluate.cells.large:
+                continue  # the closed form does not sweep
+            want = value_block_evaluator(pd, functional)(pd.t[block])
+            values = evaluate.values[block[:, evaluate.cells.z_order]]
+            for span in self.spans(evaluate.cells):
+                assert np.array_equal(evaluate.kernel(values, span=span), want)
+
+    @pytest.mark.parametrize("scale, spans", [(1, (2, 3)), (16, (3, 4))])
+    def test_runs_on_both_sides_of_step_ends(self, scale, spans):
+        # Integer and 1/16-rounded data under Linf at n = 30 (5 and 58
+        # stops): stops of several records begin and end steps, and the
+        # last step is shorter than the others.
+        pd = rounded_pairs(30, scale)
+        cells = stats_core._Cells(pd)
+        runs = np.diff(cells.stops, prepend=-1)
+        rng = np.random.default_rng(scale)
+        block = np.array([np.arange(pd.pair_count)] + [rng.permutation(pd.pair_count) for _ in range(4)])
+        codes = cells.codes[block[:, cells.z_order]]
+        for span in spans:
+            assert cells.stops.size % span
+            assert np.any(runs[::span] > 1) and np.any(runs[span - 1 :: span] > 1)
+            self.assert_per_stop_numerators(cells, codes, span)
+        want = sup_float_sweep(pd)(pd.t[block])
+        evaluate = stats_core.prepare(pd, Functional.SUP)
+        for span in (1, *spans, cells.stops.size):
+            assert np.array_equal(evaluate.kernel(codes, span=span), want)
+
+    def test_span_from_the_sizes(self):
+        # The most stops whose count table of (span, cols + 1) cells per row
+        # holds at most m cells; one on a large grid.
+        for pd in (rounded_pairs(30, 1), rounded_pairs(30, 16), random_pairs(5, 30)):
+            cells = stats_core._Cells(pd)
+            stops, cols, m, span = cells.stops.size, cells.col_j.size, cells.m, cells.span
+            if cells.large:
+                assert span == 1
+            else:
+                assert 1 <= span <= stops
+                assert span * (cols + 1) <= m or span == 1
+                assert (span + 1) * (cols + 1) > m or span == stops
 
 
 class TestIndexBlocks:
@@ -684,6 +786,19 @@ class TestIndexBlocks:
                 assert np.array_equal(in_blocks(evaluate.permuted, perms, size), want)
             for layout in layouts:
                 assert np.array_equal(evaluate.permuted(layout), want)
+
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    @pytest.mark.parametrize("ties", [False, True], ids=["continuous", "tied"])
+    def test_blocks_of_no_rows(self, functional, ties):
+        # Both entries map a block of no rows to no statistics, on a large
+        # grid (continuous data) and on a small one (integers under Linf).
+        n = 40
+        pd = rounded_pairs(n, 1) if ties else random_pairs(8, n)
+        evaluate = stats_core.prepare(pd, functional)
+        assert evaluate.cells.large != ties
+        for got in (evaluate(np.empty((0, pd.pair_count), dtype=np.intp)),
+                    evaluate.permuted(np.empty((0, n), dtype=np.intp))):
+            assert got.dtype == np.float64 and got.shape == (0,)
 
     def test_permutations_need_every_pair_once(self):
         # Doubled pairs have no table of the observations; their pair
