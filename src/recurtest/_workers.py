@@ -3,9 +3,11 @@
 A unit is ``fn(i)`` for an index ``i``; it must depend only on ``i`` and
 what ``fn`` holds (every random draw comes from a stream of its own), so
 the results do not depend on how many processes compute them.  The units
-are split into contiguous chunks: this process computes the first and
-largest, and a forked worker each of the others, whose results it sends
-back pickled through a pipe.  The results are put back in index order.  A
+are split into contiguous chunks whose sizes differ by at most one, the
+larger first (``chunk_bounds``, by which a power study's shares and a
+permutation test's blocks are cut too): this process computes the first
+and a forked worker each of the others, whose results it sends back
+pickled through a pipe.  The results are put back in index order.  A
 fork costs a few milliseconds (``_FORK_SECONDS``), which a call of tiny
 units pays in wall time.  A caller that can predict its work passes it to
 ``worker_count``, which then counts only the processes that the work pays
@@ -87,24 +89,27 @@ def worker_count(jobs, units: int, seconds: float = math.inf) -> int:
 
 
 def chunk_bounds(count: int, chunks: int) -> list[int]:
-    """The bounds of ``count`` units cut into ``chunks`` contiguous chunks,
-    larger ones first: chunk c holds units ``bounds[c] .. bounds[c + 1] -
-    1``, and the sizes differ by at most one."""
-    return [-(-count * c // chunks) for c in range(chunks + 1)]
+    """The bounds of ``count`` units cut into ``chunks`` contiguous chunks:
+    chunk c holds units ``bounds[c] .. bounds[c + 1] - 1``.  The sizes
+    differ by at most one and never grow: the ``count % chunks`` chunks of
+    one unit more come first.  This is the one rule by which the package
+    splits work into ranges."""
+    size, larger = divmod(count, chunks)
+    return [c * size + min(c, larger) for c in range(chunks + 1)]
 
 
 def run_units(fn, count: int, jobs) -> list:
     """``[fn(i) for i in range(count)]``, over up to ``jobs`` processes.
 
     Units 0 .. count-1 are split into ``worker_count(jobs, count)``
-    contiguous chunks, larger ones first: this process, which starts before
-    any worker, computes the first and a forked worker each of the others.
-    The results of ``fn`` must be picklable; ``fn`` itself, a closure or a
-    ``functools.partial`` alike, need not be.  A worker whose unit raises
-    sends only the results before it; the units it did not compute are then
-    run in this process, the lowest failing one first, so the caller gets
-    the very exception a serial run raises, and no exception object has to
-    survive pickling.
+    contiguous chunks by ``chunk_bounds``, larger ones first: this process,
+    which starts before any worker, computes the first and a forked worker
+    each of the others.  The results of ``fn`` must be picklable; ``fn``
+    itself, a closure or a ``functools.partial`` alike, need not be.  A
+    worker whose unit raises sends only the results before it; the units it
+    did not compute are then run in this process, the lowest failing one
+    first, so the caller gets the very exception a serial run raises, and
+    no exception object has to survive pickling.
     """
     bounds = chunk_bounds(count, worker_count(jobs, count))
     (lo, hi), *chunks = zip(bounds, bounds[1:])

@@ -93,11 +93,11 @@ def read_dataset(path: str) -> np.ndarray:
 
 
 def write_dataset(path: str, data: np.ndarray) -> None:
+    """Write ``data`` as a dataset file: one row per observation (a 1-D
+    array is one row), each value with 17 significant digits."""
     arr = np.asarray(data, dtype=float)
     with open_text(path, "w") as fh:
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(_fmt(v) for v in row))
-            fh.write("\n")
+        np.savetxt(fh, np.atleast_2d(arr), fmt="%.17g", delimiter=",")
 
 
 def report_to_json(report, levels, tool_version: str) -> str:

@@ -34,7 +34,7 @@ from math import ceil
 import numpy as np
 
 from . import streams
-from ._workers import check_jobs, run_units, worker_count
+from ._workers import check_jobs, chunk_bounds, run_units, worker_count
 from .exceptions import InvalidInputError, positive_count
 from .metrics import ensure_sample, paired_distances
 from .stats_core import Evaluator, StatisticSpec, prepare
@@ -161,15 +161,14 @@ def _block_bounds(rows: int, evaluate: Evaluator, jobs) -> tuple[list[int], int]
     added to ``evaluate.row_seconds`` per row).  The blocks are the fewest
     of at most ``evaluate.block_rows`` rows, raised to a multiple of the
     processes while there are rows for each, so every process gets as many;
-    their sizes differ by at most one row, the larger first.  Rows that fit
-    one block make one."""
+    their sizes differ by at most one row, the larger first
+    (``chunk_bounds``).  Rows that fit one block make one."""
     blocks = -(-rows // evaluate.block_rows)
     workers = 1
     if blocks > 1:
         workers = worker_count(jobs, blocks, rows * (evaluate.row_seconds + _DRAW_SECONDS))
         blocks = min(rows, -(-blocks // workers) * workers)
-    size, larger = divmod(rows, blocks)
-    return [b * size + min(b, larger) for b in range(blocks + 1)], workers
+    return chunk_bounds(rows, blocks), workers
 
 
 def min_permutations(alpha: float) -> int:

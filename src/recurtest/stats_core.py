@@ -43,12 +43,14 @@ record's column ramp.  On a small grid, as on tied data, it advances
 ``_Cells.span`` stops a step: one table of the step's records counted by
 (row, stop, code), summed along the codes and the stops, gives the
 numerators at all of its stops, so the fixed costs are paid per step
-rather than per stop.  The absolute functional sums the numerators over the
-weighted grid, one dot product per row and stop, and the supremum takes
-their largest magnitude over the unweighted grid.  The quadratic functional
-sums their squares on a small grid, and otherwise evaluates the expanded
-square in closed form from each row's Y ranks: a double sum of products of
-two minima (``_min_kernel``).
+rather than per stop.  The grid holds the one plan of steps
+(``_Cells.steps``), so every kernel maps a block and takes nothing else.
+The absolute functional sums the numerators over the weighted grid, one dot
+product per row and stop, and the supremum takes their largest magnitude
+over the unweighted grid.  The quadratic functional sums their squares on a
+small grid, and otherwise evaluates the expanded square in closed form from
+each row's Y ranks: a double sum of products of two minima
+(``_min_kernel``).
 
 The literal-sum twins of the kernels live with the tests as oracles.  Both
 agree to floating round-off and are invariant to how ties are broken (equal
@@ -205,9 +207,10 @@ def _min_row_sums(values: np.ndarray) -> np.ndarray:
     return np.arange(1, values.size + 1) * values + suffix
 
 
-def _sweep(codes: np.ndarray, cells: _Cells, span: int | None = None):
-    """Walk the records in z-order, ``span`` of ``cells.stops`` a step
-    (by default ``cells.span``).
+def _sweep(codes: np.ndarray, cells: _Cells):
+    """Walk the records of a block in z-order, one step of ``cells.steps``
+    at a time: ``cells.span`` of ``cells.stops`` a step, the last one
+    possibly shorter.
 
     ``codes[p, i]`` is the first column that record i of row p counts toward
     (a code equal to the column count counts toward none).  For the step of
@@ -220,8 +223,8 @@ def _sweep(codes: np.ndarray, cells: _Cells, span: int | None = None):
     A stop of one record in a step of its own adds that record's column
     ramp to the last numerators, in place.  Any other step counts its
     records in one table keyed by (row, stop, code), no larger than the
-    block's codes at the default span; its cumulative sums along the codes
-    and then the stops, added to the last numerators, give a new array.
+    block's codes; its cumulative sums along the codes and then the stops,
+    added to the last numerators, give a new array.
     What a step yields is valid until the next step, which may overwrite it.
     """
     dtype, cum, suffix, runs, stop_keys = cells.sweep_setup
@@ -229,7 +232,7 @@ def _sweep(codes: np.ndarray, cells: _Cells, span: int | None = None):
     num = np.zeros((rows, cols), dtype=dtype)  # at the last stop of the last step
     at_last = num[:, None]  # what a step of one stop yields
     shifts = cum_rows = None
-    for s, t, start, end in cells.steps if span is None else _sweep_steps(cells.stops, span):
+    for s, t, start, end in cells.steps:
         if end == start:
             if shifts is None:
                 shifts = np.ascontiguousarray((cols - codes).T)  # record by record
@@ -252,14 +255,14 @@ def _sweep(codes: np.ndarray, cells: _Cells, span: int | None = None):
             yield s, table
 
 
-def _sweep_steps(stops: np.ndarray, span: int) -> list[tuple[int, int, int, int]]:
-    """The steps of a sweep (``_sweep``) of ``span`` of the ``stops`` each:
-    the first stop, the stop count and the first and last records of each,
-    in Python ints."""
+def _sweep_steps(stops: np.ndarray, per_step: int) -> list[tuple[int, int, int, int]]:
+    """The steps of a sweep (``_sweep``) of ``per_step`` of the ``stops``
+    each: the first stop, the stop count and the first and last records of
+    each, in Python ints."""
     ends = stops.tolist()
     steps, start = [], 0
-    for s in range(0, len(ends), span):
-        t = min(span, len(ends) - s)
+    for s in range(0, len(ends), per_step):
+        t = min(per_step, len(ends) - s)
         steps.append((s, t, start, ends[s + t - 1]))
         start = ends[s + t - 1] + 1
     return steps
@@ -394,13 +397,13 @@ class _Cells:
 
     @cached_property
     def steps(self) -> list[tuple[int, int, int, int]]:
-        """The steps of a sweep of ``span`` stops each (``_sweep_steps``)."""
+        """The steps of a sweep of ``span`` stops each (``_sweep_steps``),
+        which every sweep of this grid walks."""
         return _sweep_steps(self.stops, self.span)
 
-    def sum(self, codes: np.ndarray, squared: bool, span: int | None = None) -> np.ndarray:
+    def sum(self, codes: np.ndarray, squared: bool) -> np.ndarray:
         """``sum_{h,j} dG1(h) dG2(j) |D(h, j)|``, or with D^2, per row of
-        the ``(P, m)`` block of codes in z-order, sweeping ``span`` stops a
-        step (``_sweep``).
+        the ``(P, m)`` block of codes in z-order, in one sweep (``_sweep``).
 
         Each (row, stop) reduces its numerators over the columns in one dot
         product, and one sum weighted by dG1 finishes.  |D| is exact, and
@@ -408,7 +411,7 @@ class _Cells:
         """
         at_stop = np.empty((len(codes), self.stops.size))  # sum over j of dG2(j) |D|
         dev = None
-        for s, num in _sweep(codes, self, span):
+        for s, num in _sweep(codes, self):
             if dev is None:  # the first step is the widest
                 dev = np.empty(num.shape, float if squared else num.dtype)
             out = dev[:, : num.shape[1]]
@@ -455,7 +458,7 @@ def _l2_cell_sum(cells: _Cells, n: int) -> Evaluator:
     """The quadratic functional summed over the cells.  Every term is
     nonnegative, so the sum keeps full relative accuracy."""
     scale = n / cells.m**4
-    return _evaluator(lambda codes, span=None: scale * cells.sum(codes, True, span), cells, cells.codes,
+    return _evaluator(lambda codes: scale * cells.sum(codes, True), cells, cells.codes,
                       _CELL_SECONDS * cells.size)
 
 
@@ -639,7 +642,7 @@ def _prepare_l1(pd: PairedDistances, wx: GaussianWeight, wy: GaussianWeight) -> 
     summed over the cells (see ``_Cells``)."""
     cells = _Cells(pd, wx, wy)
     scale = np.sqrt(pd.n) / cells.m**2
-    return _evaluator(lambda codes, span=None: scale * cells.sum(codes, False, span), cells, cells.codes,
+    return _evaluator(lambda codes: scale * cells.sum(codes, False), cells, cells.codes,
                       _CELL_SECONDS * cells.size, cells.large)
 
 
@@ -656,29 +659,30 @@ def _prepare_sup(pd: PairedDistances) -> Evaluator:
     tie-breaking and equal to the supremum of the left-continuous rate
     process over all radii.
 
-    The sweep keeps each column's largest |D| over the stops, which gives
-    each row's exact maximum K of |D|; a row with K = 0 (as on a
-    constant side) is exactly 0.  Otherwise the value reported is the
-    largest float deviation |C - (h/m)*cum|, rounded as a float sweep rounds
-    it, and it is evaluated only in the columns where |D| reaches K (one per
-    row, as a rule), from counts C = (D + h*cum) / m read off the sweep's
-    table when one step spans every stop, and otherwise counted again.  Its
-    rounding error is below 3*m*2^-53, and distinct values of |D| differ by
-    at least 1/m in deviation, so while 6*m^2 < 2^53 (m below about 3.9e7
-    pairs) no smaller |D| rounds above the largest: the value is bit for
-    bit the float sweep's maximum.
+    Its kernel maps a ``(P, m)`` block of codes in z-order.  One sweep of
+    the grid's steps (``_sweep``) keeps each column's largest |D| over the
+    stops, which gives each row's exact maximum K of |D|; a row with K = 0
+    (as on a constant side) is exactly 0.  Otherwise the value reported is
+    the largest float deviation |C - (h/m)*cum|, rounded as a float sweep
+    rounds it, and it is evaluated only in the columns where |D| reaches K
+    (one per row, as a rule), from counts C = (D + h*cum) / m read off the
+    sweep's table when one step spans every stop, and otherwise counted
+    again.  Its rounding error is below 3*m*2^-53, and distinct values of
+    |D| differ by at least 1/m in deviation, so while 6*m^2 < 2^53 (m below
+    about 3.9e7 pairs) no smaller |D| rounds above the largest: the value
+    is bit for bit the float sweep's maximum.
     """
     cells = _Cells(pd)
     m, h = cells.m, cells.stops + 1
 
-    def evaluate(codes: np.ndarray, span: int | None = None) -> np.ndarray:
+    def evaluate(codes: np.ndarray) -> np.ndarray:
         best = np.zeros(len(codes))
         if cells.size == 0:
             return best
         peak = np.zeros((len(codes), cells.col_j.size), cells.sweep_setup[0])
         magnitude = np.empty_like(peak)
         table = None  # the numerators at every stop, when one step spans them
-        for _, num in _sweep(codes, cells, span):
+        for _, num in _sweep(codes, cells):
             if num.shape[1] == 1:
                 np.maximum(peak, np.abs(num[:, 0], out=magnitude), out=peak)
             else:

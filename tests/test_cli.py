@@ -39,6 +39,30 @@ class TestDatasetFiles:
         write_dataset(str(p), data)
         assert np.array_equal(read_dataset(str(p)), data)
 
+    @staticmethod
+    def loop_bytes(data):
+        """The bytes the writer wrote before it called ``np.savetxt``
+        (oracle): each value formatted by Python with 17 significant
+        digits, joined by commas, one LF-ended line per row."""
+        rows = np.atleast_2d(np.asarray(data, dtype=float))
+        return "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in rows).encode()
+
+    @pytest.mark.parametrize("data", [
+        np.random.default_rng(42).standard_normal((7, 5)),
+        np.random.default_rng(43).standard_normal((4, 3)) * 1e300,
+        np.random.default_rng(44).standard_normal((4, 3)) * 1e-300,
+        np.array([[5e-324, -2.5e-310, 1e-308], [0.0, -0.0, -1.8e308], [1.8e308, np.inf, -np.inf]]),
+        np.array([[np.nan, 1.0, -np.nan]]),
+        np.round(np.random.default_rng(45).standard_normal((6, 4)) * 100, 2),
+        np.random.default_rng(46).standard_normal(9),
+        np.array([]),
+        np.zeros((0, 3)),
+    ], ids=["normal", "huge", "tiny", "subnormal-zero-max-inf", "nan", "two-decimals", "1-d", "empty", "no-rows"])
+    def test_written_bytes_match_the_formatting_loop(self, tmp_path, data):
+        p = tmp_path / "d.csv"
+        write_dataset(str(p), data)
+        assert p.read_bytes() == self.loop_bytes(data)
+
     def test_header_autodetected(self, tmp_path):
         p = tmp_path / "h.csv"
         p.write_text("a,b\n1,2\n3,4\n")

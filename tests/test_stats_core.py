@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -597,17 +598,23 @@ class TestChunkedSweep:
     must give at every stop the numerators of the sweep one stop at a time
     (``oracles.per_stop_sweep``), and every functional the bits of the
     evaluators that sweep (``oracles.value_block_evaluator``), whatever the
-    span: one stop, two, three or all of them."""
+    span: one stop, two, three or all of them.  A span is pinned by
+    assigning the grid's plan of steps, which every sweep of it walks."""
 
     @staticmethod
     def spans(cells):
         return sorted({1, 2, 3, max(1, cells.stops.size)})
 
     @staticmethod
-    def assert_per_stop_numerators(cells, codes, span):
+    def pin_span(cells, span):
+        cells.steps = stats_core._sweep_steps(cells.stops, span)
+
+    @classmethod
+    def assert_per_stop_numerators(cls, cells, codes, span):
         want = [num.copy() for num in per_stop_sweep(codes, cells)]
         got = []
-        for s, num in stats_core._sweep(codes, cells, span):
+        cls.pin_span(cells, span)
+        for s, num in stats_core._sweep(codes, cells):
             assert s == len(got) and num.shape[1] == min(span, cells.stops.size - s)
             got += [num[:, u].copy() for u in range(num.shape[1])]
         assert len(got) == len(want) == cells.stops.size
@@ -639,7 +646,8 @@ class TestChunkedSweep:
             want = value_block_evaluator(pd, functional)(pd.t[block])
             values = evaluate.values[block[:, evaluate.cells.z_order]]
             for span in self.spans(evaluate.cells):
-                assert np.array_equal(evaluate.kernel(values, span=span), want)
+                self.pin_span(evaluate.cells, span)
+                assert np.array_equal(evaluate.kernel(values), want)
 
     @pytest.mark.parametrize("scale, spans", [(1, (2, 3)), (16, (3, 4))])
     def test_runs_on_both_sides_of_step_ends(self, scale, spans):
@@ -659,7 +667,16 @@ class TestChunkedSweep:
         want = sup_float_sweep(pd)(pd.t[block])
         evaluate = stats_core.prepare(pd, Functional.SUP)
         for span in (1, *spans, cells.stops.size):
-            assert np.array_equal(evaluate.kernel(codes, span=span), want)
+            self.pin_span(evaluate.cells, span)
+            assert np.array_equal(evaluate.kernel(codes), want)
+
+    @pytest.mark.parametrize("functional", list(Functional), ids=lambda f: f.value)
+    def test_kernels_take_one_block_and_nothing_else(self, functional):
+        # Continuous data (the closed form of l2) and integer data under
+        # Linf (the sweeps, several stops a step).
+        for pd in (random_pairs(5, 30), rounded_pairs(30, 1)):
+            kernel = stats_core.prepare(pd, functional).kernel
+            assert len(inspect.signature(kernel).parameters) == 1
 
     def test_span_from_the_sizes(self):
         # The most stops whose count table of (span, cols + 1) cells per row

@@ -253,6 +253,17 @@ def test_units_need_not_pickle():
     assert [i for *_, i in got] == list(range(5))
 
 
+def test_chunk_bounds_cut_even_nonincreasing_chunks():
+    for count in range(61):
+        for chunks in range(1, 9):
+            bounds = _workers.chunk_bounds(count, chunks)
+            sizes = np.diff(bounds)
+            assert len(bounds) == chunks + 1
+            assert bounds[0] == 0 and bounds[-1] == count
+            assert np.all(np.diff(sizes) <= 0) and sizes[0] - sizes[-1] <= 1
+    assert _workers.chunk_bounds(10, 4) == [0, 3, 6, 8, 10]
+
+
 @pytest.mark.parametrize("count", [3, 5])
 def test_caller_computes_the_larger_share(count):
     # a worker starts late, so the caller takes units 0 .. ceil(count/2) - 1
